@@ -8,10 +8,11 @@ Writing G_i for the graph with vertices 0..i-1 removed:
   monomer-dimer: Z(G) = prod_i 1 / p_0(G_i)
 
 Each factor comes from a certified marginal interval, so the product
-interval encloses Z regardless of any decay assumption.  Per-vertex
-tolerances are calibrated so the final interval ratio is at most e^eps
-<= (1+eps)^2, and the reported value (the geometric interval midpoint)
-is within a factor 1+-eps of Z.  Accumulation is in log space.
+interval encloses Z regardless of any decay assumption.  One stopping
+rule serves both models: each factor is deepened until its log-width is
+within a running share of eps, so the final interval ratio is at most
+e^eps <= (1+eps)^2, and the reported value (the geometric interval
+midpoint) is within a factor 1+-eps of Z.  Accumulation is in log space.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .recurrence import (
     AdaptiveBudgetError,
     ApproxResult,
     ModelParams,
-    marginal_adaptive,
+    _adaptive,
 )
-from .sawtree import UNOCCUPIED, BoundaryCondition, NodeBudgetError
+from .sawtree import UNOCCUPIED, BoundaryCondition
 
 ORACLE_MAX_VERTICES = 28
 ORACLE_MAX_EDGES = 40
@@ -149,11 +150,29 @@ def oracle_marginal(
 # ---------------------------------------------------------------------------
 
 
-def _telescope(g, model, activity, eps, budget, factor_logs):
-    """Shared driver: walks the deletion sequence, calling factor_logs on
-    each shrinking graph to obtain one certified (log_lo, log_hi, result)
-    factor; on budget exhaustion, pads with the trivial factor bounds."""
+def _telescope(g, params, eps, budget):
+    """The telescope of both models: walks the deletion sequence,
+    bracketing one factor on each shrinking graph; on budget exhaustion,
+    pads the failed and all later factors with their a-priori bounds.
+
+    Factor i is deepened until its log-width is at most an equal share of
+    the allowance still unspent, (allowance - spent) / (n - i).  The
+    shares never decrease (a factor that finishes under its share, such
+    as an exactly expanded one, passes the rest on), the spent total
+    never exceeds the allowance, and the allowance leaves room for the
+    roundoff pad, so log(hi/lo) <= eps holds by construction.
+    """
     n = g.n
+    model = params.model
+    # pad the certificate by the accumulated floating-point roundoff of
+    # the per-factor logs and the final exp (a few ulps per factor)
+    pad = 4e-15 * (n + 4)
+    allowance = eps * (1.0 - 1e-9) - 2.0 * pad
+
+    def log_width(lo, hi):
+        flo, fhi = _log_factor(model, lo, hi)
+        return fhi - flo
+
     log_lo = 0.0
     log_hi = 0.0
     depth_max = 0
@@ -161,37 +180,26 @@ def _telescope(g, model, activity, eps, budget, factor_logs):
     converged = True
     h = g
     for i in range(n):
-        remaining = n - i
-        vertex_budget = max(1, (budget - nodes) // remaining)
-        try:
-            flo, fhi, res = factor_logs(h, vertex_budget)
-        except (AdaptiveBudgetError, NodeBudgetError) as exc:
-            converged = False
-            nodes += getattr(exc, "nodes_expanded", 0)
-            if isinstance(exc, AdaptiveBudgetError):
-                flo, fhi = _trivial_factor(model, activity, h, exc.lo, exc.hi)
-                log_lo += flo
-                log_hi += fhi
-                h = delete_vertex(h, 0)
-                trailing = remaining - 1
-            else:
-                trailing = remaining
-            for _ in range(trailing):
-                flo, fhi = _trivial_factor(model, activity, h, None, None)
-                log_lo += flo
-                log_hi += fhi
-                if h.n:
-                    h = delete_vertex(h, 0)
-            break
+        if converged:
+            share = (allowance - (log_hi - log_lo)) / (n - i)
+            vertex_budget = max(1, (budget - nodes) // (n - i))
+            try:
+                lo, hi, depth, used = _adaptive(
+                    h, 0, params, log_width, share, None, vertex_budget
+                )
+            except AdaptiveBudgetError as exc:
+                converged = False
+                lo, hi = _trivial_bracket(params, h, exc.lo, exc.hi)
+                depth, used = exc.depth, exc.nodes_expanded
+            depth_max = max(depth_max, depth)
+            nodes += used
+        else:
+            lo, hi = _trivial_bracket(params, h)
+        flo, fhi = _log_factor(model, lo, hi)
         log_lo += flo
         log_hi += fhi
-        depth_max = max(depth_max, res.depth_max_used)
-        nodes += res.nodes_expanded
         h = delete_vertex(h, 0)
     log_mid = 0.5 * (log_lo + log_hi)
-    # pad the certificate by the accumulated floating-point roundoff of
-    # the per-factor logs and the final exp (a few ulps per factor)
-    pad = 4e-15 * (n + 4)
     return ApproxResult(
         value=math.exp(log_mid),
         lo=math.exp(log_lo - pad),
@@ -204,16 +212,21 @@ def _telescope(g, model, activity, eps, budget, factor_logs):
     )
 
 
-def _trivial_factor(model, activity, h, lo, hi):
+def _log_factor(model, lo, hi):
+    """(log lower, log upper) bound of one telescope factor, 1 + R for
+    hard-core or 1/p for monomer-dimer, from its marginal bracket."""
     if model == HARDCORE:
-        lo_r = 0.0 if lo is None else lo
-        hi_r = activity if hi is None else hi
-        return math.log1p(lo_r), math.log1p(hi_r)
-    maxdeg = degree_stats(h)[0] if h.n else 0
-    p_min = 1.0 / (1.0 + activity * maxdeg)
-    lo_p = p_min if lo is None else max(lo, p_min)
-    hi_p = 1.0 if hi is None else hi
-    return -math.log(hi_p), -math.log(lo_p)
+        return math.log1p(lo), math.log1p(hi)
+    return -math.log(hi), -math.log(lo) if lo > 0 else math.inf
+
+
+def _trivial_bracket(params, h, lo=None, hi=None):
+    """A marginal bracket at vertex 0 of h that needs no tree: the model's
+    a-priori range, narrowed by a partial bracket where one is given."""
+    if params.model == HARDCORE:
+        return (0.0 if lo is None else lo), (params.activity if hi is None else hi)
+    p_min = 1.0 / (1.0 + params.activity * degree_stats(h)[0])
+    return (p_min if lo is None else max(lo, p_min)), (1.0 if hi is None else hi)
 
 
 def partition_hc(
@@ -222,11 +235,12 @@ def partition_hc(
     """Certified (1 +- eps) approximation of the hard-core partition function.
 
     Each deleted vertex contributes the factor 1 + R from its pinned
-    walk-tree ratio; an additive tolerance eps/(2n(1+lam)) per ratio makes the full
-    product interval ratio at most e^eps.  The budget defaults to 10**7
-    nodes per marginal (10**7 * n total).  Inputs with activity above the
-    critical value for their degree are attempted anyway (the node budget
-    guards runtime) and carry the decay report as an advisory.
+    walk-tree ratio, bracketed until its log-width log(1+R_hi) -
+    log(1+R_lo) fits its running share of eps (see `_telescope`), so the
+    full product interval ratio is at most e^eps.  The budget defaults to
+    10**7 nodes per marginal (10**7 * n total).  Inputs with activity
+    above the critical value for their degree are attempted anyway (the
+    node budget guards runtime) and carry the decay report as an advisory.
     """
     if not (0 < eps <= 1):
         raise ValueError("eps must be in (0, 1]")
@@ -236,14 +250,7 @@ def partition_hc(
         return ApproxResult(1.0, 1.0, 1.0, eps, 0, 0, log_value=0.0)
     if budget is None:
         budget = 10**7 * g.n
-    mu = eps / (2.0 * g.n * (1.0 + lam))
-    params = ModelParams(HARDCORE, lam)
-
-    def factor(h, vertex_budget):
-        res = marginal_adaptive(h, 0, params, tol=mu, budget=vertex_budget)
-        return math.log1p(res.lo), math.log1p(res.hi), res
-
-    out = _telescope(g, HARDCORE, lam, eps, budget, factor)
+    out = _telescope(g, ModelParams(HARDCORE, lam), eps, budget)
     maxdeg = degree_stats(g)[0]
     if maxdeg >= 3:
         from .decay import decay_factor_hc
@@ -259,11 +266,11 @@ def partition_md(
 ) -> ApproxResult:
     """Certified (1 +- eps) approximation of the matching polynomial.
 
-    Monomer probabilities on the shrinking graphs are bracketed to an
-    additive tolerance eps * p_min / (4n), where p_min = 1/(1 + gamma *
-    maxdeg) lower-bounds every monomer probability; the per-factor ratio
-    is then at most 1 + eps/n and the product interval ratio at most
-    e^eps.  The budget defaults to 10**7 nodes per marginal.
+    Each deleted vertex contributes the factor 1/p from its monomer
+    probability, bracketed until its log-width log(p_hi) - log(p_lo) fits
+    its running share of eps (see `_telescope`), so the full product
+    interval ratio is at most e^eps.  The budget defaults to 10**7 nodes
+    per marginal.
     """
     if not (0 < eps <= 1):
         raise ValueError("eps must be in (0, 1]")
@@ -273,14 +280,4 @@ def partition_md(
         return ApproxResult(1.0, 1.0, 1.0, eps, 0, 0, log_value=0.0)
     if budget is None:
         budget = 10**7 * g.n
-    n = g.n
-    params = ModelParams(MONOMERDIMER, gamma)
-
-    def factor(h, vertex_budget):
-        maxdeg = degree_stats(h)[0]
-        p_min = 1.0 / (1.0 + gamma * maxdeg)
-        tol = eps * p_min / (4.0 * n)
-        res = marginal_adaptive(h, 0, params, tol=tol, budget=vertex_budget)
-        return -math.log(res.hi), -math.log(max(res.lo, 1e-300)), res
-
-    return _telescope(g, MONOMERDIMER, gamma, eps, budget, factor)
+    return _telescope(g, ModelParams(MONOMERDIMER, gamma), eps, budget)

@@ -23,6 +23,7 @@ activity values in a single depth-first pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -465,47 +466,78 @@ def marginal_adaptive(
     tol: float = 1e-6,
     budget: int = 10**7,
 ) -> ApproxResult:
-    """Certified marginal to additive tolerance `tol` by depth doubling.
+    """Certified marginal to additive tolerance `tol` by adaptive deepening.
 
-    Doubles the truncation depth until the sandwich width is at most
-    2*tol or the tree is fully expanded, then returns the interval
-    midpoint.  The certificate is the sandwich property alone.  Raises
-    AdaptiveBudgetError (carrying the best interval found) if the node
-    budget runs out first.
+    Deepens the truncation along the predicted depth schedule of
+    `_adaptive` until the sandwich width is at most 2*tol or the tree is
+    fully expanded, then returns the interval midpoint.  The certificate
+    is the sandwich property alone.  Raises AdaptiveBudgetError (carrying
+    the best interval found) if the node budget runs out first.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    total_nodes = 0
+    lo, hi, depth, nodes = _adaptive(
+        g, v, params, lambda a, b: b - a, 2.0 * tol, boundary, budget
+    )
+    return ApproxResult(
+        value=0.5 * (lo + hi),
+        lo=lo,
+        hi=hi,
+        eps_requested=tol,
+        depth_max_used=depth,
+        nodes_expanded=nodes,
+    )
+
+
+def _adaptive(g, v, params, measure, target, boundary, budget):
+    """Deepen the sandwich at v until measure(lo, hi) <= target or the tree
+    is fully expanded; returns (lo, hi, depth, nodes expanded in total).
+
+    After each truncated pass the per-level contraction of the measure is
+    fitted from the last two passes, rate = (w / w_prev)**(1/depth step),
+    and the depth steps by the number of levels that rate predicts are
+    still needed, ceil(log(target/w) / log(rate)).  The step is at least 1
+    and at most the current depth (never more than doubling), and it is
+    cut so that the next pass, extrapolated from the node growth of the
+    last two passes, fits in what is left of the budget.  Without a usable
+    rate (a measure that is infinite or did not shrink) the depth steps
+    by 1.  Raises AdaptiveBudgetError with the best (smallest-measure)
+    interval found if the budget runs out first.
+    """
     bmax = params.activity if params.model == HARDCORE else 1.0
-    best = None
+    best = (0.0, bmax, 0)
+    best_w = math.inf
+    total = 0
     depth = 0
+    prev = None  # (depth, measure, nodes) of the previous pass
     while True:
-        remaining = budget - total_nodes
+        remaining = budget - total
         if remaining <= 0:
-            if best is None:
-                best = (0.0, bmax, 0)
-            raise AdaptiveBudgetError(best[0], best[1], best[2], total_nodes)
+            raise AdaptiveBudgetError(*best, total)
         try:
             pairs, nodes, truncated = sandwich_values(
                 g, v, params.model, [params.activity], depth, boundary,
                 remaining,
             )
         except NodeBudgetError as exc:
-            total_nodes += exc.nodes_expanded
-            if best is None:
-                best = (0.0, bmax, 0)
-            raise AdaptiveBudgetError(best[0], best[1], best[2], total_nodes)
-        total_nodes += nodes
+            raise AdaptiveBudgetError(*best, total + exc.nodes_expanded)
+        total += nodes
         lo, hi = pairs[0]
-        if best is None or hi - lo < best[1] - best[0]:
-            best = (lo, hi, depth)
-        if hi - lo <= 2.0 * tol or not truncated:
-            return ApproxResult(
-                value=0.5 * (lo + hi),
-                lo=lo,
-                hi=hi,
-                eps_requested=tol,
-                depth_max_used=depth,
-                nodes_expanded=total_nodes,
-            )
-        depth = 1 if depth == 0 else 2 * depth
+        w = measure(lo, hi)
+        if w < best_w:
+            best, best_w = (lo, hi, depth), w
+        if w <= target or not truncated:
+            return lo, hi, depth, total
+        step = 1
+        # a pass that did not stop measured above target, so with target > 0
+        # the ratio is defined; an infinite measure gives no usable rate
+        if prev is not None and target > 0 and 0.0 < w / prev[1] < 1.0:
+            levels = depth - prev[0]
+            per_level = math.log(w / prev[1]) / levels
+            step = max(1, min(depth, math.ceil(math.log(target / w) / per_level)))
+            growth = math.log(nodes / prev[2]) / levels
+            left = budget - total
+            if growth > 0 and left > 0:
+                step = max(1, min(step, int(math.log(left / nodes) / growth)))
+        prev = (depth, w, nodes)
+        depth += step

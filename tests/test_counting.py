@@ -131,6 +131,24 @@ def test_partition_budget_exhaustion_is_sound():
         assert res.lo - 1e-9 <= z <= res.hi + 1e-9
 
 
+def test_partition_budget_error_reports_depth_reached():
+    # factor 0 gets budget // n = 20 nodes: enough for depths 0..3 of its
+    # monomer-dimer tree (17 nodes) but not for the next pass
+    g = gen_graph("gnp", n=12, d=3.0, seed=4)
+    res = partition_md(g, 1.0, 0.01, budget=240)
+    assert not res.converged
+    assert res.depth_max_used >= 2
+
+
+def test_partition_log_width_within_eps():
+    eps = 0.01
+    for seed in (1, 2, 3, 4):
+        g = gen_graph("gnp", n=50, d=3.0, seed=seed)
+        for res in (partition_hc(g, 0.5, eps), partition_md(g, 1.0, eps)):
+            assert res.converged
+            assert math.log(res.hi) - math.log(res.lo) <= eps
+
+
 def test_partition_hc_supercritical_advisory():
     k5 = gen_graph("complete", n=5)
     res = partition_hc(k5, 4.0, 0.1)

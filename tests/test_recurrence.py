@@ -11,6 +11,7 @@ from sawcount.recurrence import (
     HARDCORE,
     MONOMERDIMER,
     ModelParams,
+    dary_md_depth_for_tol,
     dary_md_gaps,
     eval_hc,
     eval_md,
@@ -247,8 +248,10 @@ def test_adaptive_trivial_tolerance():
 
 
 def test_adaptive_six_ary_tree():
-    # frozen from a recorded run: the doubling schedule probes depth 8,
-    # which fully expands the height-6 tree (57593 nodes, exact answer)
+    # frozen from a recorded run: near the critical activity the width
+    # shrinks slowly, so the schedule steps at its doubling cap (depths 0,
+    # 1, 2, 4, 8); depth 8 fully expands the height-6 tree (57593 nodes
+    # over all passes, exact answer)
     from sawcount.decay import lambda_c
 
     g = gen_graph("dary_tree", d=6, depth=6)
@@ -258,6 +261,26 @@ def test_adaptive_six_ary_tree():
     assert res.hi - res.lo <= 2e-4
     assert res.depth_max_used == 8
     assert res.nodes_expanded == 57593
+
+
+def test_adaptive_schedule_stops_near_minimal_depth():
+    # the binary tree's sandwich gaps are known in closed form, so the
+    # minimal sufficient depth is exact; the doubling schedule probes
+    # depths 0, 1, 2, 4, 8, 16 and overshoots it
+    g = gen_graph("dary_tree", d=2, depth=16)
+    for tol in (1e-3, 1e-4):
+        res = marginal_adaptive(g, 0, monomerdimer(1.0), tol=tol)
+        minimal = dary_md_depth_for_tol(2, 1.0, tol)
+        assert res.hi - res.lo <= 2 * tol
+        assert minimal <= res.depth_max_used <= minimal + 1
+        doubling_nodes, depth = 0, 0
+        while True:
+            pairs, nodes, _ = sandwich_values(g, 0, MONOMERDIMER, [1.0], depth)
+            doubling_nodes += nodes
+            if pairs[0][1] - pairs[0][0] <= 2 * tol:
+                break
+            depth = max(1, 2 * depth)
+        assert res.nodes_expanded < doubling_nodes
 
 
 def test_adaptive_budget_error():
