@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import __version__
@@ -132,17 +131,8 @@ def _read_graph(path):
         return graph_from_edge_list(fh.read())
 
 
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("SAWCOUNT_THREADS")
-    return int(env) if env else 1
-
-
-def _base_config(args, **extra):
-    cfg = {"version": __version__, "threads": _resolve_threads(args)}
-    cfg.update(extra)
-    return cfg
+def _base_config(**extra):
+    return {"version": __version__, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +146,7 @@ def _cmd_count(args, out):
     act = args.lam if model == HARDCORE else args.gamma
     budget = args.budget if args.budget is not None else 10**7 * g.n
     cfg = _base_config(
-        args, graph=args.graph, model=model, activity=act,
+        graph=args.graph, model=model, activity=act,
         eps=args.eps, budget=budget,
     )
     if model == HARDCORE:
@@ -175,6 +165,8 @@ def _cmd_count(args, out):
         "nodes": res.nodes_expanded,
         "converged": res.converged,
     }
+    if not res.converged:
+        record["failed_vertex"] = res.failed_vertex
     if res.advisory is not None:
         record["advisory"] = (
             f"activity {act} is above the critical value for max degree; "
@@ -190,7 +182,7 @@ def _cmd_marginal(args, out):
     act = args.lam if model == HARDCORE else args.gamma
     params = ModelParams(model, act)
     cfg = _base_config(
-        args, graph=args.graph, model=model, activity=act, vertex=args.vertex,
+        graph=args.graph, model=model, activity=act, vertex=args.vertex,
         tol=args.tol, depth=args.depth, budget=args.budget,
     )
     converged = True
@@ -253,7 +245,7 @@ def _cmd_decay_table(args, out):
                 "supercritical": rep.supercritical,
             })
     act = args.lam if args.model == HARDCORE else args.gamma
-    cfg = _base_config(args, model=args.model, activity=act, delta=args.delta)
+    cfg = _base_config(model=args.model, activity=act, delta=args.delta)
     record = {"command": "decay-table", "config": cfg, "rows": rows}
     _emit(record, args.format, out)
     return 0
@@ -269,7 +261,7 @@ def _cmd_conn_const(args, out):
         roots = root_list
     prof = conn_profile(g, args.lmax, roots=roots, budget=args.budget)
     cfg = _base_config(
-        args, graph=args.graph, lmax=args.lmax, roots=args.roots,
+        graph=args.graph, lmax=args.lmax, roots=args.roots,
         seed=args.seed, budget=args.budget,
     )
     rows = [
@@ -289,7 +281,7 @@ def _cmd_conn_const(args, out):
 
 def _cmd_z2(args, out):
     cfg = _base_config(
-        args, L=args.L, ordering=args.ordering, pruning=args.pruning,
+        L=args.L, ordering=args.ordering, pruning=args.pruning,
         tol=args.tol, state_cap=args.state_cap, merge=not args.no_merge,
     )
     try:
@@ -329,7 +321,7 @@ def _cmd_lattice_bounds(args, out):
         }
         for b in lattice_bounds_table()
     ]
-    cfg = _base_config(args)
+    cfg = _base_config()
     record = {"command": "lattice-bounds", "config": cfg, "rows": rows}
     if args.format == "json":
         _emit(record, "json", out)
@@ -391,7 +383,7 @@ def _cmd_oracle(args, out):
     act = args.lam if args.model == HARDCORE else args.gamma
     params = ModelParams(args.model, act)
     cfg = _base_config(
-        args, graph=args.graph, model=args.model, activity=act,
+        graph=args.graph, model=args.model, activity=act,
         vertex=args.vertex,
     )
     record = {"command": "oracle", "config": cfg}
@@ -414,8 +406,6 @@ def _cmd_oracle(args, out):
 
 def _add_common(sp, default_format):
     sp.add_argument("--format", choices=("json", "text"), default=default_format)
-    sp.add_argument("--threads", type=int, default=None,
-                    help="reserved; SAWCOUNT_THREADS is the env fallback")
 
 
 def build_parser() -> argparse.ArgumentParser:

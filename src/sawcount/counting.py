@@ -153,7 +153,8 @@ def oracle_marginal(
 def _telescope(g, params, eps, budget):
     """The telescope of both models: walks the deletion sequence,
     bracketing one factor on each shrinking graph; on budget exhaustion,
-    pads the failed and all later factors with their a-priori bounds.
+    pads the failed and all later factors with their a-priori bounds and
+    reports the failed vertex (factor i belongs to original vertex i).
 
     Factor i is deepened until its log-width is at most an equal share of
     the allowance still unspent, (allowance - spent) / (n - i).  The
@@ -178,6 +179,7 @@ def _telescope(g, params, eps, budget):
     depth_max = 0
     nodes = 0
     converged = True
+    failed_vertex = None
     h = g
     for i in range(n):
         if converged:
@@ -189,6 +191,7 @@ def _telescope(g, params, eps, budget):
                 )
             except AdaptiveBudgetError as exc:
                 converged = False
+                failed_vertex = i
                 lo, hi = _trivial_bracket(params, h, exc.lo, exc.hi)
                 depth, used = exc.depth, exc.nodes_expanded
             depth_max = max(depth_max, depth)
@@ -209,6 +212,7 @@ def _telescope(g, params, eps, budget):
         nodes_expanded=nodes,
         converged=converged,
         log_value=log_mid,
+        failed_vertex=failed_vertex,
     )
 
 

@@ -16,9 +16,14 @@ values (0 and lambda, resp. 0 and 1) yields two evaluations that bracket
 the exact tree value regardless of the truncation parity.  That sandwich
 is the sole soundness certificate used here: no decay assumption enters.
 
-The batch evaluator below fuses tree expansion with evaluation (no nodes
-are materialized) and computes both extreme evaluations for several
-activity values in a single depth-first pass.
+One depth-first walker serves both models.  It fuses tree expansion
+with evaluation (no nodes are materialized) and computes both extreme
+evaluations for several activity values in a single pass.  Per model it
+differs only in the neighbors it skips, its leaf and frontier values and
+its fold: a product of 1/(1 + R_i) for hard-core, a sum of p_i closed by
+1/(1 + gamma*sum) for monomer-dimer.  The materialized trees of
+`expand_saw_tree` with `eval_hc`/`eval_md` are the reference
+implementation the walker is tested against.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from dataclasses import dataclass
 
 from .graph import Graph
 from .sawtree import (
-    FREE,
     OCCUPIED,
     PLAIN,
     UNOCCUPIED,
@@ -36,6 +40,7 @@ from .sawtree import (
     BoundaryCondition,
     NodeBudgetError,
     SawTree,
+    loop_copy_occupied,
 )
 
 HARDCORE = "hardcore"
@@ -69,7 +74,11 @@ def monomerdimer(gamma: float) -> ModelParams:
 
 @dataclass
 class ApproxResult:
-    """A value with a certified enclosing interval and the work performed."""
+    """A value with a certified enclosing interval and the work performed.
+
+    A partition function that ran out of budget (converged False) names
+    in failed_vertex the graph vertex whose factor exhausted it.
+    """
 
     value: float
     lo: float
@@ -80,6 +89,7 @@ class ApproxResult:
     converged: bool = True
     log_value: float | None = None
     advisory: object = None
+    failed_vertex: int | None = None
 
     def width(self) -> float:
         return self.hi - self.lo
@@ -139,201 +149,124 @@ def sandwich_values(
     for a in acts:
         if not a > 0:
             raise ValueError("activity must be positive")
-    if model == HARDCORE:
-        return _sandwich_hc(g, v, acts, depth, boundary, budget)
-    if model == MONOMERDIMER:
-        if boundary is not None:
-            raise ValueError("boundary conditions apply to hard-core only")
-        return _sandwich_md(g, v, acts, depth, budget)
-    raise ValueError(f"unknown model {model!r}")
+    if model not in (HARDCORE, MONOMERDIMER):
+        raise ValueError(f"unknown model {model!r}")
+    if model == MONOMERDIMER and boundary is not None:
+        raise ValueError("boundary conditions apply to hard-core only")
+    return _sandwich(g, v, model, acts, depth, boundary, budget)
 
 
-def _sandwich_hc(g, root, lams, max_depth, boundary, budget):
+def _fold_hc(acc, ratios):
+    # hard-core: a child with ratio R multiplies its parent by 1/(1 + R)
+    for j, r in enumerate(ratios):
+        acc[j] *= 1.0 / (1.0 + r)
+
+
+def _fold_md(acc, probs):
+    # monomer-dimer: child probabilities sum until the parent is popped
+    for j, p in enumerate(probs):
+        acc[j] += p
+
+
+def _sandwich(g, root, model, acts, max_depth, boundary, budget):
+    """The depth-first walker behind sandwich_values.
+
+    Each tree node carries one accumulator holding the (lo, hi)
+    evaluations of every activity, interleaved.  The models differ in
+    three places only:
+
+      skipped neighbors -- the plain tree skips every vertex on the root
+          path; the weitz tree skips only the parent and turns any other
+          path vertex into a loop copy pinned by `loop_copy_occupied`.
+      leaf and frontier values -- an exact leaf is lambda (resp. 1) and a
+          truncated frontier node is pinned to (0, lambda) (resp. (0, 1)).
+      fold -- hard-core starts a node at lambda and multiplies in
+          1/(1 + R) per child; monomer-dimer sums the child values and
+          takes 1/(1 + gamma*sum) when the node is popped.
+
+    A child without extensions is pushed like any other and pops with
+    exactly its leaf value; only frontier children test for extensions.
+    """
     adj = g.adjacency
+    hc = model == HARDCORE
+    occ = blocked = frozenset()
     if boundary is not None:
         boundary.validate(g)
         if root in boundary.assignments:
             raise ValueError("boundary must not pin the root vertex")
         occ = boundary.occupied()
-        unocc = boundary.unoccupied()
-        forced = {u for w in occ for u in adj[w]}
-    else:
-        occ = unocc = forced = frozenset()
-    m = 2 * len(lams)
-    # per-node accumulator: [lo, hi] interleaved per lambda
-    b0 = [x for lam in lams for x in (lam, lam)]
-    bfrontier = [x for lam in lams for x in (0.0, lam)]
+        # pinned unoccupied, or forced unoccupied by an occupied neighbor
+        blocked = boundary.unoccupied() | {u for w in occ for u in adj[w]}
+    tops = acts if hc else [1.0] * len(acts)
+    if root in blocked:
+        return [(0.0, 0.0)] * len(acts), 1, False
+    if not adj[root]:
+        return [(t, t) for t in tops], 1, False
+    if max_depth == 0:
+        return [(0.0, t) for t in tops], 1, True
+
+    leaf = [x for t in tops for x in (t, t)]
+    pin = [x for t in tops for x in (0.0, t)]
+    gammas = [x for a in acts for x in (a, a)]
+    m = len(leaf)
+    start = leaf if hc else [0.0] * m
+    fold = _fold_hc if hc else _fold_md
     nodes = 1
     truncated = False
-
-    if root in forced:
-        return [(0.0, 0.0)] * len(lams), nodes, False
-
-    def has_ext_weitz(w):
-        return len(adj[w]) >= 2
-
-    if not adj[root]:
-        return [(lam, lam) for lam in lams], nodes, False
-    if max_depth == 0:
-        return [(0.0, lam) for lam in lams], nodes, True
-
-    # frame: [vertex, parent, depth, acc list, neighbor tuple, next index, dead]
-    stack = [[root, -1, 0, list(b0), adj[root], 0, False]]
-    path_pos = {root: 0}
     path = [root]
-    result = None
-
-    while stack:
+    path_pos = {root: 0}
+    # frame: [vertex, parent, depth, accumulator, neighbor tuple, next index]
+    stack = [[root, -1, 0, list(start), adj[root], 0]]
+    while True:
         fr = stack[-1]
-        vtx, parent, dep, acc, nbrs, i, dead = fr
-        pushed = False
+        vtx, parent, dep, acc, nbrs, i = fr
+        dead = False
         while i < len(nbrs):
             w = nbrs[i]
             i += 1
             if w == parent:
                 continue
             pos = path_pos.get(w)
-            if pos is not None:
-                nodes += 1
-                if nodes > budget:
-                    raise NodeBudgetError(nodes)
-                if w in occ:
-                    fix_occupied = True
-                elif w in unocc:
-                    fix_occupied = False
-                else:
-                    fix_occupied = path[pos + 1] < vtx
-                if fix_occupied:
-                    dead = True
-                    fr[6] = True
-                    break  # node value is 0; remaining children irrelevant
-                continue  # unoccupied copy: factor 1
+            if pos is not None and not hc:
+                continue
             nodes += 1
             if nodes > budget:
                 raise NodeBudgetError(nodes)
+            if pos is not None:
+                # path vertices are never pinned, so the loop rule decides;
+                # an occupied child zeroes the node and ends its scan
+                dead = loop_copy_occupied(path, pos, vtx)
+                if dead:
+                    break
+                continue
             if w in occ:
                 dead = True
-                fr[6] = True
                 break
-            if w in unocc or w in forced:
-                continue  # pinned/forced unoccupied: factor 1
-            cdep = dep + 1
-            if cdep == max_depth:
-                if has_ext_weitz(w):
-                    truncated = True
-                    vals = bfrontier
-                else:
-                    vals = b0
-                for j in range(m):
-                    acc[j] *= 1.0 / (1.0 + vals[j])
-                continue
-            if not has_ext_weitz(w):
-                for j in range(m):
-                    acc[j] *= 1.0 / (1.0 + b0[j])
-                continue
-            fr[5] = i
-            stack.append([w, vtx, cdep, list(b0), adj[w], 0, False])
-            path_pos[w] = len(path)
-            path.append(w)
-            pushed = True
-            break
-        if pushed:
-            continue
-        fr[5] = i
-        value = [0.0] * m if dead else acc
+            if w in blocked:
+                continue  # unoccupied child: factor 1
+            if dep + 1 < max_depth:
+                fr[5] = i
+                stack.append([w, vtx, dep + 1, list(start), adj[w], 0])
+                path_pos[w] = len(path)
+                path.append(w)
+                break
+            ext = len(adj[w]) > 1 if hc else any(x not in path_pos for x in adj[w])
+            truncated = truncated or ext
+            fold(acc, pin if ext else leaf)
+        if stack[-1] is not fr:
+            continue  # descended into a child
         stack.pop()
-        if len(path) > 1:
-            path.pop()
-            del path_pos[vtx]
-        if stack:
-            pacc = stack[-1][3]
-            for j in range(m):
-                pacc[j] *= 1.0 / (1.0 + value[j])
+        if not hc:
+            value = [1.0 / (1.0 + gam * x) for gam, x in zip(gammas, acc)]
         else:
-            result = value
-
-    pairs = []
-    for k in range(len(lams)):
-        a, b = result[2 * k], result[2 * k + 1]
-        pairs.append((a, b) if a <= b else (b, a))
-    return pairs, nodes, truncated
-
-
-def _sandwich_md(g, root, gammas, max_depth, budget):
-    adj = g.adjacency
-    m = 2 * len(gammas)
-    nodes = 1
-    truncated = False
-
-    def has_ext_plain(w, ppos):
-        return any(x not in ppos for x in adj[w])
-
-    path_pos = {root: 0}
-    if not any(x not in path_pos for x in adj[root]):
-        return [(1.0, 1.0)] * len(gammas), nodes, False
-    if max_depth == 0:
-        return [(0.0, 1.0)] * len(gammas), nodes, True
-
-    # frame: [vertex, depth, sums list, neighbor tuple, next index]
-    stack = [[root, 0, [0.0] * m, adj[root], 0]]
-    path = [root]
-    result = None
-
-    while stack:
-        fr = stack[-1]
-        vtx, dep, acc, nbrs, i = fr
-        pushed = False
-        while i < len(nbrs):
-            w = nbrs[i]
-            i += 1
-            if w in path_pos:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise NodeBudgetError(nodes)
-            cdep = dep + 1
-            ext = has_ext_plain(w, path_pos)
-            if cdep == max_depth:
-                if ext:
-                    truncated = True
-                    for k in range(len(gammas)):
-                        acc[2 * k + 1] += 1.0  # all_max pin; all_zero adds 0
-                else:
-                    for j in range(m):
-                        acc[j] += 1.0
-                continue
-            if not ext:
-                for j in range(m):
-                    acc[j] += 1.0
-                continue
-            fr[4] = i
-            stack.append([w, cdep, [0.0] * m, adj[w], 0])
-            path_pos[w] = len(path)
-            path.append(w)
-            pushed = True
+            value = [0.0] * m if dead else acc
+        if not stack:
             break
-        if pushed:
-            continue
-        fr[4] = i
-        value = [0.0] * m
-        for k, gam in enumerate(gammas):
-            value[2 * k] = 1.0 / (1.0 + gam * acc[2 * k])
-            value[2 * k + 1] = 1.0 / (1.0 + gam * acc[2 * k + 1])
-        stack.pop()
-        if len(path) > 1:
-            path.pop()
-            del path_pos[vtx]
-        if stack:
-            pacc = stack[-1][2]
-            for j in range(m):
-                pacc[j] += value[j]
-        else:
-            result = value
+        path.pop()
+        del path_pos[vtx]
+        fold(stack[-1][3], value)
 
-    pairs = []
-    for k in range(len(gammas)):
-        a, b = result[2 * k], result[2 * k + 1]
-        pairs.append((a, b) if a <= b else (b, a))
+    pairs = [(a, b) if a <= b else (b, a) for a, b in zip(value[::2], value[1::2])]
     return pairs, nodes, truncated
 
 

@@ -15,7 +15,9 @@ the children of a walk are its one-step extensions.  Two modes:
             unoccupied.  With these pins the occupation ratio at the root
             of the tree equals the ratio in the graph.  The neighbor
             ordering is fixed to ascending vertex id everywhere, so trees
-            are reproducible.
+            are reproducible.  `loop_copy_occupied` is the one definition
+            of this pin, shared by `expand_saw_tree` and the fused
+            evaluator in `recurrence`.
 
 Stepping back to the walk's immediate predecessor is never a child in
 either mode (a length-2 closed walk is not a cycle of a simple graph).
@@ -103,10 +105,15 @@ class SawTree:
     nodes_expanded: int
 
 
-def _loop_fix(started: int, last: int) -> str:
-    # ascending-id ordering at every vertex: the copy is occupied exactly
-    # when the vertex that started the cycle has the smaller id
-    return OCCUPIED if started < last else UNOCCUPIED
+def loop_copy_occupied(path: list, pos: int, last: int) -> bool:
+    """Weitz pin of the loop copy of path[pos] reached from endpoint `last`.
+
+    The cycle is path[pos], path[pos + 1], ..., last, path[pos].  With the
+    ascending-id ordering at every vertex, the copy is pinned occupied
+    exactly when the vertex that started the cycle, path[pos + 1], has a
+    smaller id than `last`, and unoccupied otherwise.
+    """
+    return path[pos + 1] < last
 
 
 def expand_saw_tree(
@@ -182,7 +189,7 @@ def expand_saw_tree(
                 elif w in occ:
                     fix = OCCUPIED
                 else:
-                    fix = _loop_fix(path[pos + 1], v)
+                    fix = OCCUPIED if loop_copy_occupied(path, pos, v) else UNOCCUPIED
                 node.children.append(new_node(w, depth + 1, fix))
                 continue
             if mode == WEITZ and w in occ:

@@ -137,6 +137,7 @@ def test_partition_budget_error_reports_depth_reached():
     g = gen_graph("gnp", n=12, d=3.0, seed=4)
     res = partition_md(g, 1.0, 0.01, budget=240)
     assert not res.converged
+    assert res.failed_vertex == 0
     assert res.depth_max_used >= 2
 
 

@@ -21,7 +21,13 @@ from sawcount.recurrence import (
     monomerdimer,
     sandwich_values,
 )
-from sawcount.sawtree import OCCUPIED, BoundaryCondition, expand_saw_tree
+from sawcount.sawtree import (
+    OCCUPIED,
+    UNOCCUPIED,
+    BoundaryCondition,
+    NodeBudgetError,
+    expand_saw_tree,
+)
 
 ACTIVITIES = (0.5, 1.0, 2.0)
 
@@ -77,18 +83,55 @@ def test_eval_mode_mismatch():
 
 def test_eval_matches_fused_sandwich(catalog6):
     # the materialized evaluators and the fused pass are two independent
-    # implementations of the same recurrence
+    # implementations of the same recurrence, pinned trees included
     for g in catalog6[::9]:
-        for model, mode, ev in ((HARDCORE, "weitz", eval_hc),
-                                (MONOMERDIMER, "plain", eval_md)):
-            depth = max(1, g.n // 2)
-            t = expand_saw_tree(g, 0, depth, mode=mode)
+        cases = [(HARDCORE, "weitz", eval_hc, None),
+                 (MONOMERDIMER, "plain", eval_md, None)]
+        if g.n > 1:
+            cases += [(HARDCORE, "weitz", eval_hc,
+                       BoundaryCondition({g.n - 1: state}))
+                      for state in (OCCUPIED, UNOCCUPIED)]
+        depth = max(1, g.n // 2)
+        for model, mode, ev, bc in cases:
+            t = expand_saw_tree(g, 0, depth, mode=mode, boundary=bc)
             for act in ACTIVITIES:
                 a = ev(t, act, ALL_ZERO)
                 b = ev(t, act, ALL_MAX)
-                pair = sandwich_values(g, 0, model, [act], depth)[0][0]
+                pair = sandwich_values(g, 0, model, [act], depth, bc)[0][0]
                 assert min(a, b) == pytest.approx(pair[0], rel=1e-13, abs=1e-15)
                 assert max(a, b) == pytest.approx(pair[1], rel=1e-13, abs=1e-15)
+
+
+def test_sandwich_outputs_frozen():
+    # (pairs, nodes, truncated) recorded from the per-model walkers that the
+    # single walker replaced; compared bit for bit
+    g = gen_graph("gnp", n=12, d=3.0, seed=2)
+    assert sandwich_values(g, 0, HARDCORE, ACTIVITIES, 5) == (
+        [(0.218428316136688, 0.22215512171398627),
+         (0.28870868230531177, 0.31665049744145796),
+         (0.33979986740420864, 0.4702666686200684)], 81, True)
+    assert sandwich_values(g, 0, MONOMERDIMER, ACTIVITIES, 5) == (
+        [(0.5010813483680187, 0.5054889301107047),
+         (0.37962961465673983, 0.3944031294446818),
+         (0.27684730560739296, 0.31250611499716957)], 76, True)
+    occupied = BoundaryCondition({1: OCCUPIED})
+    assert sandwich_values(g, 0, HARDCORE, [1.0], 5, occupied) == (
+        [(0.29836829836829837, 0.30303030303030304)], 28, True)
+    unoccupied = BoundaryCondition({1: UNOCCUPIED})
+    assert sandwich_values(g, 0, HARDCORE, [1.0], 5, unoccupied) == (
+        [(0.28999675823816223, 0.3147605083088954)], 75, True)
+    edge = graph_from_edges(2, [(0, 1)])  # degree-1 root at depth 0
+    assert sandwich_values(edge, 0, HARDCORE, [1.5], 0) == ([(0.0, 1.5)], 1, True)
+    assert sandwich_values(edge, 0, MONOMERDIMER, [1.5], 0) == ([(0.0, 1.0)], 1, True)
+    c5 = gen_graph("cycle", n=5)  # fully expanded
+    assert sandwich_values(c5, 0, HARDCORE, [1.0], 5) == (
+        [(0.37500000000000006, 0.37500000000000006)], 11, False)
+    assert sandwich_values(c5, 0, MONOMERDIMER, [1.0], 5) == (
+        [(0.45454545454545453, 0.45454545454545453)], 9, False)
+    for model in (HARDCORE, MONOMERDIMER):
+        with pytest.raises(NodeBudgetError) as err:
+            sandwich_values(g, 0, model, [1.0], 8, budget=37)
+        assert err.value.nodes_expanded == 38
 
 
 # -- certified intervals -----------------------------------------------------
@@ -163,8 +206,6 @@ def test_value_ranges(catalog6):
 def test_boundary_conditions_against_oracle(catalog6):
     # hard-core marginals with occupied/unoccupied pins match conditional
     # enumeration
-    from sawcount.sawtree import UNOCCUPIED
-
     rng_graphs = [g for g in catalog6 if 4 <= g.n <= 6][::6]
     for g in rng_graphs:
         v = 0
@@ -182,8 +223,6 @@ def test_multi_pin_boundaries_against_oracle(catalog6):
     # exhaustive one- and two-vertex pins on a catalog slice: pins must
     # override loop-closing rules and prune occupied neighborhoods exactly
     import itertools
-
-    from sawcount.sawtree import UNOCCUPIED
 
     for g in catalog6[2::4]:
         if g.n < 3:
