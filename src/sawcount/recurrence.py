@@ -21,9 +21,13 @@ with evaluation (no nodes are materialized) and computes both extreme
 evaluations for several activity values in a single pass.  Per model it
 differs only in the neighbors it skips, its leaf and frontier values and
 its fold: a product of 1/(1 + R_i) for hard-core, a sum of p_i closed by
-1/(1 + gamma*sum) for monomer-dimer.  The materialized trees of
-`expand_saw_tree` with `eval_hc`/`eval_md` are the reference
-implementation the walker is tested against.
+1/(1 + gamma*sum) for monomer-dimer.  The last tree level, about two
+thirds of a truncated tree's nodes, is counted in bulk: a node one level
+above the frontier is never pushed; its children are counted as exact
+leaves or truncated frontier nodes and its value is read off those two
+counts, bit for bit what folding them one by one gives.  The
+materialized trees of `expand_saw_tree` with `eval_hc`/`eval_md` are the
+reference implementation the walker is tested against.
 """
 
 from __future__ import annotations
@@ -134,6 +138,12 @@ def sandwich_values(
     visited and truncated says whether any frontier node was pinned
     (False means the tree was fully expanded, so lo == hi).
 
+    A node stops at its first occupied child (a hard-core loop copy), and
+    the siblings after that child are not visited.  So nodes equals
+    `SawTree.nodes_expanded` of the plain tree for monomer-dimer, but on a
+    weitz tree it can be smaller than `SawTree.nodes_expanded`, which
+    counts those siblings too.
+
     All activities share one depth-first pass over the implicit SAW tree,
     in weitz mode for hard-core and plain mode for monomer-dimer.  The
     per-child combination order is the ascending-id child order, so
@@ -168,6 +178,38 @@ def _fold_md(acc, probs):
         acc[j] += p
 
 
+def _last_level_value(hc, acts, exact, cut):
+    """The interleaved (lo, hi) vector of a node one level above the
+    frontier, from its numbers of exact-leaf and truncated children.
+
+    Bit for bit what folding those children one at a time gives.  An
+    exact leaf folds lambda (resp. 1) into both entries; a frontier child
+    folds its pin, 0 into lo and lambda (resp. 1) into hi, and a hard-core
+    pin of 0 multiplies by exactly 1.0.  So a hard-core entry is lambda
+    times 1/(1 + lambda), exact resp. exact + cut times in sequence, and a
+    monomer-dimer sum is exactly float(exact) resp. float(exact + cut).
+    """
+    value = []
+    for a in acts:
+        if hc:
+            factor = 1.0 / (1.0 + a)
+            lo = a
+            for _ in range(exact):
+                lo *= factor
+            hi = lo
+            for _ in range(cut):
+                hi *= factor
+        else:
+            lo = 1.0 / (1.0 + a * exact)
+            hi = 1.0 / (1.0 + a * (exact + cut))
+        value += (lo, hi)
+    return value
+
+
+def _pairs(value):
+    return [(a, b) if a <= b else (b, a) for a, b in zip(value[::2], value[1::2])]
+
+
 def _sandwich(g, root, model, acts, max_depth, boundary, budget):
     """The depth-first walker behind sandwich_values.
 
@@ -184,19 +226,25 @@ def _sandwich(g, root, model, acts, max_depth, boundary, budget):
           1/(1 + R) per child; monomer-dimer sums the child values and
           takes 1/(1 + gamma*sum) when the node is popped.
 
-    A child without extensions is pushed like any other and pops with
-    exactly its leaf value; only frontier children test for extensions.
+    About two thirds of a truncated tree's nodes sit on its last level,
+    so that level is counted in bulk: a node one level above the frontier
+    (the root when max_depth is 1) is never pushed.  `last_level` scans
+    its neighbors, counts its exact-leaf and truncated children, and
+    looks up its value by those two counts (`_last_level_value`).  A
+    pushed child without extensions pops with exactly its leaf value.
+
+    Pins need no test of their own in a scan: an expanded vertex is never
+    blocked, so no neighbor of it is pinned occupied, and the only
+    occupied children are loop copies.
     """
     adj = g.adjacency
     hc = model == HARDCORE
-    occ = blocked = frozenset()
+    blocked = frozenset()
     if boundary is not None:
         boundary.validate(g)
         if root in boundary.assignments:
             raise ValueError("boundary must not pin the root vertex")
-        occ = boundary.occupied()
-        # pinned unoccupied, or forced unoccupied by an occupied neighbor
-        blocked = boundary.unoccupied() | {u for w in occ for u in adj[w]}
+        blocked = boundary.blocked(g)
     tops = acts if hc else [1.0] * len(acts)
     if root in blocked:
         return [(0.0, 0.0)] * len(acts), 1, False
@@ -205,16 +253,64 @@ def _sandwich(g, root, model, acts, max_depth, boundary, budget):
     if max_depth == 0:
         return [(0.0, t) for t in tops], 1, True
 
-    leaf = [x for t in tops for x in (t, t)]
-    pin = [x for t in tops for x in (0.0, t)]
     gammas = [x for a in acts for x in (a, a)]
-    m = len(leaf)
-    start = leaf if hc else [0.0] * m
+    m = len(gammas)
+    start = [x for t in tops for x in (t, t)] if hc else [0.0] * m
+    zeros = [0.0] * m
     fold = _fold_hc if hc else _fold_md
-    nodes = 1
-    truncated = False
     path = [root]
     path_pos = {root: 0}
+    on_path = path_pos.keys()
+    adj_sets = g._adj_sets
+    values = {}  # (exact, cut) -> _last_level_value(hc, acts, exact, cut)
+
+    def last_level(u, parent):
+        # (value, children visited, any child truncated) of a node u one
+        # level above the frontier; like a pushed node, u stops at its
+        # first occupied child and the siblings after it are not visited
+        exact = cut = 0
+        if hc:
+            seen = 0
+            for w in adj[u]:
+                if w == parent:
+                    continue
+                seen += 1
+                pos = path_pos.get(w)
+                if pos is not None:
+                    if loop_copy_occupied(path, pos, u):
+                        return zeros, seen, cut > 0
+                elif w not in blocked:
+                    if len(adj[w]) > 1:
+                        cut += 1
+                    else:
+                        exact += 1
+        else:
+            path_pos[u] = len(path)
+            for w in adj[u]:
+                if w not in path_pos:
+                    # extended unless every neighbor is on the path
+                    if on_path >= adj_sets[w]:
+                        exact += 1
+                    else:
+                        cut += 1
+            del path_pos[u]
+            seen = exact + cut
+        value = values.get((exact, cut))
+        if value is None:
+            value = values[exact, cut] = _last_level_value(hc, acts, exact, cut)
+        return value, seen, cut > 0
+
+    # a budget error reports the first node over budget, budget + 1
+    last = max_depth - 1  # the depth of the nodes that last_level scans
+    if last == 0:
+        value, seen, truncated = last_level(root, -1)
+        nodes = 1 + seen
+        if nodes > budget:
+            raise NodeBudgetError(budget + 1)
+        return _pairs(value), nodes, truncated
+
+    nodes = 1
+    truncated = False
     # frame: [vertex, parent, depth, accumulator, neighbor tuple, next index]
     stack = [[root, -1, 0, list(start), adj[root], 0]]
     while True:
@@ -231,7 +327,7 @@ def _sandwich(g, root, model, acts, max_depth, boundary, budget):
                 continue
             nodes += 1
             if nodes > budget:
-                raise NodeBudgetError(nodes)
+                raise NodeBudgetError(budget + 1)
             if pos is not None:
                 # path vertices are never pinned, so the loop rule decides;
                 # an occupied child zeroes the node and ends its scan
@@ -239,35 +335,34 @@ def _sandwich(g, root, model, acts, max_depth, boundary, budget):
                 if dead:
                     break
                 continue
-            if w in occ:
-                dead = True
-                break
             if w in blocked:
                 continue  # unoccupied child: factor 1
-            if dep + 1 < max_depth:
+            if dep + 1 < last:
                 fr[5] = i
                 stack.append([w, vtx, dep + 1, list(start), adj[w], 0])
                 path_pos[w] = len(path)
                 path.append(w)
                 break
-            ext = len(adj[w]) > 1 if hc else any(x not in path_pos for x in adj[w])
-            truncated = truncated or ext
-            fold(acc, pin if ext else leaf)
+            value, seen, cut = last_level(w, vtx)
+            nodes += seen
+            if nodes > budget:
+                raise NodeBudgetError(budget + 1)
+            truncated = truncated or cut
+            fold(acc, value)
         if stack[-1] is not fr:
             continue  # descended into a child
         stack.pop()
         if not hc:
             value = [1.0 / (1.0 + gam * x) for gam, x in zip(gammas, acc)]
         else:
-            value = [0.0] * m if dead else acc
+            value = zeros if dead else acc
         if not stack:
             break
         path.pop()
         del path_pos[vtx]
         fold(stack[-1][3], value)
 
-    pairs = [(a, b) if a <= b else (b, a) for a, b in zip(value[::2], value[1::2])]
-    return pairs, nodes, truncated
+    return _pairs(value), nodes, truncated
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,12 @@ the children of a walk are its one-step extensions.  Two modes:
 Stepping back to the walk's immediate predecessor is never a child in
 either mode (a length-2 closed walk is not a cycle of a simple graph).
 
-A user boundary pins whole graph vertices.  Pins override the loop-closing
-rule on copies of pinned vertices.  An occupied pin also prunes: every
-graph-neighbor of an occupied vertex is forced unoccupied, so copies of
-such neighbors become unoccupied leaves and their subtrees are skipped.
+A user boundary pins whole graph vertices.  A pinned vertex never enters
+the root path, so loop copies are always pinned by the loop-closing rule.
+A copy of a vertex pinned unoccupied is an unoccupied leaf.  An occupied
+pin prunes: every graph-neighbor of an occupied vertex is forced
+unoccupied, so copies of such neighbors become unoccupied leaves and their
+subtrees are skipped, and the occupied vertex itself is never reached.
 
 Expansion stops at max_depth; a node at max_depth whose walk has
 extensions in the untruncated tree is recorded on the truncated frontier
@@ -75,6 +77,11 @@ class BoundaryCondition:
 
     def unoccupied(self) -> set:
         return {v for v, s in self.assignments.items() if s == UNOCCUPIED}
+
+    def blocked(self, g: Graph) -> set:
+        """Vertices pinned unoccupied or forced unoccupied by an occupied
+        neighbor."""
+        return self.unoccupied() | {u for w in self.occupied() for u in g.adjacency[w]}
 
     def validate(self, g: Graph):
         occ = self.occupied()
@@ -144,9 +151,7 @@ def expand_saw_tree(
         boundary.validate(g)
         if root in boundary.assignments:
             raise ValueError("boundary must not pin the root vertex")
-    occ = boundary.occupied() if boundary is not None else frozenset()
-    unocc = boundary.unoccupied() if boundary is not None else frozenset()
-    forced = {u for w in occ for u in g.adjacency[w]}
+    blocked = boundary.blocked(g) if boundary is not None else frozenset()
 
     adj = g.adjacency
     level_counts = [0] * (max_depth + 1)
@@ -183,19 +188,12 @@ def expand_saw_tree(
         for w in extensions:
             pos = path_pos.get(w)
             if pos is not None:
-                # loop-closing copy (weitz mode only reaches here)
-                if w in unocc:
-                    fix = UNOCCUPIED
-                elif w in occ:
-                    fix = OCCUPIED
-                else:
-                    fix = OCCUPIED if loop_copy_occupied(path, pos, v) else UNOCCUPIED
+                # loop-closing copy (weitz mode only reaches here); path
+                # vertices are never pinned, so the loop rule decides
+                fix = OCCUPIED if loop_copy_occupied(path, pos, v) else UNOCCUPIED
                 node.children.append(new_node(w, depth + 1, fix))
                 continue
-            if mode == WEITZ and w in occ:
-                node.children.append(new_node(w, depth + 1, OCCUPIED))
-                continue
-            if mode == WEITZ and (w in unocc or w in forced):
+            if w in blocked:
                 node.children.append(new_node(w, depth + 1, UNOCCUPIED))
                 continue
             child = new_node(w, depth + 1)
@@ -207,7 +205,7 @@ def expand_saw_tree(
             node.children.append(child)
 
     root_node = new_node(root, 0)
-    if mode == WEITZ and root in forced:
+    if root in blocked:
         root_node.fix = UNOCCUPIED
     else:
         expand(root_node)

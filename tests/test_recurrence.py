@@ -103,8 +103,9 @@ def test_eval_matches_fused_sandwich(catalog6):
 
 
 def test_sandwich_outputs_frozen():
-    # (pairs, nodes, truncated) recorded from the per-model walkers that the
-    # single walker replaced; compared bit for bit
+    # (pairs, nodes, truncated) recorded from earlier walkers, compared bit
+    # for bit: the per-model walkers, and for the bulk-scan cases below the
+    # single walker that still pushed every node above the frontier
     g = gen_graph("gnp", n=12, d=3.0, seed=2)
     assert sandwich_values(g, 0, HARDCORE, ACTIVITIES, 5) == (
         [(0.218428316136688, 0.22215512171398627),
@@ -132,6 +133,73 @@ def test_sandwich_outputs_frozen():
         with pytest.raises(NodeBudgetError) as err:
             sandwich_values(g, 0, model, [1.0], 8, budget=37)
         assert err.value.nodes_expanded == 38
+    # the level above the frontier is scanned in bulk: the root at depth 1,
+    # the root's children at depth 2; vertex 9 pinned occupied blocks the
+    # root child 8 and the grandchild 11, vertex 4 is a root child
+    assert sandwich_values(g, 0, HARDCORE, ACTIVITIES, 1) == (
+        [(0.14814814814814814, 0.5), (0.125, 1.0),
+         (0.07407407407407407, 2.0)], 4, True)
+    assert sandwich_values(g, 0, MONOMERDIMER, ACTIVITIES, 1) == (
+        [(0.4, 1.0), (0.25, 1.0), (0.14285714285714285, 1.0)], 4, True)
+    assert sandwich_values(g, 0, HARDCORE, ACTIVITIES, 2) == (
+        [(0.16666666666666666, 0.24495967741935484),
+         (0.16666666666666666, 0.3950617283950617),
+         (0.13333333333333333, 0.6703448275862072)], 9, True)
+    assert sandwich_values(g, 0, MONOMERDIMER, ACTIVITIES, 2) == (
+        [(0.4285714285714286, 0.5357142857142857),
+         (0.2857142857142857, 0.4444444444444444),
+         (0.17647058823529413, 0.38181818181818183)], 9, True)
+    occupied9 = BoundaryCondition({9: OCCUPIED})
+    unoccupied4 = BoundaryCondition({4: UNOCCUPIED})
+    assert sandwich_values(g, 0, HARDCORE, [1.0], 1, occupied9) == (
+        [(0.25, 1.0)], 4, True)
+    assert sandwich_values(g, 0, HARDCORE, [1.0], 1, unoccupied4) == (
+        [(0.25, 1.0)], 4, True)
+    assert sandwich_values(g, 0, HARDCORE, [1.0], 2, occupied9) == (
+        [(0.3333333333333333, 0.3333333333333333)], 6, False)
+    assert sandwich_values(g, 0, HARDCORE, [1.0], 2, unoccupied4) == (
+        [(0.25, 0.5925925925925926)], 8, True)
+    # budgets that run out inside a bulk scan: of the root (depth 1) and of
+    # the root child 8, whose children are nodes 7-9 (depth 2)
+    for model in (HARDCORE, MONOMERDIMER):
+        for depth, budget in ((1, 2), (2, 7)):
+            with pytest.raises(NodeBudgetError) as err:
+                sandwich_values(g, 0, model, [1.0], depth, budget=budget)
+            assert err.value.nodes_expanded == budget + 1
+    # the benchmark graph, at a depth that runs in milliseconds
+    big = gen_graph("gnp", n=2000, d=3.0, seed=1)
+    assert sandwich_values(big, 943, HARDCORE, ACTIVITIES, 9) == (
+        [(0.2850955575677363, 0.28570210953326375),
+         (0.41540424078124716, 0.42616225319966006),
+         (0.5200203596837023, 0.6033398500302531)], 8211, True)
+    assert sandwich_values(big, 943, MONOMERDIMER, ACTIVITIES, 9) == (
+        [(0.6060784267850263, 0.6062289340967085),
+         (0.47972474058583, 0.48092063631200443),
+         (0.35935226018673055, 0.36464389465657004)], 8204, True)
+
+
+def test_walker_node_counts_against_materialized_trees(catalog6):
+    # nodes counts the tree nodes the walker visits: every node of the plain
+    # tree, but on a weitz tree not the siblings after an occupied child,
+    # which expand_saw_tree still creates
+    graphs = catalog6 + [gen_graph("gnp", n=n, d=3.0, seed=s)
+                         for n in (12, 20) for s in range(1, 4)]
+    for g in graphs:
+        pins = [None] + [BoundaryCondition({g.n - 1: state})
+                         for state in (OCCUPIED, UNOCCUPIED) if g.n > 1]
+        for depth in range(7):
+            md = sandwich_values(g, 0, MONOMERDIMER, [1.0], depth)[1]
+            assert md == expand_saw_tree(g, 0, depth, mode="plain").nodes_expanded
+            for bc in pins:
+                hc = sandwich_values(g, 0, HARDCORE, [1.0], depth, bc)[1]
+                tree = expand_saw_tree(g, 0, depth, mode="weitz", boundary=bc)
+                assert hc <= tree.nodes_expanded
+    g = gen_graph("gnp", n=12, d=3.0, seed=2)
+    assert expand_saw_tree(g, 0, 5, mode="weitz").nodes_expanded == 98
+    assert sandwich_values(g, 0, HARDCORE, [1.0], 5)[1] == 81
+    occupied = BoundaryCondition({1: OCCUPIED})
+    assert expand_saw_tree(g, 0, 5, mode="weitz", boundary=occupied).nodes_expanded == 34
+    assert sandwich_values(g, 0, HARDCORE, [1.0], 5, occupied)[1] == 28
 
 
 # -- certified intervals -----------------------------------------------------
