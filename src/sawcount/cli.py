@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import __version__
@@ -30,7 +29,7 @@ from .connconst import (
     z2_branching_matrix,
 )
 from .counting import oracle_Z, oracle_marginal, partition_hc, partition_md
-from .decay import decay_factor_hc, decay_factor_md
+from .decay import decay_factor_hc, decay_factor_md, lambda_c
 from .graph import GNP_GENERATOR, gen_graph, graph_from_edge_list, graph_to_edge_list
 from .recurrence import (
     HARDCORE,
@@ -67,7 +66,8 @@ _SCHEMAS = {
                     "depth": int, "nodes": int, "converged": bool},
     "decay-table": {"rows": list},
     "conn-const": {"rows": list, "complete": bool, "roots": list},
-    "z2-branching": {"eigenvalue": float, "states": int, "states_raw": int},
+    "z2-branching": {"eigenvalue": float, "states": int, "states_raw": int,
+                     "ssm_bound": float},
     "lattice-bounds": {"rows": list},
     "oracle": {"value": float},
     "gen": {"n": int, "edges": int},
@@ -299,16 +299,10 @@ def _cmd_z2(args, out):
         "eigenvalue": _fnum(ev),
         "states": bm.k,
         "states_raw": bm.states_raw,
-        "ssm_bound": _fnum(truncate3(_lambda_c_or_nan(ev))),
+        "ssm_bound": _fnum(truncate3(lambda_c(ev))),
     }
     _emit(record, args.format, out)
     return 0
-
-
-def _lambda_c_or_nan(delta):
-    from .decay import lambda_c
-
-    return lambda_c(delta) if delta > 1 else math.nan
 
 
 def _cmd_lattice_bounds(args, out):

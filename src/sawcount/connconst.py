@@ -15,7 +15,11 @@ Two tools:
    to the endpoint is at most L - s (once irrelevant, always irrelevant,
    so states compose).  Transition counts between canonical states form a
    nonnegative matrix M whose Perron eigenvalue bounds the walk growth
-   rate, hence the connective constant, from above.
+   rate, hence the connective constant, from above.  spectral_bound
+   returns a proven upper bound on that eigenvalue: the Collatz-Wielandt
+   ratio max_i ((M+I)x)_i / x_i of the shifted power iteration, taken at
+   the first step where it falls by at most tol, minus 1 and padded
+   outward for the roundoff of the last matrix-vector product.
 
    The "weitz" pruning mode additionally discards every walk that steps onto a
    vertex forced unoccupied by the tree's boundary pins: a move onto w is
@@ -64,6 +68,7 @@ PRUNE_NONE = "none"
 PRUNE_WEITZ = "weitz"
 
 STATE_CAP_DEFAULT = 5 * 10**6
+_EPS = 2.0**-52  # spacing of floats at 1.0
 
 
 class StateCapError(RuntimeError):
@@ -374,19 +379,33 @@ def _merge_isomorphic(rows_d, start):
 
 
 def spectral_bound(m, tol: float = 1e-10, max_iter: int = 200_000) -> float:
-    """Largest real eigenvalue of a nonnegative matrix by power iteration.
+    """Proven upper bound on the largest real eigenvalue rho of a
+    nonnegative matrix M, by power iteration on A = M + I (the shift
+    removes periodicity and keeps the iterates positive).
 
-    Iterates the shifted matrix M + I (the shift removes periodicity and
-    keeps iterates strictly positive, enabling min/max ratio brackets).
-    Stops when the ratio bracket closes to tol or successive Rayleigh
-    quotients differ by less than tol; cross-checks the estimate against
-    the norm bound ||M^l||_inf^(1/l), which can only exceed the true
-    eigenvalue.  Raises PowerIterationError with the last bracket if the
-    iteration cap is reached.
+    For every positive x, rho + 1 <= hi = max_i (Ax)_i / x_i
+    (Collatz-Wielandt), and hi never increases along x <- Ax.  The
+    iteration stops at the first step where hi falls by at most tol and
+    returns hi - 1 padded for roundoff.  After max_iter steps it raises
+    PowerIterationError with the last ratio bracket [lo - 1, hi - 1].
+
+    Pad (u = 2^-53, eps = 2u, w = longest row: stored entries of a
+    BranchingMatrix, columns of a dense matrix): each (Ax)_i sums w + 1
+    nonnegative terms, so in any order each term sees at most w + 1
+    monotone roundings and the computed entry is >= (1-u)^(w+1) (Ax)_i;
+    the division costs one more (1-u).  So rho + 1 <= hi (1-u)^-(w+2)
+    <= hi (1 + (w+2) eps).  The computed hi is in [1, 2^53), so hi - 1
+    is exact, and (hi - 1) + hi c with c = (w+3) eps loses at most
+    u hi (1 + 3c) < hi eps to its two roundings: the result is >= rho.
+    This is the standard rounding model, which needs no product M_ij x_j
+    to underflow; x is rescaled to max 1 each step, so for integer
+    counts that holds while min x >= 2^-1022 (min x falls by at most a
+    factor hi per step).
     """
     if isinstance(m, BranchingMatrix):
         matvec = m.matvec
         k = m.k
+        width = int(np.bincount(m.rows, minlength=1).max())
     else:
         dense = np.asarray(m, dtype=float)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
@@ -394,44 +413,19 @@ def spectral_bound(m, tol: float = 1e-10, max_iter: int = 200_000) -> float:
         if (dense < 0).any():
             raise ValueError("matrix must be nonnegative")
         matvec = lambda x: dense @ x
-        k = dense.shape[0]
+        k = width = dense.shape[0]
     if k < 1:
         raise ValueError("matrix must be nonempty")
-    x = np.full(k, 1.0 / math.sqrt(k))
-    prev_rq = math.inf
-    est = None
-    lo = hi = math.nan
+    x = np.ones(k)
+    lo, hi = math.nan, math.inf
     for _ in range(max_iter):
         y = matvec(x) + x
         ratios = y / x
-        lo = float(ratios.min())
-        hi = float(ratios.max())
-        rq = float(x @ y) / float(x @ x)
-        if hi - lo <= tol:
-            est = 0.5 * (lo + hi) - 1.0
-            break
-        if abs(rq - prev_rq) <= tol:
-            est = rq - 1.0
-            break
-        prev_rq = rq
-        x = y / float(np.linalg.norm(y))
-    if est is None:
-        raise PowerIterationError(lo - 1.0, hi - 1.0)
-    # Gelfand cross-check: ||A^l||_inf^(1/l) >= rho(A) for every l
-    y = np.ones(k)
-    log_norm = 0.0
-    steps = 64
-    for _ in range(steps):
-        y = matvec(y) + y
-        peak = float(y.max())
-        log_norm += math.log(peak)
-        y /= peak
-    gelfand = math.exp(log_norm / steps)
-    if est + 1.0 > gelfand + 10.0 * tol + 1e-9:
-        raise ArithmeticError(
-            f"power-method estimate {est + 1.0} exceeds norm bound {gelfand}"
-        )
-    return est
+        prev_hi, lo, hi = hi, float(ratios.min()), float(ratios.max())
+        if prev_hi - hi <= tol:
+            return hi - 1.0 + hi * ((width + 3) * _EPS)
+        x = y / float(y.max())
+    raise PowerIterationError(lo - 1.0, hi - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,24 @@ class SymmetrizeReport:
 _SYM_SLACK = 1e-9
 
 
+def _random_split(rng, trials, d, k_min):
+    """Random sparsity patterns and weights for `trials` points in d
+    coordinates: each row activates a uniform random subset of between
+    k_min and d coordinates and splits weight 1 over it (exponential
+    draws, normalized); inactive weights are 0."""
+    k_active = rng.integers(k_min, d + 1, size=trials)
+    weights = rng.exponential(size=(trials, d))
+    col = np.arange(d)
+    mask = col[None, :] < k_active[:, None]
+    # random subset of each row, not just a prefix
+    perm = rng.permuted(np.tile(col, (trials, 1)), axis=1)
+    active = np.zeros((trials, d), dtype=bool)
+    np.put_along_axis(active, perm, mask, axis=1)
+    weights = np.where(active, weights, 0.0)
+    weights /= weights.sum(axis=1, keepdims=True)
+    return active, weights
+
+
 def symmetrize_check(
     params: ModelParams,
     d: int,
@@ -371,16 +389,7 @@ def symmetrize_check(
         log_ratio = math.log(lam / constraint)
 
         # random feasible points: split log(lam/B) over a random subset
-        k_active = rng.integers(1, d + 1, size=trials)
-        weights = rng.exponential(size=(trials, d))
-        col = np.arange(d)
-        mask = col[None, :] < k_active[:, None]
-        # random subset of each row, not just a prefix
-        perm = rng.permuted(np.tile(col, (trials, 1)), axis=1)
-        active = np.zeros((trials, d), dtype=bool)
-        np.put_along_axis(active, perm, mask, axis=1)
-        weights = np.where(active, weights, 0.0)
-        weights /= weights.sum(axis=1, keepdims=True)
+        active, weights = _random_split(rng, trials, d, 1)
         x = np.expm1(weights * log_ratio)
         # objective: sum (2B sqrt(x/(1+x)))**a over active coordinates
         terms = (2.0 * constraint * np.sqrt(x / (1.0 + x))) ** exponent
@@ -403,15 +412,7 @@ def symmetrize_check(
             raise ValueError("infeasible constraint: sum of inputs exceeds d")
 
         k_min = max(1, math.ceil(total))
-        k_active = rng.integers(k_min, d + 1, size=trials)
-        weights = rng.exponential(size=(trials, d))
-        col = np.arange(d)
-        mask = col[None, :] < k_active[:, None]
-        perm = rng.permuted(np.tile(col, (trials, 1)), axis=1)
-        active = np.zeros((trials, d), dtype=bool)
-        np.put_along_axis(active, perm, mask, axis=1)
-        weights = np.where(active, weights, 0.0)
-        weights /= weights.sum(axis=1, keepdims=True)
+        active, weights = _random_split(rng, trials, d, k_min)
         p = weights * total
         # redistribute overflow above 1 onto the other active coordinates
         for _ in range(200):

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from sawcount.cli import main, validate_record
+from sawcount.connconst import truncate3
+from sawcount.decay import lambda_c
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +102,10 @@ def test_z2_branching_json(capsys):
     rec = json.loads(out)
     validate_record(rec)
     assert 2.429 <= rec["eigenvalue"] <= 3.0
+    assert rec["ssm_bound"] == truncate3(lambda_c(rec["eigenvalue"]))
+    del rec["ssm_bound"]
+    with pytest.raises(ValueError, match="ssm_bound"):
+        validate_record(rec)
 
 
 def test_lattice_bounds_text(capsys):

@@ -247,6 +247,18 @@ def test_symmetrize_check_md():
     assert rep.passed
 
 
+def test_symmetrize_check_frozen():
+    # recorded bit for bit; guards the random-subset sampler's draw order
+    rep = symmetrize_check(hardcore(1.0), 5, 1.2 ** (-5), 2.5, trials=500, seed=3)
+    assert (repr(rep.max_random), repr(rep.max_symmetric)) == (
+        "0.32979665302107414", "0.3298241896037904")
+    # sum of inputs 1.7, so at least two active coordinates (k_min = 2)
+    b = 1.0 / (1.0 + 1.5 * 1.7)
+    rep = symmetrize_check(monomerdimer(1.5), 5, b, 1.5, trials=500, seed=3)
+    assert (repr(rep.max_random), repr(rep.max_symmetric)) == (
+        "0.08983810455301407", "0.09017484103957064")
+
+
 def test_symmetrize_check_d1_trivial():
     rep = symmetrize_check(hardcore(2.0), 1, 0.5, 3.0, trials=100, seed=0)
     assert rep.passed
