@@ -6,7 +6,8 @@ conn-const, z2-branching, lattice-bounds, gen, oracle.
 Every run echoes its fully resolved configuration (including seeds) in
 the output header: as a "config" object in JSON mode, as leading
 '# key = value' lines in text mode.  Numbers are serialized with 12
-significant digits.  Exit codes: 0 success, 2 usage error, 1
+significant digits, the ends of a certified interval (and the proven
+eigenvalue bound) rounded outward.  Exit codes: 0 success, 2 usage error, 1
 computational failure (budget or convergence), with partial certified
 results still emitted.
 """
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Context
 
 from . import __version__
 from .connconst import (
@@ -44,9 +47,23 @@ from .sawtree import NodeBudgetError
 _FLOAT_FMT = "%.12g"
 
 
-def _fnum(x):
-    """Round-trip a float through its 12-significant-digit form."""
-    return float(_FLOAT_FMT % x)
+def _fnum(x, rounding=ROUND_HALF_EVEN):
+    """Round-trip a float through its 12-significant-digit form.
+
+    Rounds to nearest by default.  A bound rounds outward, so the printed
+    number is still a bound: an upper end with ROUND_CEILING, a lower end
+    with ROUND_FLOOR (the nearest float to a 12-digit decimal at or above
+    x is still at or above x, and likewise below).
+    """
+    return float(Context(prec=12, rounding=rounding).create_decimal(x))
+
+
+def _fup(x):
+    return _fnum(x, ROUND_CEILING)
+
+
+def _fdown(x):
+    return _fnum(x, ROUND_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -55,11 +72,15 @@ def _fnum(x):
 
 _COMMON_FIELDS = {"command": str, "config": dict}
 
+# a count's value, lo and hi are emitted only when finite (see _cmd_count);
+# its log-space certificate is always there
+_COUNT_SCHEMA = {"log_value": float, "log_lo": float, "log_hi": float,
+                 "eps": float, "depth": int, "nodes": int, "converged": bool}
+_COUNT_OPTIONAL = {"value": float, "lo": float, "hi": float, "failed_vertex": int}
+
 _SCHEMAS = {
-    "hc-count": {"value": float, "log_value": float, "lo": float, "hi": float,
-                 "eps": float, "depth": int, "nodes": int, "converged": bool},
-    "md-count": {"value": float, "log_value": float, "lo": float, "hi": float,
-                 "eps": float, "depth": int, "nodes": int, "converged": bool},
+    "hc-count": _COUNT_SCHEMA,
+    "md-count": _COUNT_SCHEMA,
     "hc-marginal": {"value": float, "lo": float, "hi": float, "tol": float,
                     "depth": int, "nodes": int, "converged": bool},
     "md-marginal": {"value": float, "lo": float, "hi": float, "tol": float,
@@ -72,6 +93,17 @@ _SCHEMAS = {
     "oracle": {"value": float},
     "gen": {"n": int, "edges": int},
 }
+
+# fields a record may omit, type-checked when present
+_OPTIONAL = {"hc-count": _COUNT_OPTIONAL, "md-count": _COUNT_OPTIONAL}
+
+
+def _check_field(key, val, typ):
+    if typ is float:
+        if not isinstance(val, (int, float)) or isinstance(val, bool):
+            raise ValueError(f"record field {key!r} must be a number")
+    elif not isinstance(val, typ):
+        raise ValueError(f"record field {key!r} must be {typ.__name__}")
 
 
 def validate_record(record) -> None:
@@ -87,12 +119,10 @@ def validate_record(record) -> None:
     for key, typ in schema.items():
         if key not in record:
             raise ValueError(f"record field {key!r} missing")
-        val = record[key]
-        if typ is float:
-            if not isinstance(val, (int, float)) or isinstance(val, bool):
-                raise ValueError(f"record field {key!r} must be a number")
-        elif not isinstance(val, typ):
-            raise ValueError(f"record field {key!r} must be {typ.__name__}")
+        _check_field(key, record[key], typ)
+    for key, typ in _OPTIONAL.get(record["command"], {}).items():
+        if key in record:
+            _check_field(key, record[key], typ)
 
 
 def _emit(record, fmt, out):
@@ -156,15 +186,19 @@ def _cmd_count(args, out):
     record = {
         "command": args.cmd,
         "config": cfg,
-        "value": _fnum(res.value),
         "log_value": _fnum(res.log_value),
-        "lo": _fnum(res.lo),
-        "hi": _fnum(res.hi),
+        "log_lo": _fdown(res.log_lo),
+        "log_hi": _fup(res.log_hi),
         "eps": args.eps,
         "depth": res.depth_max_used,
         "nodes": res.nodes_expanded,
         "converged": res.converged,
     }
+    # Z above the float range (log Z > 709.78) has only its logs
+    for key, val in (("value", _fnum(res.value)), ("lo", _fdown(res.lo)),
+                     ("hi", _fup(res.hi))):
+        if math.isfinite(val):
+            record[key] = val
     if not res.converged:
         record["failed_vertex"] = res.failed_vertex
     if res.advisory is not None:
@@ -206,8 +240,8 @@ def _cmd_marginal(args, out):
         "command": args.cmd,
         "config": cfg,
         "value": _fnum(value),
-        "lo": _fnum(lo),
-        "hi": _fnum(hi),
+        "lo": _fdown(lo),
+        "hi": _fup(hi),
         "tol": args.tol,
         "depth": depth,
         "nodes": nodes,
@@ -293,10 +327,11 @@ def _cmd_z2(args, out):
     except (StateCapError, PowerIterationError) as exc:
         print(f"z2-branching failed: {exc}", file=sys.stderr)
         return 1
+    ev = _fup(ev)  # a proven upper bound, printed as one
     record = {
         "command": "z2-branching",
         "config": cfg,
-        "eigenvalue": _fnum(ev),
+        "eigenvalue": ev,
         "states": bm.k,
         "states_raw": bm.states_raw,
         "ssm_bound": _fnum(truncate3(lambda_c(ev))),

@@ -81,7 +81,10 @@ class ApproxResult:
     """A value with a certified enclosing interval and the work performed.
 
     A partition function that ran out of budget (converged False) names
-    in failed_vertex the graph vertex whose factor exhausted it.
+    in failed_vertex the graph vertex whose factor exhausted it.  It also
+    carries its certificate in log space, log_lo <= log Z <= log_hi;
+    value, lo and hi are their exponentials (value that of log_value),
+    inf where that overflows the float range (a log above 709.78).
     """
 
     value: float
@@ -94,6 +97,8 @@ class ApproxResult:
     log_value: float | None = None
     advisory: object = None
     failed_vertex: int | None = None
+    log_lo: float | None = None
+    log_hi: float | None = None
 
     def width(self) -> float:
         return self.hi - self.lo
@@ -129,6 +134,7 @@ def sandwich_values(
     depth: int,
     boundary: BoundaryCondition | None = None,
     budget: int = 10**7,
+    blocked: set | frozenset = frozenset(),
 ):
     """Evaluate the truncated recurrence under both extreme frontier pins.
 
@@ -137,6 +143,11 @@ def sandwich_values(
     probability for monomer-dimer), nodes is the number of tree nodes
     visited and truncated says whether any frontier node was pinned
     (False means the tree was fully expanded, so lo == hi).
+
+    `blocked` is a set of vertices deleted from g, ids unchanged: the
+    marginal is that of g minus blocked.  Hard-core treats a blocked
+    vertex as pinned unoccupied (a leaf of factor 1 in the tree);
+    monomer-dimer never steps onto one.  The root must not be blocked.
 
     A node stops at its first occupied child (a hard-core loop copy), and
     the siblings after that child are not visited.  So nodes equals
@@ -161,9 +172,16 @@ def sandwich_values(
             raise ValueError("activity must be positive")
     if model not in (HARDCORE, MONOMERDIMER):
         raise ValueError(f"unknown model {model!r}")
-    if model == MONOMERDIMER and boundary is not None:
-        raise ValueError("boundary conditions apply to hard-core only")
-    return _sandwich(g, v, model, acts, depth, boundary, budget)
+    if v in blocked:
+        raise ValueError("the root vertex must not be blocked")
+    if boundary is not None:
+        if model == MONOMERDIMER:
+            raise ValueError("boundary conditions apply to hard-core only")
+        boundary.validate(g)
+        if v in boundary.assignments:
+            raise ValueError("boundary must not pin the root vertex")
+        blocked = boundary.blocked(g) | blocked
+    return _sandwich(g, v, model, acts, depth, blocked, budget)
 
 
 def _fold_hc(acc, ratios):
@@ -210,7 +228,7 @@ def _pairs(value):
     return [(a, b) if a <= b else (b, a) for a, b in zip(value[::2], value[1::2])]
 
 
-def _sandwich(g, root, model, acts, max_depth, boundary, budget):
+def _sandwich(g, root, model, acts, max_depth, blocked, budget):
     """The depth-first walker behind sandwich_values.
 
     Each tree node carries one accumulator holding the (lo, hi)
@@ -233,24 +251,25 @@ def _sandwich(g, root, model, acts, max_depth, boundary, budget):
     looks up its value by those two counts (`_last_level_value`).  A
     pushed child without extensions pops with exactly its leaf value.
 
+    `blocked` holds the vertices pinned unoccupied or deleted.  Hard-core
+    counts a blocked child as an unoccupied leaf (factor 1), and a
+    frontier child whose only other neighbors are blocked as an exact
+    leaf.  Monomer-dimer seeds the blocked vertices into the root path,
+    so they are skipped and count as on the path in the extension test.
     Pins need no test of their own in a scan: an expanded vertex is never
     blocked, so no neighbor of it is pinned occupied, and the only
     occupied children are loop copies.
     """
     adj = g.adjacency
     hc = model == HARDCORE
-    blocked = frozenset()
-    if boundary is not None:
-        boundary.validate(g)
-        if root in boundary.assignments:
-            raise ValueError("boundary must not pin the root vertex")
-        blocked = boundary.blocked(g)
     tops = acts if hc else [1.0] * len(acts)
     if root in blocked:
         return [(0.0, 0.0)] * len(acts), 1, False
     if not adj[root]:
         return [(t, t) for t in tops], 1, False
     if max_depth == 0:
+        if g._adj_sets[root] <= blocked:
+            return [(t, t) for t in tops], 1, False
         return [(0.0, t) for t in tops], 1, True
 
     gammas = [x for a in acts for x in (a, a)]
@@ -259,7 +278,7 @@ def _sandwich(g, root, model, acts, max_depth, boundary, budget):
     zeros = [0.0] * m
     fold = _fold_hc if hc else _fold_md
     path = [root]
-    path_pos = {root: 0}
+    path_pos = {root: 0} if hc else {**dict.fromkeys(blocked, -1), root: 0}
     on_path = path_pos.keys()
     adj_sets = g._adj_sets
     values = {}  # (exact, cut) -> _last_level_value(hc, acts, exact, cut)
@@ -280,10 +299,10 @@ def _sandwich(g, root, model, acts, max_depth, boundary, budget):
                     if loop_copy_occupied(path, pos, u):
                         return zeros, seen, cut > 0
                 elif w not in blocked:
-                    if len(adj[w]) > 1:
-                        cut += 1
+                    if len(adj[w]) == 1 or blocked and len(adj_sets[w] - blocked) == 1:
+                        exact += 1  # no neighbor but u outside blocked
                     else:
-                        exact += 1
+                        cut += 1
         else:
             path_pos[u] = len(path)
             for w in adj[u]:
@@ -517,9 +536,10 @@ def marginal_adaptive(
     )
 
 
-def _adaptive(g, v, params, measure, target, boundary, budget):
-    """Deepen the sandwich at v until measure(lo, hi) <= target or the tree
-    is fully expanded; returns (lo, hi, depth, nodes expanded in total).
+def _adaptive(g, v, params, measure, target, boundary, budget, blocked=frozenset()):
+    """Deepen the sandwich at v (of g minus `blocked`, see sandwich_values)
+    until measure(lo, hi) <= target or the tree is fully expanded; returns
+    (lo, hi, depth, nodes expanded in total).
 
     After each truncated pass the per-level contraction of the measure is
     fitted from the last two passes, rate = (w / w_prev)**(1/depth step),
@@ -545,7 +565,7 @@ def _adaptive(g, v, params, measure, target, boundary, budget):
         try:
             pairs, nodes, truncated = sandwich_values(
                 g, v, params.model, [params.activity], depth, boundary,
-                remaining,
+                remaining, blocked,
             )
         except NodeBudgetError as exc:
             raise AdaptiveBudgetError(*best, total + exc.nodes_expanded)

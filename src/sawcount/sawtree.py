@@ -30,8 +30,9 @@ unoccupied, so copies of such neighbors become unoccupied leaves and their
 subtrees are skipped, and the occupied vertex itself is never reached.
 
 Expansion stops at max_depth; a node at max_depth whose walk has
-extensions in the untruncated tree is recorded on the truncated frontier
-(the recurrence evaluator pins frontier nodes to an initial condition).
+extensions in the untruncated tree, other than unoccupied leaves, is
+recorded on the truncated frontier (the recurrence evaluator pins frontier
+nodes to an initial condition).
 """
 
 from __future__ import annotations
@@ -182,8 +183,11 @@ def expand_saw_tree(
         if not extensions:
             return
         if depth == max_depth:
-            node.is_frontier = True
-            frontier.append(node)
+            # extensions that are all blocked would be unoccupied leaves:
+            # the node then keeps its exact leaf value
+            if any(w not in blocked for w in extensions):
+                node.is_frontier = True
+                frontier.append(node)
             return
         for w in extensions:
             pos = path_pos.get(w)

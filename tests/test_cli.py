@@ -3,8 +3,10 @@ import json
 import pytest
 
 from sawcount.cli import main, validate_record
-from sawcount.connconst import truncate3
+from sawcount.connconst import spectral_bound, truncate3, z2_branching_matrix
+from sawcount.counting import partition_hc, partition_md
 from sawcount.decay import lambda_c
+from sawcount.graph import gen_graph, graph_from_edges, graph_to_edge_list
 
 
 def run_cli(capsys, *argv):
@@ -212,3 +214,44 @@ def test_validate_record_rejects_bad_records():
         validate_record({"command": "bogus", "config": {}})
     with pytest.raises(ValueError):
         validate_record([1, 2])
+
+
+def test_printed_bounds_round_outward(capsys, tmp_path):
+    # 12 printed digits round a bound's upper end up and its lower end down
+    for memory in range(2, 13, 2):
+        for pruning in ("none", "weitz"):
+            code, out, _ = run_cli(capsys, "z2-branching", "--L", str(memory),
+                                   "--pruning", pruning, "--format", "json")
+            assert code == 0
+            bm = z2_branching_matrix(memory, pruning=pruning)
+            assert json.loads(out)["eigenvalue"] >= spectral_bound(bm)
+    g = gen_graph("gnp", n=12, d=3.0, seed=2)
+    path = tmp_path / "g.edges"
+    path.write_text(graph_to_edge_list(g))
+    for cmd, flag, partition in (("hc-count", "--lam", partition_hc),
+                                 ("md-count", "--gamma", partition_md)):
+        code, out, _ = run_cli(capsys, cmd, "--graph", str(path), flag, "0.7")
+        assert code == 0
+        rec = json.loads(out)
+        res = partition(g, 0.7, 0.01)
+        assert rec["lo"] <= res.lo and rec["hi"] >= res.hi
+        assert rec["log_lo"] <= res.log_lo and rec["log_hi"] >= res.log_hi
+
+
+def test_count_beyond_float_range_emits_logs(capsys, tmp_path):
+    # Z = 2^1050 and 3^1050 overflow a float: the record keeps the logs and
+    # leaves out value, lo and hi
+    path = tmp_path / "edges.edges"
+    path.write_text(graph_to_edge_list(
+        graph_from_edges(2100, [(2 * i, 2 * i + 1) for i in range(1050)])))
+    for cmd, flag, log_z in (("md-count", "--gamma", 727.8045395879),
+                             ("hc-count", "--lam", 1153.5429031015)):
+        code, out, _ = run_cli(capsys, cmd, "--graph", str(path), flag, "1")
+        assert code == 0
+        rec = json.loads(out)
+        validate_record(rec)
+        assert not {"value", "lo", "hi"} & rec.keys()
+        assert rec["log_lo"] <= log_z <= rec["log_hi"]
+        rec["lo"] = "1e999"
+        with pytest.raises(ValueError, match="lo"):
+            validate_record(rec)

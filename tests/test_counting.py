@@ -1,8 +1,18 @@
 import math
+from decimal import Decimal
 
 import pytest
 
-from sawcount.counting import oracle_Z, oracle_marginal, partition_hc, partition_md
+from sawcount import recurrence
+from sawcount.counting import (
+    _cycle_cutting_order,
+    _roundoff_pad,
+    oracle_Z,
+    oracle_marginal,
+    partition_hc,
+    partition_md,
+)
+from sawcount.decay import decay_factor_hc
 from sawcount.graph import gen_graph, graph_from_edges
 from sawcount.recurrence import hardcore, monomerdimer
 
@@ -132,12 +142,15 @@ def test_partition_budget_exhaustion_is_sound():
 
 
 def test_partition_budget_error_reports_depth_reached():
-    # factor 0 gets budget // n = 20 nodes: enough for depths 0..3 of its
-    # monomer-dimer tree (17 nodes) but not for the next pass
+    # the only cycle is the triangle 5-6-7, so the telescope starts at its
+    # degree-3 vertex 5; factor 0 gets budget // n = 20 nodes: enough for
+    # depths 0..2 of its monomer-dimer tree (13 nodes) but not for the next
+    # pass
     g = gen_graph("gnp", n=12, d=3.0, seed=4)
+    assert _cycle_cutting_order(g) == ([5, 0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 11], 1)
     res = partition_md(g, 1.0, 0.01, budget=240)
     assert not res.converged
-    assert res.failed_vertex == 0
+    assert res.failed_vertex == 5
     assert res.depth_max_used >= 2
 
 
@@ -155,6 +168,7 @@ def test_partition_hc_supercritical_advisory():
     res = partition_hc(k5, 4.0, 0.1)
     assert res.advisory is not None and res.advisory.supercritical
     assert res.lo - 1e-12 <= oracle_Z(k5, hardcore(4.0)) <= res.hi + 1e-12
+    assert res.advisory == decay_factor_hc(4.0, 3.0)
     sub = partition_hc(gen_graph("cycle", n=6), 0.5, 0.1)
     assert sub.advisory is None
 
@@ -182,3 +196,113 @@ def test_partition_eps_validation():
         partition_hc(g, 1.0, 0.0)
     with pytest.raises(ValueError):
         partition_md(g, 1.0, 1.5)
+
+
+def _is_forest(n, edges):
+    parent = list(range(n))
+
+    def find(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def test_cycle_cutting_order():
+    # the feedback vertices come first, the rest in id order
+    assert _cycle_cutting_order(gen_graph("cycle", n=4)) == ([0, 1, 2, 3], 1)
+    assert _cycle_cutting_order(gen_graph("complete", n=4)) == ([0, 1, 2, 3], 2)
+    tree = gen_graph("dary_tree", d=2, depth=3)
+    assert _cycle_cutting_order(tree) == (list(range(tree.n)), 0)
+    # the hub of a wheel has the highest degree in the 2-core
+    wheel = graph_from_edges(6, [(i, i % 5 + 1) for i in range(1, 6)]
+                             + [(0, i) for i in range(1, 6)])
+    assert _cycle_cutting_order(wheel) == ([0, 1, 2, 3, 4, 5], 2)
+    for seed in (1, 2, 3, 4):
+        g = gen_graph("gnp", n=50, d=3.0, seed=seed)
+        order, k = _cycle_cutting_order(g)
+        assert sorted(order) == list(range(g.n))
+        assert order[k:] == sorted(order[k:])
+        cut = set(order[:k])
+        assert _is_forest(g.n, [e for e in g.edges() if not cut & set(e)])
+        assert 5 <= k <= 8  # the greedy set is small on these graphs
+
+
+def test_partition_exact_on_forests():
+    # on a forest every factor is one untruncated pass: both models come
+    # out exact, log(hi/lo) no more than the roundoff pad
+    tree = gen_graph("dary_tree", d=2, depth=3)
+    forest = graph_from_edges(
+        14, [(0, 1), (1, 2), (2, 3), (5, 4), (5, 6), (5, 7), (9, 10), (12, 11)])
+    for g in (tree, forest):
+        order, k = _cycle_cutting_order(g)
+        assert k == 0
+        for partition, params in ((partition_hc, hardcore(1.5)),
+                                  (partition_md, monomerdimer(0.7))):
+            res = partition(g, params.activity, 0.01)
+            pad = _roundoff_pad(g, params)
+            assert res.converged and res.depth_max_used == 0
+            assert res.log_hi - res.log_lo <= 2 * pad + 4 * math.ulp(res.log_hi)
+            assert res.lo <= oracle_Z(g, params) <= res.hi
+
+
+def test_partition_truncates_only_feedback_factors(monkeypatch):
+    # every factor runs on the original graph with the earlier vertices
+    # blocked; only the feedback vertices' factors are ever truncated, and
+    # each later factor is a single untruncated pass
+    calls = []
+
+    def recording(g, v, model, activities, depth, boundary=None, budget=10**7,
+                  blocked=frozenset()):
+        out = sandwich_values(g, v, model, activities, depth, boundary, budget, blocked)
+        calls.append((v, len(blocked), out[2]))
+        return out
+
+    sandwich_values = recurrence.sandwich_values
+    monkeypatch.setattr(recurrence, "sandwich_values", recording)
+    for seed in (1, 2, 3, 4):
+        g = gen_graph("gnp", n=50, d=3.0, seed=seed)
+        order, k = _cycle_cutting_order(g)
+        position = {v: i for i, v in enumerate(order)}
+        for partition, act in ((partition_hc, 0.5), (partition_md, 1.0)):
+            calls.clear()
+            assert partition(g, act, 0.01).converged
+            assert all(position[v] == n_blocked for v, n_blocked, _ in calls)
+            assert {v for v, _, truncated in calls if truncated} <= set(order[:k])
+            tail = [(v, truncated) for v, _, truncated in calls if position[v] >= k]
+            assert tail == [(v, False) for v in order[k:]]
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+def test_partition_contains_oracle_sweep(eps):
+    graphs = [(gen_graph("gnp", n=26, d=3.0, seed=s), (hardcore(0.5),))
+              for s in range(1, 21)]
+    graphs.append((gen_graph("grid", width=5, height=5),
+                   (hardcore(1.0), monomerdimer(1.0))))
+    for g, models in graphs:
+        for params in models:
+            partition = partition_hc if params.model == recurrence.HARDCORE else partition_md
+            res = partition(g, params.activity, eps)
+            assert res.converged
+            assert res.lo <= oracle_Z(g, params) <= res.hi
+            assert res.log_hi - res.log_lo <= eps
+
+
+def test_partition_beyond_float_range():
+    # 1050 disjoint edges: Z = 2^1050 (monomer-dimer, gamma 1) and 3^1050
+    # (hard-core, lambda 1), both above the float range; the telescope is
+    # exact there, and its certificate lives in log space
+    g = graph_from_edges(2100, [(2 * i, 2 * i + 1) for i in range(1050)])
+    for res, base in ((partition_md(g, 1.0, 0.01), 2), (partition_hc(g, 1.0, 0.01), 3)):
+        log_z = 1050 * Decimal(base).ln()
+        assert res.converged
+        assert Decimal(res.log_lo) <= log_z <= Decimal(res.log_hi)
+        assert res.log_hi - res.log_lo <= 1e-6
+        assert res.value == res.lo == res.hi == math.inf

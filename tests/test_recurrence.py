@@ -135,7 +135,9 @@ def test_sandwich_outputs_frozen():
         assert err.value.nodes_expanded == 38
     # the level above the frontier is scanned in bulk: the root at depth 1,
     # the root's children at depth 2; vertex 9 pinned occupied blocks the
-    # root child 8 and the grandchild 11, vertex 4 is a root child
+    # root child 8 and the grandchild 11, vertex 4 is a root child.  So at
+    # depth 1 the root child 7, whose only other neighbor is 11, is an
+    # exact leaf (R = 1/3)
     assert sandwich_values(g, 0, HARDCORE, ACTIVITIES, 1) == (
         [(0.14814814814814814, 0.5), (0.125, 1.0),
          (0.07407407407407407, 2.0)], 4, True)
@@ -152,7 +154,7 @@ def test_sandwich_outputs_frozen():
     occupied9 = BoundaryCondition({9: OCCUPIED})
     unoccupied4 = BoundaryCondition({4: UNOCCUPIED})
     assert sandwich_values(g, 0, HARDCORE, [1.0], 1, occupied9) == (
-        [(0.25, 1.0)], 4, True)
+        [(0.25, 0.5)], 4, True)
     assert sandwich_values(g, 0, HARDCORE, [1.0], 1, unoccupied4) == (
         [(0.25, 1.0)], 4, True)
     assert sandwich_values(g, 0, HARDCORE, [1.0], 2, occupied9) == (
@@ -176,6 +178,28 @@ def test_sandwich_outputs_frozen():
         [(0.6060784267850263, 0.6062289340967085),
          (0.47972474058583, 0.48092063631200443),
          (0.35935226018673055, 0.36464389465657004)], 8204, True)
+
+
+def test_blocked_vertices_act_as_deleted():
+    # a blocked vertex is deleted from the graph, ids unchanged: both models
+    # give bit for bit the values of the induced subgraph (monomer-dimer
+    # also its node counts; hard-core counts blocked children as leaves)
+    g = gen_graph("gnp", n=12, d=3.0, seed=2)
+    blocked = {4, 9, 10}
+    keep = [v for v in range(g.n) if v not in blocked]
+    index = {v: i for i, v in enumerate(keep)}
+    h = graph_from_edges(len(keep), [(index[u], index[v]) for u, v in g.edges()
+                                     if u in index and v in index])
+    for root in (0, 5, 8):
+        for depth in range(7):
+            for model in (HARDCORE, MONOMERDIMER):
+                got = sandwich_values(g, root, model, ACTIVITIES, depth, blocked=blocked)
+                want = sandwich_values(h, index[root], model, ACTIVITIES, depth)
+                assert (got[0], got[2]) == (want[0], want[2])
+                if model == MONOMERDIMER:
+                    assert got[1] == want[1]
+    with pytest.raises(ValueError, match="blocked"):
+        sandwich_values(g, 4, MONOMERDIMER, [1.0], 3, blocked=blocked)
 
 
 def test_walker_node_counts_against_materialized_trees(catalog6):
