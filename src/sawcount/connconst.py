@@ -45,6 +45,14 @@ Two tools:
    Isomorphic states (identical transition signatures) are merged by
    partition refinement, which preserves every count e_start^T M^l 1 and
    therefore the growth rate.
+
+   Each state is packed into one uint64 key (2 bits per move behind a
+   sentinel bit, 3 bits for the arrival move).  The closure runs one
+   breadth-first level at a time on numpy arrays: the level is decoded
+   into int8 moves and int16 positions, all four moves of every state are
+   tested at once, and new keys are numbered by first discovery in
+   (parent, move) order.  Refinement sorts the signatures (class plus the
+   sorted classes of the at most 4 successors) with lexsort each round.
 """
 
 from __future__ import annotations
@@ -57,10 +65,6 @@ import numpy as np
 from .decay import lambda_c
 from .graph import Graph
 from .sawtree import NodeBudgetError, saw_counts
-
-# direction encoding: index +1 is a clockwise quarter turn
-_VEC = ((0, 1), (1, 0), (0, -1), (-1, 0))  # N, E, S, W
-_UNIFORM_RANK = (3, 2, 1, 0)  # N > E > S > W
 
 RELATIVE = "relative"
 UNIFORM = "uniform"
@@ -186,89 +190,97 @@ class BranchingMatrix:
         return out
 
 
-def _rotate(moves, pre, rot):
-    canon = tuple((m - rot) % 4 for m in moves)
-    return canon, (None if pre is None else (pre - rot) % 4)
+# A state (pre, moves) is one uint64 key: a sentinel 1 bit, then the moves
+# oldest first at 2 bits each, then 3 bits holding pre + 1 (0 for None).
+# So the move j steps back from the endpoint sits at bits 3 + 2j.  A state
+# keeps at most L - 1 moves, so a key needs 2L + 2 bits.
+_MAX_MEMORY = 30
+_START_KEY = np.uint64(1 << 3)  # the zero-length walk, pre None
+
+# directions N, E, S, W: index +1 is a clockwise quarter turn
+_DX = np.array((0, 1, 0, -1), dtype=np.int16)
+_DY = np.array((1, 0, -1, 0), dtype=np.int16)
+# _DIR[dx + 1, dy + 1] is the direction of the unit step (dx, dy)
+_DIR = np.full((3, 3), -1, dtype=np.int8)
+_DIR[_DX + 1, _DY + 1] = np.arange(4)
+# relative rank by turn (direction - d_in) % 4: straight(0) > right(1) >
+# left(3); turn 2 is the backtrack, never ranked
+_TURN_RANK = np.array((2, 1, -1, 0), dtype=np.int8)
 
 
-def _relative_rank(direction, d_in):
-    turn = (direction - d_in) % 4
-    # straight(0) > right(1) > left(3); turn 2 is the backtrack, never ranked
-    return {0: 2, 1: 1, 3: 0}[turn]
+def _unpack(keys: np.ndarray, L: int):
+    """Decode keys into (moves, length, pre).  moves[:, j] (int8, L
+    columns) is the move j steps back from the endpoint, for j < length."""
+    body = keys >> np.uint64(3)
+    moves = np.empty((len(keys), L), dtype=np.int8)
+    length = np.zeros(len(keys), dtype=np.int16)
+    for j in range(L):
+        moves[:, j] = (body >> np.uint64(2 * j)) & np.uint64(3)
+        length += (body >> np.uint64(2 * j + 2)) != 0
+    pre = (keys & np.uint64(7)).astype(np.int8) - 1
+    return moves, length, pre
 
 
-def _transitions_from(state, L, ordering, pruning, track_pre):
-    """All legal (move multiplicity collapsed later) successors of a state."""
-    pre, moves = state
-    pos = [(0, 0)]
-    x, y = 0, 0
-    for m in moves:
-        dx, dy = _VEC[m]
-        x += dx
-        y += dy
-        pos.append((x, y))
-    end = pos[-1]
-    body = set(pos[:-1])
-    succs = []
+def _pack(moves: np.ndarray, length: np.ndarray, pre: np.ndarray) -> np.ndarray:
+    """Inverse of _unpack: the first `length` columns of `moves` are kept."""
+    digits = np.zeros(len(length), dtype=np.uint64)
+    for j in range(moves.shape[1]):
+        digits |= moves[:, j].astype(np.uint64) << np.uint64(2 * j)
+    sentinel = np.uint64(1) << (2 * length).astype(np.uint64)
+    body = sentinel | (digits & (sentinel - np.uint64(1)))
+    return (body << np.uint64(3)) | (pre + 1).astype(np.uint64)
+
+
+def _successors(keys, L, ordering, pruning):
+    """(n, 4) table of the canonical successor keys of each state, by move;
+    0 where the move is illegal."""
+    n = len(keys)
+    rows = np.arange(n)
+    moves, length, pre = _unpack(keys, L)
+    t = np.arange(1, L, dtype=np.int16)  # steps back from the endpoint
+    held = t <= length[:, None]
+    # position t steps back, with the endpoint at the origin
+    px = -np.cumsum(_DX[moves[:, :-1]], axis=1, dtype=np.int16)
+    py = -np.cumsum(_DY[moves[:, :-1]], axis=1, dtype=np.int16)
+    # the move that arrived at the position t steps back (pre at the oldest)
+    arrive = moves.copy()
+    arrive[rows, length] = pre
+    track_pre = pruning == PRUNE_WEITZ and ordering == RELATIVE
+    rotate = not (pruning == PRUNE_WEITZ and ordering == UNIFORM)
+    out = np.zeros((n, 4), dtype=np.uint64)
     for delta in range(4):
-        dx, dy = _VEC[delta]
-        w = (end[0] + dx, end[1] + dy)
-        if w in body:
-            continue  # closes a cycle of length <= L (or backtracks)
-        ext_moves = moves + (delta,)
-        ext_pos = pos + [w]
-        smax = 1
-        for s in range(len(ext_moves), 1, -1):
-            px, py = ext_pos[-1 - s]
-            if abs(w[0] - px) + abs(w[1] - py) <= L - s:
-                smax = s
-                break
-        new_moves = ext_moves[-smax:]
-        if track_pre:
-            new_pre = ext_moves[-smax - 1] if len(ext_moves) > smax else pre
-        else:
-            new_pre = None
+        ux = _DX[delta] - px  # new endpoint w minus the position t back
+        uy = _DY[delta] - py
+        dist = np.abs(ux) + np.abs(uy)
+        # w in the body closes a cycle of length <= L (or backtracks)
+        legal = ~((dist == 0) & held).any(axis=1)
+        # keep the suffix back to the oldest position still within reach
+        smax = 1 + np.where(held & (dist <= L - 1 - t), t, 0).max(axis=1)
+        new_pre = arrive[rows, smax - 1] if track_pre else np.full(n, -1, np.int8)
         if pruning == PRUNE_WEITZ:
-            window = ext_pos[-(smax + 1):]
-            if _forced_unoccupied(window, new_moves, new_pre, ordering):
-                continue
-        if ordering == UNIFORM and pruning == PRUNE_WEITZ:
-            succs.append((new_pre, new_moves))
-        else:
-            canon_moves, canon_pre = _rotate(new_moves, new_pre, new_moves[-1])
-            succs.append((canon_pre, canon_moves))
-    return succs
-
-
-def _forced_unoccupied(window, window_moves, pre, ordering):
-    """True when some in-window closure from the new endpoint would be
-    pinned occupied, forcing the endpoint itself unoccupied."""
-    w = window[-1]
-    for i in range(len(window) - 2):
-        qx, qy = window[i]
-        if abs(w[0] - qx) + abs(w[1] - qy) != 1:
-            continue
-        dir_next = window_moves[i]
-        nxt = window[i + 1]
-        dir_w = _VEC.index((w[0] - qx, w[1] - qy))
-        if ordering == UNIFORM:
-            rank_next = _UNIFORM_RANK[dir_next]
-            rank_w = _UNIFORM_RANK[dir_w]
-        else:
-            if i > 0:
-                d_in = window_moves[i - 1]
-            elif pre is not None:
-                d_in = pre
+            # w is forced unoccupied when some in-window closure through a
+            # neighbor q of w is pinned occupied: the move out of q outranks
+            # the step from q to w
+            near = (dist == 1) & (t < smax[:, None])
+            d_next = moves[:, :-1]
+            d_w = _DIR[np.clip(ux, -1, 1) + 1, np.clip(uy, -1, 1) + 1]
+            if ordering == UNIFORM:
+                pinned = d_next > d_w  # N > E > S > W
             else:
-                # the oldest window point is the walk origin: its first
-                # move counts as straight, so the closure is never pinned
-                # occupied
-                continue
-            rank_next = _relative_rank(dir_next, d_in)
-            rank_w = _relative_rank(dir_w, d_in)
-        if rank_next < rank_w:
-            return True
-    return False
+                # with pre None the oldest closure never pins occupied
+                d_in = arrive[:, 1:]
+                pinned = (d_in >= 0) & (
+                    _TURN_RANK[(d_next - d_in) & 3] < _TURN_RANK[(d_w - d_in) & 3]
+                )
+            legal &= ~(near & pinned).any(axis=1)
+        new_moves = np.empty((n, L - 1), dtype=np.int8)
+        new_moves[:, 0] = delta
+        new_moves[:, 1:] = moves[:, : L - 2]
+        if rotate:  # canonical frame: the last move points north
+            new_moves = (new_moves - delta) & 3
+            new_pre = np.where(new_pre >= 0, (new_pre - delta) & 3, -1)
+        out[legal, delta] = _pack(new_moves[legal], smax[legal], new_pre[legal])
+    return out
 
 
 def z2_branching_matrix(
@@ -280,97 +292,111 @@ def z2_branching_matrix(
 ) -> BranchingMatrix:
     """Branching matrix of memory-L square-lattice walks.
 
-    L must be even and >= 2 (the lattice is bipartite, so odd memory adds
-    no constraints).  States are enumerated by forward closure from the
-    zero-length walk; StateCapError reports the count reached if the cap
-    is exceeded.
+    L must be even, >= 2 and <= 30 (the lattice is bipartite, so odd memory
+    adds no constraints; deeper states do not fit a 64-bit key).  States
+    are enumerated by forward closure from the zero-length walk, one
+    breadth-first level at a time, and numbered by first discovery in
+    (parent, move) order.  StateCapError(state_cap + 1) is raised before
+    a level that would take the count past state_cap.
     """
-    if L < 2 or L % 2 != 0:
-        raise ValueError("L must be an even integer >= 2")
+    if L < 2 or L % 2 != 0 or L > _MAX_MEMORY:
+        raise ValueError(f"L must be an even integer in [2, {_MAX_MEMORY}]")
     if ordering not in (RELATIVE, UNIFORM):
         raise ValueError(f"unknown ordering {ordering!r}")
     if pruning not in (PRUNE_NONE, PRUNE_WEITZ):
         raise ValueError(f"unknown pruning {pruning!r}")
-    track_pre = pruning == PRUNE_WEITZ and ordering == RELATIVE
 
-    start = (None, ())
-    index = {start: 0}
-    order = [start]
-    aligned = []
-    i = 0
-    while i < len(order):
-        state = order[i]
-        row = {}
-        for succ in _transitions_from(state, L, ordering, pruning, track_pre):
-            j = index.get(succ)
-            if j is None:
-                j = len(order)
-                if j >= state_cap:
-                    raise StateCapError(j + 1)
-                index[succ] = j
-                order.append(succ)
-            row[j] = row.get(j, 0) + 1
-        aligned.append(row)
-        i += 1
-    states_raw = len(order)
-    start_idx = 0
+    level = np.array([_START_KEY])
+    known, known_id = level, np.zeros(1, dtype=np.int32)  # sorted by key
+    tables = []
+    count = 1
+    while len(level):
+        succ = _successors(level, L, ordering, pruning).ravel()
+        live = succ != 0
+        keys = succ[live]  # in (parent, move) order
+        at = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+        found = known[at] == keys
+        new, first, inverse = np.unique(keys[~found], return_index=True, return_inverse=True)
+        if count + len(new) > state_cap:
+            raise StateCapError(state_cap + 1)
+        by_first = np.argsort(first)
+        new_id = np.empty(len(new), dtype=np.int32)
+        new_id[by_first] = np.arange(count, count + len(new), dtype=np.int32)
+        ids = np.empty(len(keys), dtype=np.int32)
+        ids[found] = known_id[at[found]]
+        ids[~found] = new_id[inverse]
+        table = np.full(len(succ), -1, dtype=np.int32)
+        table[live] = ids
+        tables.append(table.reshape(-1, 4))
+        slot = np.searchsorted(known, new)
+        known = np.insert(known, slot, new)
+        known_id = np.insert(known_id, slot, new_id)
+        level = new[by_first]
+        count += len(new)
+    table = np.concatenate(tables)
     if merge:
-        aligned, start_idx = _merge_isomorphic(aligned, start_idx)
-    rows = []
-    cols = []
-    vals = []
-    for i, row in enumerate(aligned):
-        for j, c in row.items():
-            rows.append(i)
-            cols.append(j)
-            vals.append(float(c))
+        cls, reps = _merge_isomorphic(table)
+    else:
+        cls, reps = np.arange(count, dtype=np.int32), np.arange(count)
+    rows, cols, vals = _coo(cls, table[reps])
     return BranchingMatrix(
-        k=len(aligned),
-        rows=np.asarray(rows, dtype=np.int64),
-        cols=np.asarray(cols, dtype=np.int64),
-        vals=np.asarray(vals, dtype=np.float64),
-        start=start_idx,
+        k=len(reps),
+        rows=rows,
+        cols=cols,
+        vals=vals,
+        start=int(cls[0]),
         memory=L,
         ordering=ordering,
         pruning=pruning,
         merged=merge,
-        states_raw=states_raw,
+        states_raw=count,
     )
 
 
-def _merge_isomorphic(rows_d, start):
+def _merge_isomorphic(table: np.ndarray):
     """Coarsest partition whose classes have identical class-aggregated
     rows; preserves M^l applied to the all-ones vector, hence all walk
-    counts and the growth rate."""
-    k = len(rows_d)
-    cls = [0] * k
+    counts and the growth rate.
+
+    table is the (k, 4) raw successor table (-1 for no successor).  A
+    state's signature is its class and the sorted classes of its
+    successors, repeats standing for multiplicities; classes are numbered
+    by first appearance.  Returns the class of each raw state and each
+    class's first member, in class order.
+    """
+    k = len(table)
+    cls = np.zeros(k + 1, dtype=np.int32)
+    cls[k] = -1  # table's -1 reads this slot
     nclasses = 1
     while True:
-        sigs = {}
-        new_cls = [0] * k
-        for i, row in enumerate(rows_d):
-            agg = {}
-            for j, c in row.items():
-                cj = cls[j]
-                agg[cj] = agg.get(cj, 0) + c
-            sig = (cls[i], tuple(sorted(agg.items())))
-            idx = sigs.setdefault(sig, len(sigs))
-            new_cls[i] = idx
-        if len(sigs) == nclasses:
-            cls = new_cls
-            break
-        nclasses = len(sigs)
-        cls = new_cls
-    merged = [None] * nclasses
-    for i, row in enumerate(rows_d):
-        ci = cls[i]
-        if merged[ci] is None:
-            agg = {}
-            for j, c in row.items():
-                cj = cls[j]
-                agg[cj] = agg.get(cj, 0) + c
-            merged[ci] = agg
-    return merged, cls[start]
+        sig = np.empty((k, 5), dtype=np.int32)
+        sig[:, 0] = cls[:k]
+        sig[:, 1:] = np.sort(cls[table], axis=1)
+        order = np.lexsort(sig.T)
+        ordered = sig[order]
+        head = np.ones(k, dtype=bool)
+        head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        reps = np.sort(order[head])  # lexsort is stable: heads are first members
+        number = np.empty(k, dtype=np.int32)
+        number[reps] = np.arange(len(reps), dtype=np.int32)
+        cls[order] = number[order[head]][np.cumsum(head) - 1]
+        if len(reps) == nclasses:
+            return cls[:k], reps
+        nclasses = len(reps)
+
+
+def _coo(cls: np.ndarray, succ: np.ndarray):
+    """COO of the matrix whose row i counts the classes of succ[i]'s
+    entries: row by row, columns by first occurrence in move order."""
+    col = np.where(succ >= 0, cls[succ], -1)
+    same = col[:, :, None] == col[:, None, :]
+    first = (col >= 0) & ~np.tril(same, -1).any(axis=2)
+    rows, slot = np.nonzero(first)
+    return (
+        rows.astype(np.int64),
+        col[rows, slot].astype(np.int64),
+        same.sum(axis=2)[rows, slot].astype(np.float64),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ symmetrize_check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -222,16 +223,15 @@ _GRID_POINTS = 400
 _GRID_SLACK = 1e-9
 
 
-def decay_factor_hc(lam: float, delta: float) -> DecayReport:
-    """Decay report for hard-core activity lam on graphs of SAW growth delta.
+@functools.lru_cache(maxsize=256)
+def _checked_exponents_hc(lam: float) -> tuple[float, float, float]:
+    """choose_exponents_hc(lam) once a logarithmic grid over d in
+    [1, 4*delta_c] has confirmed that no arity beats nu(delta_c) = 1/delta_c.
 
-    alpha = nu(delta_c) = 1/delta_c exactly; a logarithmic grid over
-    d in [1, 4*delta_c] cross-checks that no arity beats it.  When
-    lam >= lambda_c(delta) the report is flagged supercritical
-    (alpha*delta >= 1; the truncation-error bound is vacuous there).
+    The check depends on lam only, so passing results are cached; a
+    failing one raises ArithmeticError and is not cached, so it raises
+    again on every call.
     """
-    if not delta > 1:
-        raise ValueError("delta must be > 1")
     q, a, dc = choose_exponents_hc(lam)
     alpha = 1.0 / dc
     grid = np.exp(np.linspace(0.0, math.log(4.0 * dc), _GRID_POINTS))
@@ -241,6 +241,21 @@ def decay_factor_hc(lam: float, delta: float) -> DecayReport:
         raise ArithmeticError(
             f"grid maximum {worst!r} exceeds 1/delta_c = {alpha!r}"
         )
+    return q, a, dc
+
+
+def decay_factor_hc(lam: float, delta: float) -> DecayReport:
+    """Decay report for hard-core activity lam on graphs of SAW growth delta.
+
+    alpha = nu(delta_c) = 1/delta_c exactly, cross-checked on a grid by
+    _checked_exponents_hc.  When lam >= lambda_c(delta) the report is
+    flagged supercritical (alpha*delta >= 1; the truncation-error bound is
+    vacuous there).
+    """
+    if not delta > 1:
+        raise ValueError("delta must be > 1")
+    q, a, dc = _checked_exponents_hc(lam)
+    alpha = 1.0 / dc
     # the usable regime is alpha*delta < 1 strictly; the boundary
     # lam == lambda_c(delta) is flagged too
     supercritical = alpha * delta >= 1.0 - 1e-9

@@ -1,14 +1,13 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+from sawcount import connconst
 from sawcount.connconst import (
-    _UNIFORM_RANK,
-    _VEC,
     PowerIterationError,
     StateCapError,
-    _relative_rank,
     conn_profile,
     lattice_bounds_table,
     sample_roots,
@@ -65,6 +64,16 @@ def test_sample_roots_deterministic():
 
 
 # -- walk automaton vs brute force -------------------------------------------
+
+# The two neighbor orderings, written out independently of the automaton.
+_VEC = ((0, 1), (1, 0), (0, -1), (-1, 0))  # N, E, S, W
+_UNIFORM_RANK = (3, 2, 1, 0)  # N > E > S > W
+
+
+def _relative_rank(direction, d_in):
+    turn = (direction - d_in) % 4
+    # straight(0) > right(1) > left(3); turn 2 is the backtrack, never ranked
+    return {0: 2, 1: 1, 3: 0}[turn]
 
 
 def brute_counts(L, ordering, pruning, l_max):
@@ -195,7 +204,7 @@ def test_short_memory_pruning_is_inert():
 
 
 def test_invalid_memory_rejected():
-    for L in (0, 1, 3, 7):
+    for L in (0, 1, 3, 7, 32):
         with pytest.raises(ValueError):
             z2_branching_matrix(L)
     with pytest.raises(ValueError):
@@ -204,9 +213,24 @@ def test_invalid_memory_rejected():
         z2_branching_matrix(4, pruning="aggressive")
 
 
+def test_state_keys_round_trip_at_memory_30():
+    # the longest state of memory 30 keeps 29 moves: 62 bits of key
+    rng = np.random.default_rng(3)
+    moves = rng.integers(0, 4, size=(200, 30), dtype=np.int8)
+    length = rng.integers(0, 30, size=200).astype(np.int16)
+    length[:2] = (0, 29)
+    pre = rng.integers(-1, 4, size=200).astype(np.int8)
+    keys = connconst._pack(moves[:, :29], length, pre)
+    got_moves, got_length, got_pre = connconst._unpack(keys, 30)
+    assert np.array_equal(got_length, length) and np.array_equal(got_pre, pre)
+    held = np.arange(30) < length[:, None]
+    assert np.array_equal(np.where(held, got_moves, 0), np.where(held, moves, 0))
+
+
 def test_state_cap():
-    with pytest.raises(StateCapError):
+    with pytest.raises(StateCapError) as exc:
         z2_branching_matrix(10, state_cap=50)
+    assert exc.value.states_reached == 51
 
 
 # -- spectral bound ----------------------------------------------------------
@@ -264,9 +288,83 @@ def test_branching_eigenvalues_match_dense_solver():
 
 
 def test_deeper_memory_matches_brute_force():
-    expected = brute_counts(8, "relative", "weitz", 6)
-    bm = z2_branching_matrix(8, ordering="relative", pruning="weitz")
-    assert bm.walk_counts(6) == expected
+    for ordering, pruning in itertools.product(("relative", "uniform"), ("none", "weitz")):
+        expected = brute_counts(8, ordering, pruning, 6)
+        bm = z2_branching_matrix(8, ordering=ordering, pruning=pruning)
+        assert bm.walk_counts(6) == expected, (ordering, pruning)
+
+
+# Recorded from the tuple/dict enumerator that preceded the packed-key one:
+# (states_raw, k, start, first 16 hex digits of the sha256 of the rows, cols
+# and vals bytes, spectral_bound at tol 1e-10).  Any change to the states,
+# their numbering or the COO order shows up here.
+_FROZEN_AUTOMATA = {
+    (2, "relative", "none", True): (2, 2, 0, "de6cd14001ae0978", 3.0000000000109175),
+    (2, "relative", "none", False): (2, 2, 0, "de6cd14001ae0978", 3.0000000000109175),
+    (2, "relative", "weitz", True): (5, 2, 0, "de6cd14001ae0978", 3.0000000000109175),
+    (2, "relative", "weitz", False): (5, 5, 0, "618ef10717b7ee3f", 3.0000000000109193),
+    (2, "uniform", "none", True): (2, 2, 0, "de6cd14001ae0978", 3.0000000000109175),
+    (2, "uniform", "none", False): (2, 2, 0, "de6cd14001ae0978", 3.0000000000109175),
+    (2, "uniform", "weitz", True): (5, 2, 0, "de6cd14001ae0978", 3.0000000000109175),
+    (2, "uniform", "weitz", False): (5, 5, 0, "d23e085171776a41", 3.00000000001092),
+    (4, "relative", "none", True): (7, 4, 0, "c52d2f5c2b85ef42", 2.8311772072200494),
+    (4, "relative", "none", False): (7, 7, 0, "6437022eaf1decf0", 2.831177207220049),
+    (4, "relative", "weitz", True): (16, 4, 0, "21363cf2c14ef1ec", 2.658967084187314),
+    (4, "relative", "weitz", False): (16, 16, 0, "b0ca102f0dfcd111", 2.658967084187315),
+    (4, "uniform", "none", True): (7, 4, 0, "c52d2f5c2b85ef42", 2.8311772072200494),
+    (4, "uniform", "none", False): (7, 7, 0, "6437022eaf1decf0", 2.831177207220049),
+    (4, "uniform", "weitz", True): (21, 13, 0, "1a45d85186b6b586", 2.6381894540081614),
+    (4, "uniform", "weitz", False): (21, 21, 0, "3d34f34746b89bf8", 2.6381894540081614),
+    (6, "relative", "none", True): (30, 13, 0, "039d09cdf3088eb8", 2.7755911424078077),
+    (6, "relative", "none", False): (30, 30, 0, "50e946580710510a", 2.7755911424078072),
+    (6, "relative", "weitz", True): (57, 13, 0, "ea75a6ac3f28dc5d", 2.54924225205646),
+    (6, "relative", "weitz", False): (57, 57, 0, "b1a61fe404a9bcf7", 2.549242252056461),
+    (6, "uniform", "none", True): (30, 13, 0, "039d09cdf3088eb8", 2.7755911424078077),
+    (6, "uniform", "none", False): (30, 30, 0, "50e946580710510a", 2.7755911424078072),
+    (6, "uniform", "weitz", True): (82, 36, 0, "e9f20ab8814bc6c1", 2.596625279373187),
+    (6, "uniform", "weitz", False): (82, 82, 0, "6df5d590f5ed8700", 2.596625279373187),
+    (8, "relative", "none", True): (143, 55, 0, "82239a06b3e8efe1", 2.7444582102372603),
+    (8, "relative", "none", False): (143, 143, 0, "c13c0dbb8babd7b4", 2.74445821023726),
+    (8, "relative", "weitz", True): (216, 77, 0, "8254480fe1cf9ce6", 2.504743682194479),
+    (8, "relative", "weitz", False): (216, 216, 0, "aefbb5da9102e6ea", 2.504743682194479),
+    (8, "uniform", "none", True): (143, 55, 0, "82239a06b3e8efe1", 2.7444582102372603),
+    (8, "uniform", "none", False): (143, 143, 0, "c13c0dbb8babd7b4", 2.74445821023726),
+    (8, "uniform", "weitz", True): (329, 147, 0, "85bbcbeb841f00e5", 2.5703910471061153),
+    (8, "uniform", "weitz", False): (329, 329, 0, "999738d6e242894e", 2.5703910471061153),
+    (10, "relative", "none", True): (722, 249, 0, "4935a1ce4bdc584d", 2.7247990176421477),
+    (10, "relative", "none", False): (722, 722, 0, "1a9056bf12015994", 2.724799017642148),
+    (10, "relative", "weitz", True): (846, 259, 0, "7cfe08d198ea242c", 2.4822522357565466),
+    (10, "relative", "weitz", False): (846, 846, 0, "88e4f62a6e3855e5", 2.4822522357565466),
+    (10, "uniform", "none", True): (722, 249, 0, "4935a1ce4bdc584d", 2.7247990176421477),
+    (10, "uniform", "none", False): (722, 722, 0, "1a9056bf12015994", 2.724799017642148),
+    (10, "uniform", "weitz", True): (1386, 561, 0, "db2ebbbf33f27b36", 2.5558358594147235),
+    (10, "uniform", "weitz", False): (1386, 1386, 0, "9b2940e05ce75f96", 2.5558358594147235),
+    (12, "relative", "none", True): (3807, 1216, 0, "6a0dae144b2ff017", 2.7112523387101053),
+    (12, "relative", "none", False): (3807, 3807, 0, "8445eed066a5d7ca", 2.7112523387101053),
+    (12, "relative", "weitz", True): (3462, 978, 0, "44e23f18886c361e", 2.468617299702379),
+    (12, "relative", "weitz", False): (3462, 3462, 0, "a4c6e9b5c1e20d86", 2.468617299702379),
+    (12, "uniform", "none", True): (3807, 1216, 0, "6a0dae144b2ff017", 2.7112523387101053),
+    (12, "uniform", "none", False): (3807, 3807, 0, "8445eed066a5d7ca", 2.7112523387101053),
+    (12, "uniform", "weitz", True): (6158, 2302, 0, "4416910813ceef74", 2.5456870247388212),
+    (12, "uniform", "weitz", False): (6158, 6158, 0, "792b0313a558dbaa", 2.5456870247388212),
+    (14, "relative", "weitz", True): (14817, 3909, 0, "49b66ca2d0b57400", 2.459183527176301),
+    (14, "relative", "weitz", False): (14817, 14817, 0, "b1e98e05dc8c4d46", 2.459183527176301),
+}
+
+
+def _coo_digest(bm):
+    h = hashlib.sha256()
+    for a, dtype in ((bm.rows, "<i8"), (bm.cols, "<i8"), (bm.vals, "<f8")):
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", list(_FROZEN_AUTOMATA), ids=lambda c: "-".join(map(str, c)))
+def test_automaton_frozen(case):
+    L, ordering, pruning, merge = case
+    bm = z2_branching_matrix(L, ordering=ordering, pruning=pruning, merge=merge)
+    got = (bm.states_raw, bm.k, bm.start, _coo_digest(bm), spectral_bound(bm, tol=1e-10))
+    assert got == _FROZEN_AUTOMATA[case]
 
 
 def test_merge_preserves_uniform_ordering_too():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sawcount import decay
 from sawcount.decay import (
     choose_exponents_hc,
     choose_exponents_md,
@@ -161,6 +162,21 @@ def test_decay_factor_hc_supercritical():
     rep = decay_factor_hc(4.0, 3.0)
     assert rep.supercritical
     assert rep.alpha_delta >= 1.0
+
+
+def test_decay_grid_check_cached_by_lambda(monkeypatch):
+    # a failing grid check raises on every call; a passing one is reused
+    # for every delta
+    decay._checked_exponents_hc.cache_clear()
+    monkeypatch.setattr(decay, "_GRID_SLACK", -1.0)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            decay_factor_hc(1.3, 3.0)
+    monkeypatch.setattr(decay, "_GRID_SLACK", 1e-9)
+    first = decay_factor_hc(1.3, 3.0)
+    monkeypatch.setattr(decay, "_GRID_SLACK", -1.0)
+    assert decay_factor_hc(1.3, 3.0) == first
+    assert decay_factor_hc(1.3, 5.0).alpha == first.alpha
 
 
 def test_decay_factor_hc_contracts_below_critical():
