@@ -194,8 +194,9 @@ def _telescope(g, params, eps, budget):
     """The telescope of both models, in the cycle-cutting order of
     `_cycle_cutting_order`: factor i is the marginal of vertex order[i] on
     g with order[:i] deleted (see `sandwich_values`, argument `blocked`).
-    On budget exhaustion it pads the failed and all later factors with
-    their a-priori bounds and reports the failed vertex.
+    The budget defaults to 10**7 nodes per vertex.  On budget exhaustion
+    it pads the failed and all later factors with their a-priori bounds
+    and reports the failed vertex.
 
     Only the first k factors, of the feedback vertices, lie on cycles and
     are truncated: factor i < k is deepened until its log-width is at most
@@ -208,7 +209,13 @@ def _telescope(g, params, eps, budget):
     depth n - i (more than the n - i vertices left allow) gives it
     exactly.  Only the truncated factors count toward depth_max_used.
     """
+    if not (0 < eps <= 1):
+        raise ValueError("eps must be in (0, 1]")
     n = g.n
+    if n == 0:
+        return ApproxResult(1.0, 1.0, 1.0, eps, 0, 0, log_value=0.0, log_lo=0.0, log_hi=0.0)
+    if budget is None:
+        budget = 10**7 * n
     model = params.model
     act = [params.activity]
     pad = _roundoff_pad(g, params)
@@ -334,14 +341,6 @@ def partition_hc(
     above the critical value for their degree are attempted anyway (the
     node budget guards runtime) and carry the decay report as an advisory.
     """
-    if not (0 < eps <= 1):
-        raise ValueError("eps must be in (0, 1]")
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
-    if g.n == 0:
-        return ApproxResult(1.0, 1.0, 1.0, eps, 0, 0, log_value=0.0, log_lo=0.0, log_hi=0.0)
-    if budget is None:
-        budget = 10**7 * g.n
     out = _telescope(g, ModelParams(HARDCORE, lam), eps, budget)
     maxdeg = degree_stats(g)[0]
     if maxdeg >= 3:
@@ -367,12 +366,4 @@ def partition_md(
     `_telescope`), so the full product interval ratio is at most e^eps.
     The budget defaults to 10**7 nodes per marginal.
     """
-    if not (0 < eps <= 1):
-        raise ValueError("eps must be in (0, 1]")
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    if g.n == 0:
-        return ApproxResult(1.0, 1.0, 1.0, eps, 0, 0, log_value=0.0, log_lo=0.0, log_hi=0.0)
-    if budget is None:
-        budget = 10**7 * g.n
     return _telescope(g, ModelParams(MONOMERDIMER, gamma), eps, budget)

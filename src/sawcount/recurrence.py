@@ -18,7 +18,7 @@ is the sole soundness certificate used here: no decay assumption enters.
 
 One depth-first walker serves both models.  It fuses tree expansion
 with evaluation (no nodes are materialized) and computes both extreme
-evaluations for several activity values in a single pass.  Per model it
+evaluations of one activity value in a single pass.  Per model it
 differs only in the neighbors it skips, its leaf and frontier values and
 its fold: a product of 1/(1 + R_i) for hard-core, a sum of p_i closed by
 1/(1 + gamma*sum) for monomer-dimer.  The last tree level, about two
@@ -100,9 +100,6 @@ class ApproxResult:
     log_lo: float | None = None
     log_hi: float | None = None
 
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 class AdaptiveBudgetError(RuntimeError):
     """Adaptive evaluation ran out of node budget before reaching tolerance.
@@ -155,10 +152,11 @@ def sandwich_values(
     weitz tree it can be smaller than `SawTree.nodes_expanded`, which
     counts those siblings too.
 
-    All activities share one depth-first pass over the implicit SAW tree,
-    in weitz mode for hard-core and plain mode for monomer-dimer.  The
-    per-child combination order is the ascending-id child order, so
-    results are bit-reproducible.
+    Each activity takes one depth-first pass over the implicit SAW tree,
+    in weitz mode for hard-core and plain mode for monomer-dimer; nodes
+    and truncated do not depend on the activity.  The per-child
+    combination order is the ascending-id child order, so results are
+    bit-reproducible.
     """
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
@@ -167,6 +165,8 @@ def sandwich_values(
     if budget <= 0:
         raise ValueError("budget must be positive")
     acts = [float(a) for a in activities]
+    if not acts:
+        raise ValueError("need at least one activity")
     for a in acts:
         if not a > 0:
             raise ValueError("activity must be positive")
@@ -181,59 +181,46 @@ def sandwich_values(
         if v in boundary.assignments:
             raise ValueError("boundary must not pin the root vertex")
         blocked = boundary.blocked(g) | blocked
-    return _sandwich(g, v, model, acts, depth, blocked, budget)
+    pairs = []
+    for a in acts:
+        pair, nodes, truncated = _sandwich(g, v, model, a, depth, blocked, budget)
+        pairs.append(pair)
+    return pairs, nodes, truncated
 
 
-def _fold_hc(acc, ratios):
-    # hard-core: a child with ratio R multiplies its parent by 1/(1 + R)
-    for j, r in enumerate(ratios):
-        acc[j] *= 1.0 / (1.0 + r)
-
-
-def _fold_md(acc, probs):
-    # monomer-dimer: child probabilities sum until the parent is popped
-    for j, p in enumerate(probs):
-        acc[j] += p
-
-
-def _last_level_value(hc, acts, exact, cut):
-    """The interleaved (lo, hi) vector of a node one level above the
-    frontier, from its numbers of exact-leaf and truncated children.
+def _last_level_value(hc, a, exact, cut):
+    """The (frontier at 0, frontier at max) values of a node one level
+    above the frontier, from its numbers of exact-leaf and truncated
+    children.
 
     Bit for bit what folding those children one at a time gives.  An
-    exact leaf folds lambda (resp. 1) into both entries; a frontier child
-    folds its pin, 0 into lo and lambda (resp. 1) into hi, and a hard-core
-    pin of 0 multiplies by exactly 1.0.  So a hard-core entry is lambda
-    times 1/(1 + lambda), exact resp. exact + cut times in sequence, and a
-    monomer-dimer sum is exactly float(exact) resp. float(exact + cut).
+    exact leaf folds lambda (resp. 1) into both values; a frontier child
+    folds its pin, 0 into the first and lambda (resp. 1) into the second,
+    and a hard-core pin of 0 multiplies by exactly 1.0.  So a hard-core
+    value is lambda times 1/(1 + lambda), exact resp. exact + cut times in
+    sequence, and a monomer-dimer sum is exactly float(exact) resp.
+    float(exact + cut).
     """
-    value = []
-    for a in acts:
-        if hc:
-            factor = 1.0 / (1.0 + a)
-            lo = a
-            for _ in range(exact):
-                lo *= factor
-            hi = lo
-            for _ in range(cut):
-                hi *= factor
-        else:
-            lo = 1.0 / (1.0 + a * exact)
-            hi = 1.0 / (1.0 + a * (exact + cut))
-        value += (lo, hi)
-    return value
+    if not hc:
+        return 1.0 / (1.0 + a * exact), 1.0 / (1.0 + a * (exact + cut))
+    factor = 1.0 / (1.0 + a)
+    x0 = a
+    for _ in range(exact):
+        x0 *= factor
+    x1 = x0
+    for _ in range(cut):
+        x1 *= factor
+    return x0, x1
 
 
-def _pairs(value):
-    return [(a, b) if a <= b else (b, a) for a, b in zip(value[::2], value[1::2])]
+def _sandwich(g, root, model, a, max_depth, blocked, budget):
+    """The depth-first walker behind sandwich_values, for one activity a;
+    returns ((lo, hi), nodes, truncated).
 
-
-def _sandwich(g, root, model, acts, max_depth, blocked, budget):
-    """The depth-first walker behind sandwich_values.
-
-    Each tree node carries one accumulator holding the (lo, hi)
-    evaluations of every activity, interleaved.  The models differ in
-    three places only:
+    Each tree node carries two values: its evaluation with the frontier
+    pinned to 0 (x0) and the one with the frontier pinned to the maximum
+    (x1).  Which is the lower bound alternates with depth, so the root's
+    pair is ordered at the end.  The models differ in three places only:
 
       skipped neighbors -- the plain tree skips every vertex on the root
           path; the weitz tree skips only the parent and turns any other
@@ -248,7 +235,7 @@ def _sandwich(g, root, model, acts, max_depth, blocked, budget):
     so that level is counted in bulk: a node one level above the frontier
     (the root when max_depth is 1) is never pushed.  `last_level` scans
     its neighbors, counts its exact-leaf and truncated children, and
-    looks up its value by those two counts (`_last_level_value`).  A
+    looks up its values by those two counts (`_last_level_value`).  A
     pushed child without extensions pops with exactly its leaf value.
 
     `blocked` holds the vertices pinned unoccupied or deleted.  Hard-core
@@ -261,30 +248,24 @@ def _sandwich(g, root, model, acts, max_depth, blocked, budget):
     occupied children are loop copies.
     """
     adj = g.adjacency
+    adj_sets = g._adj_sets
     hc = model == HARDCORE
-    tops = acts if hc else [1.0] * len(acts)
+    top = a if hc else 1.0
     if root in blocked:
-        return [(0.0, 0.0)] * len(acts), 1, False
-    if not adj[root]:
-        return [(t, t) for t in tops], 1, False
+        return (0.0, 0.0), 1, False
     if max_depth == 0:
-        if g._adj_sets[root] <= blocked:
-            return [(t, t) for t in tops], 1, False
-        return [(0.0, t) for t in tops], 1, True
+        if adj_sets[root] <= blocked:
+            return (top, top), 1, False
+        return (0.0, top), 1, True
 
-    gammas = [x for a in acts for x in (a, a)]
-    m = len(gammas)
-    start = [x for t in tops for x in (t, t)] if hc else [0.0] * m
-    zeros = [0.0] * m
-    fold = _fold_hc if hc else _fold_md
+    start = a if hc else 0.0
     path = [root]
     path_pos = {root: 0} if hc else {**dict.fromkeys(blocked, -1), root: 0}
     on_path = path_pos.keys()
-    adj_sets = g._adj_sets
-    values = {}  # (exact, cut) -> _last_level_value(hc, acts, exact, cut)
+    values = {}  # (exact, cut) -> _last_level_value(hc, a, exact, cut)
 
     def last_level(u, parent):
-        # (value, children visited, any child truncated) of a node u one
+        # ((x0, x1), children visited, any child truncated) of a node u one
         # level above the frontier; like a pushed node, u stops at its
         # first occupied child and the siblings after it are not visited
         exact = cut = 0
@@ -297,7 +278,7 @@ def _sandwich(g, root, model, acts, max_depth, blocked, budget):
                 pos = path_pos.get(w)
                 if pos is not None:
                     if loop_copy_occupied(path, pos, u):
-                        return zeros, seen, cut > 0
+                        return (0.0, 0.0), seen, cut > 0
                 elif w not in blocked:
                     if len(adj[w]) == 1 or blocked and len(adj_sets[w] - blocked) == 1:
                         exact += 1  # no neighbor but u outside blocked
@@ -316,25 +297,25 @@ def _sandwich(g, root, model, acts, max_depth, blocked, budget):
             seen = exact + cut
         value = values.get((exact, cut))
         if value is None:
-            value = values[exact, cut] = _last_level_value(hc, acts, exact, cut)
+            value = values[exact, cut] = _last_level_value(hc, a, exact, cut)
         return value, seen, cut > 0
 
     # a budget error reports the first node over budget, budget + 1
     last = max_depth - 1  # the depth of the nodes that last_level scans
     if last == 0:
-        value, seen, truncated = last_level(root, -1)
+        (x0, x1), seen, truncated = last_level(root, -1)
         nodes = 1 + seen
         if nodes > budget:
             raise NodeBudgetError(budget + 1)
-        return _pairs(value), nodes, truncated
+        return ((x0, x1) if x0 <= x1 else (x1, x0)), nodes, truncated
 
     nodes = 1
     truncated = False
-    # frame: [vertex, parent, depth, accumulator, neighbor tuple, next index]
-    stack = [[root, -1, 0, list(start), adj[root], 0]]
+    # frame: [vertex, parent, depth, x0, x1, neighbor tuple, next index]
+    stack = [[root, -1, 0, start, start, adj[root], 0]]
     while True:
         fr = stack[-1]
-        vtx, parent, dep, acc, nbrs, i = fr
+        vtx, parent, dep, x0, x1, nbrs, i = fr
         dead = False
         while i < len(nbrs):
             w = nbrs[i]
@@ -357,31 +338,43 @@ def _sandwich(g, root, model, acts, max_depth, blocked, budget):
             if w in blocked:
                 continue  # unoccupied child: factor 1
             if dep + 1 < last:
-                fr[5] = i
-                stack.append([w, vtx, dep + 1, list(start), adj[w], 0])
+                fr[3], fr[4], fr[6] = x0, x1, i
+                stack.append([w, vtx, dep + 1, start, start, adj[w], 0])
                 path_pos[w] = len(path)
                 path.append(w)
                 break
-            value, seen, cut = last_level(w, vtx)
+            (y0, y1), seen, cut = last_level(w, vtx)
             nodes += seen
             if nodes > budget:
                 raise NodeBudgetError(budget + 1)
             truncated = truncated or cut
-            fold(acc, value)
+            if hc:
+                x0 *= 1.0 / (1.0 + y0)
+                x1 *= 1.0 / (1.0 + y1)
+            else:
+                x0 += y0
+                x1 += y1
         if stack[-1] is not fr:
             continue  # descended into a child
         stack.pop()
-        if not hc:
-            value = [1.0 / (1.0 + gam * x) for gam, x in zip(gammas, acc)]
-        else:
-            value = zeros if dead else acc
+        if dead:
+            x0 = x1 = 0.0
+        elif not hc:
+            x0 = 1.0 / (1.0 + a * x0)
+            x1 = 1.0 / (1.0 + a * x1)
         if not stack:
             break
         path.pop()
         del path_pos[vtx]
-        fold(stack[-1][3], value)
+        fr = stack[-1]
+        if hc:
+            fr[3] *= 1.0 / (1.0 + x0)
+            fr[4] *= 1.0 / (1.0 + x1)
+        else:
+            fr[3] += x0
+            fr[4] += x1
 
-    return _pairs(value), nodes, truncated
+    return ((x0, x1) if x0 <= x1 else (x1, x0)), nodes, truncated
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,12 @@ def test_partition_eps_validation():
         partition_hc(g, 1.0, 0.0)
     with pytest.raises(ValueError):
         partition_md(g, 1.0, 1.5)
+    empty = graph_from_edges(0, [])
+    for h in (g, empty):
+        with pytest.raises(ValueError, match="activity"):
+            partition_hc(h, 0.0, 0.1)
+        with pytest.raises(ValueError, match="activity"):
+            partition_md(h, -1.0, 0.1)
 
 
 def _is_forest(n, edges):

@@ -178,6 +178,29 @@ def test_sandwich_outputs_frozen():
         [(0.6060784267850263, 0.6062289340967085),
          (0.47972474058583, 0.48092063631200443),
          (0.35935226018673055, 0.36464389465657004)], 8204, True)
+    # an isolated root is its own exact leaf at every depth, and a root
+    # whose neighbor is pinned occupied is forced unoccupied
+    isolated = graph_from_edges(3, [(1, 2)])
+    for depth in range(4):
+        assert sandwich_values(isolated, 0, HARDCORE, ACTIVITIES, depth) == (
+            [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0)], 1, False)
+        assert sandwich_values(isolated, 0, MONOMERDIMER, ACTIVITIES, depth) == (
+            [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)], 1, False)
+    occupied4 = BoundaryCondition({4: OCCUPIED})
+    assert sandwich_values(g, 0, HARDCORE, ACTIVITIES, 3, occupied4) == (
+        [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0)], 1, False)
+    # several activities give what one call per activity gives
+    for model in (HARDCORE, MONOMERDIMER):
+        pairs, nodes, truncated = sandwich_values(g, 0, model, ACTIVITIES, 5)
+        singles = [sandwich_values(g, 0, model, [a], 5) for a in ACTIVITIES]
+        assert [([pair], nodes, truncated) for pair in pairs] == singles
+
+
+def test_sandwich_needs_an_activity():
+    g = gen_graph("cycle", n=5)
+    for model in (HARDCORE, MONOMERDIMER):
+        with pytest.raises(ValueError, match="activity"):
+            sandwich_values(g, 0, model, [], 3)
 
 
 def test_blocked_vertices_act_as_deleted():
