@@ -4,7 +4,10 @@ Two tools:
 
 1. conn_profile: exact SAW counts N(v, l) on a finite graph, reported as
    cumulative growth estimates (sum_{i<=l} N(v,i))**(1/l).  Evidence of
-   the growth rate, not a certificate.
+   the growth rate, not a certificate.  The counts come from
+   sawtree.saw_counts, which extends blocks of up to _BLOCK walks of one
+   length at a time with numpy array operations, so its memory stays
+   within O(l_max**2 * _BLOCK * max degree) entries.
 
 2. z2_branching_matrix / spectral_bound: a rigorous upper bound on the
    growth rate of the (optionally pin-pruned) SAW tree of the square

@@ -92,8 +92,8 @@ def delta_c(lam: float) -> float:
     lambda_c decreases strictly from +inf (t -> 1+) to 0 (t -> inf), so a
     bracket always exists; converges to |lambda_c(t) - lam| <= 1e-12*lam.
     """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError("lambda must be positive and finite")
     target = math.log(lam)
     lo = 1.0 + 1e-9
     while _log_lambda_c(lo) < target:

@@ -64,8 +64,8 @@ class ModelParams:
     def __post_init__(self):
         if self.model not in (HARDCORE, MONOMERDIMER):
             raise ValueError(f"unknown model {self.model!r}")
-        if not self.activity > 0:
-            raise ValueError("activity must be positive")
+        if not (math.isfinite(self.activity) and self.activity > 0):
+            raise ValueError("activity must be positive and finite")
 
 
 def hardcore(lam: float) -> ModelParams:
@@ -168,8 +168,8 @@ def sandwich_values(
     if not acts:
         raise ValueError("need at least one activity")
     for a in acts:
-        if not a > 0:
-            raise ValueError("activity must be positive")
+        if not (math.isfinite(a) and a > 0):
+            raise ValueError("activity must be positive and finite")
     if model not in (HARDCORE, MONOMERDIMER):
         raise ValueError(f"unknown model {model!r}")
     if v in blocked:
@@ -424,8 +424,8 @@ def eval_md(tree: SawTree, gamma: float, init: str = ALL_MAX) -> float:
     """Monomer probability at the root of a plain-mode tree."""
     if tree.mode != PLAIN:
         raise ValueError("eval_md needs a plain-mode tree")
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError("gamma must be positive and finite")
     finit = _init_value(init, 1.0)
 
     def val(node):
@@ -453,8 +453,8 @@ def dary_md_gaps(d: int, gamma: float, max_depth: int) -> list:
     width of the trivial pin).  Cross-checked against the full evaluator
     on small trees in the test suite.
     """
-    if d < 1 or max_depth < 0 or not gamma > 0:
-        raise ValueError("need d >= 1, max_depth >= 0, gamma > 0")
+    if d < 1 or max_depth < 0 or not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError("need d >= 1, max_depth >= 0, finite gamma > 0")
     a, b = 0.0, 1.0
     gaps = [1.0]
     for _ in range(max_depth):

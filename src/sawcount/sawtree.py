@@ -33,11 +33,19 @@ Expansion stops at max_depth; a node at max_depth whose walk has
 extensions in the untruncated tree, other than unoccupied leaves, is
 recorded on the truncated frontier (the recurrence evaluator pins frontier
 nodes to an initial condition).
+
+`saw_counts` counts plain-mode walks without building a tree: it extends
+blocks of at most `_BLOCK` walks of one length at a time with numpy array
+operations, keeping pending blocks on a LIFO stack, so its memory stays
+within O(l_max**2 * _BLOCK * max degree) entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from .graph import Graph
 
@@ -47,6 +55,8 @@ UNOCCUPIED = "unoccupied"
 
 PLAIN = "plain"
 WEITZ = "weitz"
+
+_BLOCK = 4096  # rows per block of walks in saw_counts
 
 
 class NodeBudgetError(RuntimeError):
@@ -217,33 +227,58 @@ def expand_saw_tree(
 
 
 def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
-    """Exact self-avoiding-walk counts N(v, 1..l_max) by DFS enumeration.
+    """Exact self-avoiding-walk counts N(v, 1..l_max), a block of walks at a time.
 
-    No tree is materialized; `budget` caps the number of walk extensions
-    visited and raises NodeBudgetError beyond it.
+    No tree is materialized.  A block holds walks of one length, column-major
+    (one int array per path position), at most `_BLOCK` rows.  Extending a
+    block repeats each walk by its endpoint's degree, gathers the candidate
+    steps from the graph's CSR adjacency, and keeps those that differ from
+    every position already on the walk.  The survivors are counted at their
+    length and, below l_max, pushed as new blocks on a LIFO stack; the last
+    level is counted and never stored.  The stack keeps at most one
+    extension's children per length pending, so memory stays within
+    O(l_max**2 * _BLOCK * max degree) entries.
+
+    `budget` caps the number of walks counted: NodeBudgetError(budget + 1)
+    is raised as soon as the running total exceeds it, the same condition
+    and value as a depth-first count that stops at its (budget + 1)-th walk.
     """
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
+    dtype = np.int16 if g.n <= np.iinfo(np.int16).max else np.int32
+    deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=g.n)
+    indptr = np.zeros(g.n + 1, dtype=np.intp)
+    np.cumsum(deg, out=indptr[1:])
+    nbrs = np.fromiter(chain.from_iterable(g.adjacency), dtype=dtype, count=int(indptr[-1]))
+
     counts = [0] * (l_max + 1)
-    adj = g.adjacency
-    visited = {v}
-    steps = 0
-
-    def dfs(u, depth):
-        nonlocal steps
-        for w in adj[u]:
-            if w in visited:
-                continue
-            steps += 1
-            if steps > budget:
-                raise NodeBudgetError(steps)
-            counts[depth] += 1
-            if depth < l_max:
-                visited.add(w)
-                dfs(w, depth + 1)
-                visited.remove(w)
-
-    dfs(v, 1)
+    total = 0
+    stack = [[np.array([v], dtype=dtype)]]
+    while stack:
+        cols = stack.pop()
+        length = len(cols)  # of the walks this block extends to
+        end = cols[-1]
+        d = deg[end]
+        rows = np.repeat(np.arange(len(end)), d)
+        # flat CSR index of each candidate: its row's slice start + offset
+        first = np.cumsum(d) - d
+        cand = nbrs[np.arange(len(rows)) + np.repeat(indptr[end] - first, d)]
+        if length > 1:
+            keep = cand != cols[-2][rows]  # no backtrack
+            for col in cols[:-2]:
+                keep &= cand != col[rows]
+            rows, cand = rows[keep], cand[keep]
+        found = len(cand)
+        counts[length] += found
+        total += found
+        if total > budget:
+            raise NodeBudgetError(max(budget, 0) + 1)
+        if length == l_max or not found:
+            continue
+        children = [col[rows] for col in cols]
+        children.append(cand)
+        for lo in range(0, found, _BLOCK):
+            stack.append([col[lo:lo + _BLOCK] for col in children])
     return counts[1:]

@@ -151,6 +151,20 @@ def test_conn_const(capsys, tmp_path):
     validate_record(rec)
     assert rec["rows"][-1]["cumulative"] == 10
     assert rec["complete"] is True
+    # a gnp graph's counts come from the blocked enumeration and must
+    # serialize as plain ints
+    path = tmp_path / "gnp.edges"
+    main(["gen", "--kind", "gnp", "--n", "30", "--d", "3", "--seed", "7",
+          "--out", str(path)])
+    capsys.readouterr()
+    code, out, _ = run_cli(
+        capsys, "conn-const", "--graph", str(path), "--lmax", "6",
+        "--format", "json",
+    )
+    assert code == 0
+    rec = json.loads(out)
+    validate_record(rec)
+    assert [r["cumulative"] for r in rec["rows"]] == [7, 20, 46, 93, 175, 358]
 
 
 def test_oracle_command(capsys, c4_path):
@@ -177,6 +191,10 @@ def test_usage_errors(capsys, c4_path):
     assert run_cli(capsys, "decay-table", "--model", "hardcore",
                    "--delta", "2")[0] == 2  # missing --lam
     assert run_cli(capsys, "gen", "--kind", "gnp", "--n", "5")[0] == 2
+    assert run_cli(capsys, "hc-marginal", "--graph", c4_path, "--lam", "inf",
+                   "--vertex", "0", "--depth", "3")[0] == 2
+    assert run_cli(capsys, "decay-table", "--model", "hardcore", "--lam", "inf",
+                   "--delta", "2")[0] == 2
 
 
 def test_malformed_graph_exits_2(capsys, tmp_path):

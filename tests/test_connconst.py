@@ -52,7 +52,12 @@ def test_conn_profile_budget_flag():
     g = gen_graph("complete", n=8)
     prof = conn_profile(g, 7, budget=100)
     assert not prof.complete
-    assert len(prof.roots) < g.n
+    assert prof.roots == [] and prof.cumulative == [0] * 7
+    # each root of K8 has 13699 walks: two fit in 30000, the third does not
+    prof = conn_profile(g, 7, budget=30000)
+    assert not prof.complete
+    assert prof.roots == [0, 1]
+    assert prof.cumulative == [7, 49, 259, 1099, 3619, 8659, 13699]
 
 
 def test_sample_roots_deterministic():

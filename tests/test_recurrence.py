@@ -39,6 +39,22 @@ def test_model_params_validation():
         hardcore(0.0)
     with pytest.raises(ValueError):
         monomerdimer(-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            hardcore(bad)
+        with pytest.raises(ValueError, match="finite"):
+            monomerdimer(bad)
+
+
+def test_infinite_activity_rejected():
+    c5 = gen_graph("cycle", n=5)
+    for model in (HARDCORE, MONOMERDIMER):
+        with pytest.raises(ValueError, match="finite"):
+            sandwich_values(c5, 0, model, [math.inf], 3)
+    with pytest.raises(ValueError, match="finite"):
+        eval_md(expand_saw_tree(c5, 0, 3, mode="plain"), math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        dary_md_gaps(2, math.inf, 3)
 
 
 # -- materialized-tree evaluators -------------------------------------------

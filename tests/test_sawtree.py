@@ -121,8 +121,67 @@ def test_node_budget():
 
 def test_saw_counts_budget():
     g = gen_graph("complete", n=8)
-    with pytest.raises(NodeBudgetError):
+    with pytest.raises(NodeBudgetError) as err:
         saw_counts(g, 0, 7, budget=50)
+    assert err.value.nodes_expanded == 51
+
+
+def dfs_saw_counts(g, v, l_max, budget=10**8):
+    """Reference: the recursive depth-first count that stops at its
+    (budget + 1)-th walk."""
+    counts = [0] * (l_max + 1)
+    adj = g.adjacency
+    visited = {v}
+    steps = 0
+
+    def dfs(u, depth):
+        nonlocal steps
+        for w in adj[u]:
+            if w in visited:
+                continue
+            steps += 1
+            if steps > budget:
+                raise NodeBudgetError(steps)
+            counts[depth] += 1
+            if depth < l_max:
+                visited.add(w)
+                dfs(w, depth + 1)
+                visited.remove(w)
+
+    dfs(v, 1)
+    return counts[1:]
+
+
+def _outcome(count, g, v, l_max, budget):
+    try:
+        return count(g, v, l_max, budget)
+    except NodeBudgetError as exc:
+        return ("budget", exc.nodes_expanded)
+
+
+def test_saw_counts_matches_dfs(catalog6):
+    graphs = list(catalog6)
+    graphs += [gen_graph("gnp", n=n, d=d, seed=s)
+               for n in (6, 12, 20, 40) for d in (2.0, 3.0, 4.5) for s in range(3)]
+    graphs += [gen_graph("complete", n=6), gen_graph("complete", n=8),
+               gen_graph("grid", width=4, height=4),
+               gen_graph("dary_tree", d=3, depth=4), graph_from_edges(5, [])]
+    cases = 0
+    for g in graphs:
+        for l_max in (1, 2, 3, 5, 8, 12):
+            for budget in (1, 5, 50, 1000, 10**8):
+                want = _outcome(dfs_saw_counts, g, 0, l_max, budget)
+                assert _outcome(saw_counts, g, 0, l_max, budget) == want
+                cases += 1
+    assert cases == 5520
+
+
+def test_saw_counts_frozen_growth_root():
+    # recorded with the recursive depth-first count
+    counts = saw_counts(gen_graph("gnp", n=2000, d=3.0, seed=1), 55, 12)
+    assert counts == [7, 17, 62, 179, 538, 1656, 5022, 14823, 44188,
+                      131462, 390508, 1159141]
+    assert all(type(c) is int for c in counts)
 
 
 def test_boundary_validation():
