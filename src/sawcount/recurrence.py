@@ -28,12 +28,29 @@ leaves or truncated frontier nodes and its value is read off those two
 counts, bit for bit what folding them one by one gives.  The
 materialized trees of `expand_saw_tree` with `eval_hc`/`eval_md` are the
 reference implementation the walker is tested against.
+
+Trees of more than `_CAP` nodes are walked again by a block walker,
+which applies the same rules to up to `_BLOCK` nodes of one depth at a
+time with numpy array operations, as `sawtree.saw_counts` does for walk
+counts, and gives the same values, node counts and budget errors bit for
+bit.  Its pending blocks wait on a LIFO stack that holds at most one
+block's children per depth, so its memory stays within
+O(depth**2 * _BLOCK * max degree) entries beside the temporaries of one
+block's scan.  A numpy pass costs a fixed 100-200 us per block, more
+than a small tree takes depth-first, so the depth-first walker stays for
+the small trees, which are most calls of a telescope.  It also stays for
+truncations deeper than `_BLOCK_DEPTH`, such as the untruncated passes
+of a telescope's forest factors: a deep thin tree holds a few nodes per
+block, and the block walker's path arrays grow with the square of its
+depth.  Every walk runs in the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph import Graph
 from .sawtree import (
@@ -44,6 +61,7 @@ from .sawtree import (
     BoundaryCondition,
     NodeBudgetError,
     SawTree,
+    csr_adjacency,
     loop_copy_occupied,
 )
 
@@ -52,6 +70,10 @@ MONOMERDIMER = "monomerdimer"
 
 ALL_ZERO = "all_zero"
 ALL_MAX = "all_max"
+
+_CAP = 2048  # nodes a depth-first pass may visit before the block walker takes over
+_BLOCK = 1024  # rows per block of tree nodes in the block walker
+_BLOCK_DEPTH = 64  # the deepest truncation the block walker takes
 
 
 @dataclass(frozen=True)
@@ -152,11 +174,16 @@ def sandwich_values(
     weitz tree it can be smaller than `SawTree.nodes_expanded`, which
     counts those siblings too.
 
-    Each activity takes one depth-first pass over the implicit SAW tree,
-    in weitz mode for hard-core and plain mode for monomer-dimer; nodes
-    and truncated do not depend on the activity.  The per-child
-    combination order is the ascending-id child order, so results are
-    bit-reproducible.
+    Each activity takes one pass over the implicit SAW tree, in weitz
+    mode for hard-core and plain mode for monomer-dimer; nodes and
+    truncated do not depend on the activity.  The first pass is
+    depth-first with its budget capped at `_CAP` nodes, unless depth
+    exceeds `_BLOCK_DEPTH`.  If the tree is larger and the budget allows
+    it, that pass is repeated, and the other activities walked, by the
+    block walker, which wastes at most `_CAP` nodes of work per call.
+    Both walkers combine children in ascending-id order with the same
+    float operations, so results are bit-reproducible and do not depend
+    on the walker.
     """
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
@@ -181,10 +208,17 @@ def sandwich_values(
         if v in boundary.assignments:
             raise ValueError("boundary must not pin the root vertex")
         blocked = boundary.blocked(g) | blocked
-    pairs = []
-    for a in acts:
-        pair, nodes, truncated = _sandwich(g, v, model, a, depth, blocked, budget)
-        pairs.append(pair)
+    cap = budget if depth > _BLOCK_DEPTH else min(budget, _CAP)
+    walk = _sandwich
+    try:
+        first = _sandwich(g, v, model, acts[0], depth, blocked, cap)
+    except NodeBudgetError:
+        if cap == budget:
+            raise
+        walk = _sandwich_blocks
+        first = walk(g, v, model, acts[0], depth, blocked, budget)
+    _, nodes, truncated = first
+    pairs = [first[0]] + [walk(g, v, model, a, depth, blocked, budget)[0] for a in acts[1:]]
     return pairs, nodes, truncated
 
 
@@ -241,8 +275,8 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget):
     `blocked` holds the vertices pinned unoccupied or deleted.  Hard-core
     counts a blocked child as an unoccupied leaf (factor 1), and a
     frontier child whose only other neighbors are blocked as an exact
-    leaf.  Monomer-dimer seeds the blocked vertices into the root path,
-    so they are skipped and count as on the path in the extension test.
+    leaf.  Monomer-dimer skips a blocked neighbor as it skips a path
+    vertex, and counts it as on the path in the extension test.
     Pins need no test of their own in a scan: an expanded vertex is never
     blocked, so no neighbor of it is pinned occupied, and the only
     occupied children are loop copies.
@@ -260,7 +294,7 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget):
 
     start = a if hc else 0.0
     path = [root]
-    path_pos = {root: 0} if hc else {**dict.fromkeys(blocked, -1), root: 0}
+    path_pos = {root: 0}
     on_path = path_pos.keys()
     values = {}  # (exact, cut) -> _last_level_value(hc, a, exact, cut)
 
@@ -287,9 +321,9 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget):
         else:
             path_pos[u] = len(path)
             for w in adj[u]:
-                if w not in path_pos:
-                    # extended unless every neighbor is on the path
-                    if on_path >= adj_sets[w]:
+                if w not in path_pos and w not in blocked:
+                    # extended unless every neighbor is on the path or blocked
+                    if on_path >= adj_sets[w] or blocked and on_path >= adj_sets[w] - blocked:
                         exact += 1
                     else:
                         cut += 1
@@ -323,7 +357,7 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget):
             if w == parent:
                 continue
             pos = path_pos.get(w)
-            if pos is not None and not hc:
+            if not hc and (pos is not None or w in blocked):
                 continue
             nodes += 1
             if nodes > budget:
@@ -374,6 +408,167 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget):
             fr[3] += x0
             fr[4] += x1
 
+    return ((x0, x1) if x0 <= x1 else (x1, x0)), nodes, truncated
+
+
+def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
+    """The block walker behind sandwich_values, for trees above `_CAP`
+    nodes; returns what `_sandwich` returns, bit for bit, for max_depth >= 1
+    and an unblocked root.
+
+    It walks the same tree, but a block of up to `_BLOCK` nodes of one depth
+    at a time, with numpy array operations.  A block keeps the root paths
+    of its nodes column-major, one int array per path position, as
+    `saw_counts` does.  `step` lists the children of every node of a block
+    from the graph's CSR adjacency, in the depth-first walker's order, and
+    applies its rules: the skipped neighbors, the Weitz loop pin, the stop
+    at a first occupied child.  Children one level above the frontier are
+    scanned in bulk (`scan`): their values are looked up by their numbers
+    of exact-leaf and truncated children.  Deeper children are cut into
+    blocks and pushed on a LIFO stack above their parent block, which
+    waits there under a marker.  When the marker pops, every child block
+    has been folded in, so the parent's values are closed and folded into
+    its own parent.
+
+    Folds keep the depth-first walker's arithmetic: child blocks fold in
+    order, and within one block `np.multiply.at` and `np.add.at` fold the
+    children sequentially in ascending-id order.  The stack holds at most
+    one block's children per depth, so memory stays within
+    O(max_depth**2 * _BLOCK * max degree) entries, plus the temporaries of
+    one scan, O(_BLOCK * max degree**2) entries.
+    """
+    hc = model == HARDCORE
+    free = csr_adjacency(g, blocked)
+    # monomer-dimer never steps onto a blocked vertex; hard-core counts it
+    csr = csr_adjacency(g) if hc and blocked else free
+    if hc and blocked:
+        is_blocked = np.zeros(g.n, dtype=bool)
+        is_blocked[np.fromiter(blocked, dtype=np.intp, count=len(blocked))] = True
+    # table[i] is the value of a last-level node with i children, so that
+    # _last_level_value(hc, a, exact, cut) is (table[exact], table[exact + cut])
+    table = np.array([_last_level_value(hc, a, i, 0)[0] for i in range(int(csr.deg.max()) + 1)])
+    nodes = 1
+    truncated = False
+
+    def step(cols):
+        # (rows, cand, dead): the children to expand of the nodes ending the
+        # rows of cols, child cand[k] under row rows[k], and the hard-core
+        # rows that an occupied child zeroes; counts every child visited
+        nonlocal nodes
+        rows, cand = csr.steps(cols[-1])
+        dead = None
+        if not hc:
+            kid = np.ones(len(cand), dtype=bool)
+            for col in cols[:-1]:
+                kid &= cand != col[rows]  # never a path vertex
+            nodes += int(kid.sum())
+        else:
+            if len(cols) > 1:
+                keep = cand != cols[-2][rows]  # never the parent
+                rows, cand = rows[keep], cand[keep]
+            copy = np.zeros(len(cand), dtype=bool)
+            for col in cols[:-2]:
+                copy |= cand == col[rows]  # a loop copy
+            if copy.any():
+                # pinned by loop_copy_occupied: occupied when the path vertex
+                # after the copied one has a smaller id than the node
+                at = np.flatnonzero(copy)
+                r, w = rows[at], cand[at]
+                after = np.empty_like(w)
+                for col, nxt in zip(cols[:-2], cols[1:-1]):
+                    hit = w == col[r]
+                    after[hit] = nxt[r][hit]
+                at = at[after < cols[-1][r]]
+                if len(at):
+                    # a node stops at its first occupied child
+                    stop = np.full(len(cols[-1]), len(cand))
+                    np.minimum.at(stop, rows[at], at)
+                    dead = stop < len(cand)
+                    keep = np.arange(len(cand)) <= stop[rows]
+                    rows, cand, copy = rows[keep], cand[keep], copy[keep]
+            nodes += len(cand)
+            kid = ~(copy | is_blocked[cand]) if blocked else ~copy
+        if nodes > budget:
+            raise NodeBudgetError(budget + 1)
+        return rows[kid], cand[kid], dead
+
+    def scan(cols):
+        # (y0, y1) of the nodes ending the rows of cols, one level above the frontier
+        nonlocal truncated
+        rows, cand, dead = step(cols)
+        exact = free.deg[cand] == 1  # no neighbor but its parent outside blocked
+        if not hc and not exact.all():
+            # a child is exact when every neighbor is on the path (or
+            # blocked).  One neighbor other than the parent, off the path,
+            # settles nearly every child; the rest are tested on all neighbors
+            i = free.indptr[cand]
+            other = free.nbrs[i]
+            other = np.where(other == cols[-1][rows], free.nbrs[i + ~exact], other)
+            test = np.zeros(len(cand), dtype=bool)
+            for col in cols[:-1]:
+                test |= other == col[rows]
+            test = np.flatnonzero(test & ~exact)
+            for lo in range(0, len(test), _BLOCK):
+                part = test[lo:lo + _BLOCK]
+                sub, nxt = free.steps(cand[part])
+                ext = np.ones(len(nxt), dtype=bool)
+                at = rows[part][sub]
+                for col in cols:
+                    ext &= nxt != col[at]
+                exact[part] = np.bincount(sub[ext], minlength=len(part)) == 0
+        truncated = truncated or not exact.all()
+        width = len(cols[-1])
+        y0 = table[np.bincount(rows[exact], minlength=width)]
+        y1 = table[np.bincount(rows, minlength=width)]
+        if dead is not None:
+            y0[dead] = y1[dead] = 0.0
+        return y0, y1
+
+    def fold(blk, rows, y0, y1):
+        if hc:
+            np.multiply.at(blk[1], rows, 1.0 / (1.0 + y0))
+            np.multiply.at(blk[2], rows, 1.0 / (1.0 + y1))
+        else:
+            np.add.at(blk[1], rows, y0)
+            np.add.at(blk[2], rows, y1)
+
+    cols = [np.array([root], dtype=csr.nbrs.dtype)]
+    last = max_depth - 1  # the depth of the nodes that scan reads off
+    if last == 0:
+        x0, x1 = (float(y[0]) for y in scan(cols))
+        return ((x0, x1) if x0 <= x1 else (x1, x0)), nodes, truncated
+
+    start = a if hc else 0.0
+
+    def block(cols, parent, prow):
+        # [cols, x0, x1, dead rows, parent block, parent row of each row]
+        return [cols, np.full(len(cols[-1]), start), np.full(len(cols[-1]), start), None, parent, prow]
+
+    stack = [(block(cols, None, None), False)]
+    while True:
+        blk, closed = stack.pop()
+        if not closed:
+            cols = blk[0]
+            rows, cand, blk[3] = step(cols)
+            kids = [col[rows] for col in cols]
+            kids.append(cand)
+            if len(cols) < last:
+                stack.append((blk, True))
+                for lo in reversed(range(0, len(cand), _BLOCK)):
+                    hi = lo + _BLOCK
+                    stack.append((block([col[lo:hi] for col in kids], blk, rows[lo:hi]), False))
+                continue
+            fold(blk, rows, *scan(kids))
+        x0, x1 = blk[1], blk[2]
+        if not hc:
+            x0 = 1.0 / (1.0 + a * x0)
+            x1 = 1.0 / (1.0 + a * x1)
+        elif blk[3] is not None:
+            x0[blk[3]] = x1[blk[3]] = 0.0
+        if blk[4] is None:
+            break
+        fold(blk[4], blk[5], x0, x1)
+    x0, x1 = float(x0[0]), float(x1[0])
     return ((x0, x1) if x0 <= x1 else (x1, x0)), nodes, truncated
 
 

@@ -37,7 +37,9 @@ nodes to an initial condition).
 `saw_counts` counts plain-mode walks without building a tree: it extends
 blocks of at most `_BLOCK` walks of one length at a time with numpy array
 operations, keeping pending blocks on a LIFO stack, so its memory stays
-within O(l_max**2 * _BLOCK * max degree) entries.
+within O(l_max**2 * _BLOCK * max degree) entries.  It lists a block's
+steps from the graph's CSR adjacency (`csr_adjacency`, `Csr.steps`),
+which the block walker of `recurrence` shares.
 """
 
 from __future__ import annotations
@@ -226,6 +228,40 @@ def expand_saw_tree(
     return SawTree(root_node, mode, max_depth, level_counts, frontier, count)
 
 
+@dataclass(frozen=True)
+class Csr:
+    """A graph's adjacency in CSR form: the neighbors of u, ascending, are
+    nbrs[indptr[u]:indptr[u + 1]], and deg[u] is their number.  Vertex ids
+    are int16 when n <= 32767 and int32 above."""
+
+    deg: np.ndarray
+    indptr: np.ndarray
+    nbrs: np.ndarray
+
+    def steps(self, end):
+        """(rows, cand): every neighbor cand[k] of every vertex end[rows[k]],
+        grouped by row in ascending order, each row's neighbors ascending."""
+        d = self.deg[end]
+        rows = np.repeat(np.arange(len(end)), d)
+        # flat CSR index of each candidate: its row's slice start + offset
+        first = np.cumsum(d) - d
+        return rows, self.nbrs[np.arange(len(rows)) + np.repeat(self.indptr[end] - first, d)]
+
+
+def csr_adjacency(g: Graph, drop=frozenset()) -> Csr:
+    """The CSR adjacency of g with the vertices in `drop` left out of every
+    neighbor list, built in O(n + m)."""
+    adjacency = g.adjacency
+    if drop:
+        adjacency = [[w for w in nbrs if w not in drop] for nbrs in adjacency]
+    dtype = np.int16 if g.n <= np.iinfo(np.int16).max else np.int32
+    deg = np.fromiter(map(len, adjacency), dtype=np.intp, count=g.n)
+    indptr = np.zeros(g.n + 1, dtype=np.intp)
+    np.cumsum(deg, out=indptr[1:])
+    nbrs = np.fromiter(chain.from_iterable(adjacency), dtype=dtype, count=int(indptr[-1]))
+    return Csr(deg, indptr, nbrs)
+
+
 def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
     """Exact self-avoiding-walk counts N(v, 1..l_max), a block of walks at a time.
 
@@ -247,24 +283,14 @@ def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
         raise ValueError(f"vertex {v} out of range")
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    dtype = np.int16 if g.n <= np.iinfo(np.int16).max else np.int32
-    deg = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=g.n)
-    indptr = np.zeros(g.n + 1, dtype=np.intp)
-    np.cumsum(deg, out=indptr[1:])
-    nbrs = np.fromiter(chain.from_iterable(g.adjacency), dtype=dtype, count=int(indptr[-1]))
-
+    csr = csr_adjacency(g)
     counts = [0] * (l_max + 1)
     total = 0
-    stack = [[np.array([v], dtype=dtype)]]
+    stack = [[np.array([v], dtype=csr.nbrs.dtype)]]
     while stack:
         cols = stack.pop()
         length = len(cols)  # of the walks this block extends to
-        end = cols[-1]
-        d = deg[end]
-        rows = np.repeat(np.arange(len(end)), d)
-        # flat CSR index of each candidate: its row's slice start + offset
-        first = np.cumsum(d) - d
-        cand = nbrs[np.arange(len(rows)) + np.repeat(indptr[end] - first, d)]
+        rows, cand = csr.steps(cols[-1])
         if length > 1:
             keep = cand != cols[-2][rows]  # no backtrack
             for col in cols[:-2]:

@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from sawcount import recurrence
 from sawcount.counting import oracle_marginal
 from sawcount.graph import gen_graph, graph_from_edges
 from sawcount.recurrence import (
@@ -210,6 +212,92 @@ def test_sandwich_outputs_frozen():
         pairs, nodes, truncated = sandwich_values(g, 0, model, ACTIVITIES, 5)
         singles = [sandwich_values(g, 0, model, [a], 5) for a in ACTIVITIES]
         assert [([pair], nodes, truncated) for pair in pairs] == singles
+
+
+def _walk(walker, *args):
+    try:
+        return walker(*args)
+    except NodeBudgetError as err:
+        return "budget", err.nodes_expanded
+
+
+def test_block_walker_matches_dfs(monkeypatch):
+    # the block walker against the depth-first walker, bit for bit on
+    # (pairs, nodes, truncated) and on the budget error, with blocks of a
+    # few rows so that a parent's children are split over several blocks
+    # and folded across block boundaries
+    rng = random.Random(10)
+    cases = 0
+    for rows in (2, 5):
+        monkeypatch.setattr(recurrence, "_BLOCK", rows)
+        for n in range(6, 31, 2):
+            for seed in range(2):
+                g = gen_graph("gnp", n=n, d=3.0, seed=seed)
+                for model in (HARDCORE, MONOMERDIMER):
+                    for depth in range(1, 9):
+                        blocked = set(rng.sample(range(n), rng.randrange(n // 3 + 1)))
+                        if model == HARDCORE and rng.random() < 0.5:
+                            pins = rng.sample(range(n), rng.randrange(1, 4))
+                            bc = BoundaryCondition({v: rng.choice((OCCUPIED, UNOCCUPIED))
+                                                    for v in pins})
+                            try:
+                                bc.validate(g)
+                            except ValueError:
+                                continue  # occupied pins not independent
+                            blocked = bc.blocked(g) | set(pins)
+                        roots = [v for v in range(n) if v not in blocked]
+                        if not roots:
+                            continue
+                        args = (g, rng.choice(roots), model, rng.choice(ACTIVITIES), depth,
+                                frozenset(blocked))
+                        want = recurrence._sandwich(*args, 10**7)
+                        assert recurrence._sandwich_blocks(*args, 10**7) == want
+                        budget = rng.randrange(1, want[1] + 1)
+                        assert (_walk(recurrence._sandwich_blocks, *args, budget)
+                                == _walk(recurrence._sandwich, *args, budget))
+                        cases += 1
+    assert cases > 600
+
+
+def test_sandwich_values_above_the_cap(monkeypatch):
+    # trees of more than _CAP nodes go to the block walker; values frozen
+    # from the depth-first walker
+    calls = []
+    blocks = recurrence._sandwich_blocks
+    monkeypatch.setattr(recurrence, "_sandwich_blocks",
+                        lambda *args: calls.append(args[4]) or blocks(*args))
+    big = gen_graph("gnp", n=2000, d=3.0, seed=1)
+    assert sandwich_values(big, 943, HARDCORE, [1.0], 5) == (
+        [(0.4008152454955233, 0.4603599426789176)], 106, True)
+    assert calls == []
+    assert sandwich_values(big, 943, HARDCORE, ACTIVITIES, 10) == (
+        [(0.28511785571550624, 0.28543293310972134),
+         (0.4158222243406578, 0.42298366929764664),
+         (0.5223720318148909, 0.58825795398411)], 24489, True)
+    assert sandwich_values(big, 943, MONOMERDIMER, ACTIVITIES, 10) == (
+        [(0.6060829097074611, 0.6061415710709686),
+         (0.47976881109830816, 0.48034793761990735),
+         (0.35956760230978835, 0.36258947935685143)], 24485, True)
+    pins = BoundaryCondition({1317: OCCUPIED, 501: UNOCCUPIED})
+    assert sandwich_values(big, 943, HARDCORE, [1.0], 10, pins) == (
+        [(0.6763237535335309, 0.6825987386345193)], 4716, True)
+    assert sandwich_values(big, 943, MONOMERDIMER, [1.0], 10, blocked={894}) == (
+        [(0.4395583735395785, 0.4400892568141723)], 23322, True)
+    # a budget above the cap runs out in the block walker, one at or below
+    # it in the depth-first pass; both report the first node over budget
+    for model in (HARDCORE, MONOMERDIMER):
+        for budget in (24484, recurrence._CAP, 100):
+            with pytest.raises(NodeBudgetError) as err:
+                sandwich_values(big, 943, model, [1.0], 10, budget=budget)
+            assert err.value.nodes_expanded == budget + 1
+    assert calls == [10] * 10
+    # a truncation deeper than _BLOCK_DEPTH stays depth-first: the one
+    # untruncated pass over a path of 5000 vertices
+    path = graph_from_edges(5000, [(i, i + 1) for i in range(4999)])
+    pairs, nodes, truncated = sandwich_values(path, 0, MONOMERDIMER, [1.0], 5000)
+    assert (nodes, truncated) == (5000, False)
+    assert pairs[0][0] == pairs[0][1] == pytest.approx(0.618034, rel=1e-6)
+    assert calls == [10] * 10
 
 
 def test_sandwich_needs_an_activity():
