@@ -52,10 +52,12 @@ Two tools:
    Each state is packed into one uint64 key (2 bits per move behind a
    sentinel bit, 3 bits for the arrival move).  The closure runs one
    breadth-first level at a time on numpy arrays: the level is decoded
-   into int8 moves and int16 positions, all four moves of every state are
-   tested at once, and new keys are numbered by first discovery in
-   (parent, move) order.  Refinement sorts the signatures (class plus the
-   sorted classes of the at most 4 successors) with lexsort each round.
+   into int8 moves and int16 positions, laid out position by state, all
+   four moves of every state are tested at once, and new keys are
+   numbered by first discovery in (parent, move) order.  Each refinement
+   round folds a state's signature (its class plus the sorted classes of
+   its at most 4 successors) into int64 keys and groups equal keys with
+   argsort.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def conn_profile(g: Graph, l_max: int, roots="all", budget: int = 10**8) -> Conn
     complete = True
     for v in root_list:
         try:
-            counts = saw_counts(g, v, l_max, budget=max(1, budget - used))
+            counts = saw_counts(g, v, l_max, budget=budget - used)
         except NodeBudgetError as exc:
             used += exc.nodes_expanded
             complete = False
@@ -203,32 +205,56 @@ _START_KEY = np.uint64(1 << 3)  # the zero-length walk, pre None
 # directions N, E, S, W: index +1 is a clockwise quarter turn
 _DX = np.array((0, 1, 0, -1), dtype=np.int16)
 _DY = np.array((1, 0, -1, 0), dtype=np.int16)
-# _DIR[dx + 1, dy + 1] is the direction of the unit step (dx, dy)
-_DIR = np.full((3, 3), -1, dtype=np.int8)
-_DIR[_DX + 1, _DY + 1] = np.arange(4)
 # relative rank by turn (direction - d_in) % 4: straight(0) > right(1) >
 # left(3); turn 2 is the backtrack, never ranked
 _TURN_RANK = np.array((2, 1, -1, 0), dtype=np.int8)
+# Pin masks for the Weitz pruning.  A unit step (dx, dy) has the code
+# (dx + 2 dy) & 7, distinct per direction.  Bit _CODE[d] of a mask is set
+# when the closure from a position q onto its neighbor in direction d is
+# pinned occupied.  That depends on q's next move d_next alone for the
+# uniform ordering (d_next > d as indices: _UNIFORM_PINS[d_next]), and on
+# it and the move d_in that entered q for the relative one (the turn to
+# d_next ranks below the turn to d: _RELATIVE_PINS[4 * (d_in + 1) +
+# d_next], 0 for d_in = -1, the walk origin).
+_CODE = (_DX + 2 * _DY) & 7
+_UNIFORM_PINS = np.array(
+    [sum(1 << _CODE[d] for d in range(4) if dn > d) for dn in range(4)], dtype=np.uint8
+)
+_RELATIVE_PINS = np.array(
+    [0] * 4
+    + [
+        sum(1 << _CODE[d] for d in range(4)
+            if _TURN_RANK[(dn - d_in) % 4] < _TURN_RANK[(d - d_in) % 4])
+        for d_in in range(4)
+        for dn in range(4)
+    ],
+    dtype=np.uint8,
+)
+_FAR = 1000  # a parked position: farther than any memory from every step
 
 
 def _unpack(keys: np.ndarray, L: int):
-    """Decode keys into (moves, length, pre).  moves[:, j] (int8, L
-    columns) is the move j steps back from the endpoint, for j < length."""
+    """Decode keys into (moves, length, pre).  moves[j] (int8, L rows, one
+    column per key) is the move j steps back from the endpoint, for
+    j < length."""
     body = keys >> np.uint64(3)
-    moves = np.empty((len(keys), L), dtype=np.int8)
+    moves = np.empty((L, len(keys)), dtype=np.int8)
     length = np.zeros(len(keys), dtype=np.int16)
     for j in range(L):
-        moves[:, j] = (body >> np.uint64(2 * j)) & np.uint64(3)
-        length += (body >> np.uint64(2 * j + 2)) != 0
+        moves[j] = body & np.uint64(3)
+        body >>= np.uint64(2)
+        length += body != 0
     pre = (keys & np.uint64(7)).astype(np.int8) - 1
     return moves, length, pre
 
 
 def _pack(moves: np.ndarray, length: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    """Inverse of _unpack: the first `length` columns of `moves` are kept."""
+    """Inverse of _unpack: the first `length` rows of each column of
+    `moves` are kept."""
     digits = np.zeros(len(length), dtype=np.uint64)
-    for j in range(moves.shape[1]):
-        digits |= moves[:, j].astype(np.uint64) << np.uint64(2 * j)
+    for j in range(len(moves) - 1, -1, -1):
+        digits <<= np.uint64(2)
+        digits |= moves[j].astype(np.uint64)
     sentinel = np.uint64(1) << (2 * length).astype(np.uint64)
     body = sentinel | (digits & (sentinel - np.uint64(1)))
     return (body << np.uint64(3)) | (pre + 1).astype(np.uint64)
@@ -236,53 +262,63 @@ def _pack(moves: np.ndarray, length: np.ndarray, pre: np.ndarray) -> np.ndarray:
 
 def _successors(keys, L, ordering, pruning):
     """(n, 4) table of the canonical successor keys of each state, by move;
-    0 where the move is illegal."""
+    0 where the move is illegal.  The state arrays are laid out position by
+    state, so every reduction over positions runs along the long axis."""
     n = len(keys)
-    rows = np.arange(n)
+    cols = np.arange(n)
     moves, length, pre = _unpack(keys, L)
-    t = np.arange(1, L, dtype=np.int16)  # steps back from the endpoint
-    held = t <= length[:, None]
-    # position t steps back, with the endpoint at the origin
-    px = -np.cumsum(_DX[moves[:, :-1]], axis=1, dtype=np.int16)
-    py = -np.cumsum(_DY[moves[:, :-1]], axis=1, dtype=np.int16)
+    t = np.arange(1, L, dtype=np.int16)[:, None]  # steps back from the endpoint
+    # position t steps back, with the endpoint at the origin; positions
+    # the state does not hold are parked out of reach of every test
+    m = moves[:-1]
+    px = ((m & 1) * (m - 2)).astype(np.int16)  # -_DX[m]
+    py = ((~m & 1) * (m - 1)).astype(np.int16)  # -_DY[m]
+    for j in range(1, L - 1):
+        px[j] += px[j - 1]
+        py[j] += py[j - 1]
+    np.copyto(px, _FAR, where=t > length)
     # the move that arrived at the position t steps back (pre at the oldest)
     arrive = moves.copy()
-    arrive[rows, length] = pre
+    arrive[length, cols] = pre
+    if pruning == PRUNE_WEITZ:
+        # pin[t - 1] masks the steps onto the neighbors of the position t
+        # back whose closure is pinned occupied; code[t - 1] + _CODE[delta]
+        # is the code of the step from that position to the new endpoint
+        if ordering == UNIFORM:
+            pin = _UNIFORM_PINS.take(m)
+        else:
+            # with pre None the oldest closure never pins occupied
+            pin = _RELATIVE_PINS.take((arrive[1:] + 1) * 4 + m)
+        code = (-(px + 2 * py) & 7).astype(np.uint8)
     track_pre = pruning == PRUNE_WEITZ and ordering == RELATIVE
     rotate = not (pruning == PRUNE_WEITZ and ordering == UNIFORM)
     out = np.zeros((n, 4), dtype=np.uint64)
+    dist = np.empty_like(px)
+    buf = np.empty_like(py)
     for delta in range(4):
-        ux = _DX[delta] - px  # new endpoint w minus the position t back
-        uy = _DY[delta] - py
-        dist = np.abs(ux) + np.abs(uy)
+        # Manhattan distance from the new endpoint w to the position t back
+        np.abs(np.subtract(px, _DX[delta], out=dist), out=dist)
+        dist += np.abs(np.subtract(py, _DY[delta], out=buf), out=buf)
         # w in the body closes a cycle of length <= L (or backtracks)
-        legal = ~((dist == 0) & held).any(axis=1)
+        legal = ~(dist == 0).any(axis=0)
         # keep the suffix back to the oldest position still within reach
-        smax = 1 + np.where(held & (dist <= L - 1 - t), t, 0).max(axis=1)
-        new_pre = arrive[rows, smax - 1] if track_pre else np.full(n, -1, np.int8)
+        smax = 1 + np.where(dist <= L - 1 - t, t, 0).max(axis=0)
+        new_pre = arrive[smax - 1, cols] if track_pre else np.full(n, -1, np.int8)
         if pruning == PRUNE_WEITZ:
             # w is forced unoccupied when some in-window closure through a
             # neighbor q of w is pinned occupied: the move out of q outranks
             # the step from q to w
-            near = (dist == 1) & (t < smax[:, None])
-            d_next = moves[:, :-1]
-            d_w = _DIR[np.clip(ux, -1, 1) + 1, np.clip(uy, -1, 1) + 1]
-            if ordering == UNIFORM:
-                pinned = d_next > d_w  # N > E > S > W
-            else:
-                # with pre None the oldest closure never pins occupied
-                d_in = arrive[:, 1:]
-                pinned = (d_in >= 0) & (
-                    _TURN_RANK[(d_next - d_in) & 3] < _TURN_RANK[(d_w - d_in) & 3]
-                )
-            legal &= ~(near & pinned).any(axis=1)
-        new_moves = np.empty((n, L - 1), dtype=np.int8)
-        new_moves[:, 0] = delta
-        new_moves[:, 1:] = moves[:, : L - 2]
+            pinned = (pin >> ((code + int(_CODE[delta])) & 7)) & (dist == 1)
+            legal &= ~((pinned != 0) & (t < smax)).any(axis=0)
+        new_moves = np.empty((L - 1, np.count_nonzero(legal)), dtype=np.int8)
+        new_moves[0] = delta
+        new_moves[1:] = moves[: L - 2, legal]
+        new_pre = new_pre[legal]
         if rotate:  # canonical frame: the last move points north
-            new_moves = (new_moves - delta) & 3
+            new_moves -= delta
+            new_moves &= 3
             new_pre = np.where(new_pre >= 0, (new_pre - delta) & 3, -1)
-        out[legal, delta] = _pack(new_moves[legal], smax[legal], new_pre[legal])
+        out[legal, delta] = _pack(new_moves, smax[legal], new_pre)
     return out
 
 
@@ -364,28 +400,58 @@ def _merge_isomorphic(table: np.ndarray):
     table is the (k, 4) raw successor table (-1 for no successor).  A
     state's signature is its class and the sorted classes of its
     successors, repeats standing for multiplicities; classes are numbered
-    by first appearance.  Returns the class of each raw state and each
+    by first member.  Returns the class of each raw state and each
     class's first member, in class order.
+
+    Each round sorts the 4 successor classes with a 5-comparator network
+    on int32 columns and folds the 5 signature fields, b bits each (b the
+    bit width of the class count), into int64 keys of as many fields as
+    fit in 63 bits.  A key that is full is replaced by its dense rank
+    (one argsort) before the next field is shifted in, and the last key's
+    argsort groups the states.
     """
     k = len(table)
-    cls = np.zeros(k + 1, dtype=np.int32)
-    cls[k] = -1  # table's -1 reads this slot
+    succ = [table[:, j] for j in range(4)]
+    cls = np.ones(k + 1, dtype=np.int32)  # class + 1; table's -1 reads 0
+    cls[k] = 0
     nclasses = 1
     while True:
-        sig = np.empty((k, 5), dtype=np.int32)
-        sig[:, 0] = cls[:k]
-        sig[:, 1:] = np.sort(cls[table], axis=1)
-        order = np.lexsort(sig.T)
-        ordered = sig[order]
-        head = np.ones(k, dtype=bool)
-        head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        reps = np.sort(order[head])  # lexsort is stable: heads are first members
-        number = np.empty(k, dtype=np.int32)
-        number[reps] = np.arange(len(reps), dtype=np.int32)
-        cls[order] = number[order[head]][np.cumsum(head) - 1]
-        if len(reps) == nclasses:
-            return cls[:k], reps
-        nclasses = len(reps)
+        a, b, c, d = (cls[s] for s in succ)
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        c, d = np.minimum(c, d), np.maximum(c, d)
+        a, c = np.minimum(a, c), np.maximum(a, c)
+        b, d = np.minimum(b, d), np.maximum(b, d)
+        b, c = np.minimum(b, c), np.maximum(b, c)
+        bits = nclasses.bit_length()  # every field is at most nclasses
+        key, width = cls[:k].astype(np.int64), bits
+        for field in (a, b, c, d):
+            if width + bits > 63:  # the key is full: replace it by its dense rank
+                order, head = _group(key)
+                key[order] = np.cumsum(head) - 1
+                width = int(np.count_nonzero(head) - 1).bit_length()
+            key <<= bits
+            key |= field
+            width += bits
+        order, head = _group(key)
+        starts = np.flatnonzero(head)
+        first = np.minimum.reduceat(order, starts)
+        if len(starts) == nclasses:  # no class split: the numbering stands
+            return cls[:k] - 1, np.sort(first)
+        nclasses = len(starts)
+        number = np.empty(nclasses, dtype=np.int32)
+        number[np.argsort(first)] = np.arange(1, nclasses + 1, dtype=np.int32)
+        cls[order] = np.repeat(number, np.diff(starts, append=k))
+
+
+def _group(key: np.ndarray):
+    """(order, head): an argsort of key, and along it True where a run of
+    equal keys starts."""
+    order = np.argsort(key)
+    ordered = key[order]
+    head = np.empty(len(key), dtype=bool)
+    head[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    return order, head
 
 
 def _coo(cls: np.ndarray, succ: np.ndarray):

@@ -15,10 +15,42 @@ bit-for-bit across runs and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 GNP_GENERATOR = "numpy.random.default_rng (PCG64), lexicographic pair scan"
+
+
+@dataclass(frozen=True)
+class Csr:
+    """A graph's adjacency in CSR form: the neighbors of u, ascending, are
+    nbrs[indptr[u]:indptr[u + 1]], and deg[u] is their number.  Vertex ids
+    are int16 when n <= 32767 and int32 above."""
+
+    deg: np.ndarray
+    indptr: np.ndarray
+    nbrs: np.ndarray
+
+    @classmethod
+    def of(cls, n: int, adjacency) -> Csr:
+        """The CSR form of n ascending neighbor lists, built in O(n + m)."""
+        dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+        deg = np.fromiter(map(len, adjacency), dtype=np.intp, count=n)
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(deg, out=indptr[1:])
+        nbrs = np.fromiter(chain.from_iterable(adjacency), dtype=dtype, count=int(indptr[-1]))
+        return cls(deg, indptr, nbrs)
+
+    def steps(self, end):
+        """(rows, cand): every neighbor cand[k] of every vertex end[rows[k]],
+        grouped by row in ascending order, each row's neighbors ascending."""
+        d = self.deg[end]
+        rows = np.repeat(np.arange(len(end)), d)
+        # flat CSR index of each candidate: its row's slice start + offset
+        first = np.cumsum(d) - d
+        return rows, self.nbrs[np.arange(len(rows)) + np.repeat(self.indptr[end] - first, d)]
 
 
 @dataclass(frozen=True)
@@ -37,6 +69,12 @@ class Graph:
         object.__setattr__(
             self, "_adj_sets", tuple(frozenset(a) for a in self.adjacency)
         )
+
+    @cached_property
+    def csr(self) -> Csr:
+        """The adjacency in CSR form, built on first use and kept (the
+        graph never changes)."""
+        return Csr.of(self.n, self.adjacency)
 
     @property
     def num_edges(self) -> int:

@@ -38,18 +38,17 @@ nodes to an initial condition).
 blocks of at most `_BLOCK` walks of one length at a time with numpy array
 operations, keeping pending blocks on a LIFO stack, so its memory stays
 within O(l_max**2 * _BLOCK * max degree) entries.  It lists a block's
-steps from the graph's CSR adjacency (`csr_adjacency`, `Csr.steps`),
+steps from the graph's CSR adjacency (`Graph.csr`, `Csr.steps`),
 which the block walker of `recurrence` shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Csr, Graph
 
 FREE = "free"
 OCCUPIED = "occupied"
@@ -228,38 +227,13 @@ def expand_saw_tree(
     return SawTree(root_node, mode, max_depth, level_counts, frontier, count)
 
 
-@dataclass(frozen=True)
-class Csr:
-    """A graph's adjacency in CSR form: the neighbors of u, ascending, are
-    nbrs[indptr[u]:indptr[u + 1]], and deg[u] is their number.  Vertex ids
-    are int16 when n <= 32767 and int32 above."""
-
-    deg: np.ndarray
-    indptr: np.ndarray
-    nbrs: np.ndarray
-
-    def steps(self, end):
-        """(rows, cand): every neighbor cand[k] of every vertex end[rows[k]],
-        grouped by row in ascending order, each row's neighbors ascending."""
-        d = self.deg[end]
-        rows = np.repeat(np.arange(len(end)), d)
-        # flat CSR index of each candidate: its row's slice start + offset
-        first = np.cumsum(d) - d
-        return rows, self.nbrs[np.arange(len(rows)) + np.repeat(self.indptr[end] - first, d)]
-
-
 def csr_adjacency(g: Graph, drop=frozenset()) -> Csr:
     """The CSR adjacency of g with the vertices in `drop` left out of every
-    neighbor list, built in O(n + m)."""
-    adjacency = g.adjacency
-    if drop:
-        adjacency = [[w for w in nbrs if w not in drop] for nbrs in adjacency]
-    dtype = np.int16 if g.n <= np.iinfo(np.int16).max else np.int32
-    deg = np.fromiter(map(len, adjacency), dtype=np.intp, count=g.n)
-    indptr = np.zeros(g.n + 1, dtype=np.intp)
-    np.cumsum(deg, out=indptr[1:])
-    nbrs = np.fromiter(chain.from_iterable(adjacency), dtype=dtype, count=int(indptr[-1]))
-    return Csr(deg, indptr, nbrs)
+    neighbor list.  Without `drop` it is the graph's own, built once per
+    graph (`Graph.csr`)."""
+    if not drop:
+        return g.csr
+    return Csr.of(g.n, [[w for w in nbrs if w not in drop] for nbrs in g.adjacency])
 
 
 def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
@@ -270,8 +244,11 @@ def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
     block repeats each walk by its endpoint's degree, gathers the candidate
     steps from the graph's CSR adjacency, and keeps those that differ from
     every position already on the walk.  The survivors are counted at their
-    length and, below l_max, pushed as new blocks on a LIFO stack; the last
-    level is counted and never stored.  The stack keeps at most one
+    length and, below l_max, pushed as new blocks on a LIFO stack.  The
+    last length is counted without keeping anything: of the candidates,
+    one per walk steps back to its parent, and every other one on the walk
+    equals exactly one older position, so it counts the candidates less
+    the walks and the hits on older positions.  The stack keeps at most one
     extension's children per length pending, so memory stays within
     O(l_max**2 * _BLOCK * max degree) entries.
 
@@ -283,7 +260,7 @@ def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
         raise ValueError(f"vertex {v} out of range")
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    csr = csr_adjacency(g)
+    csr = g.csr
     counts = [0] * (l_max + 1)
     total = 0
     stack = [[np.array([v], dtype=csr.nbrs.dtype)]]
@@ -291,12 +268,21 @@ def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
         cols = stack.pop()
         length = len(cols)  # of the walks this block extends to
         rows, cand = csr.steps(cols[-1])
-        if length > 1:
-            keep = cand != cols[-2][rows]  # no backtrack
-            for col in cols[:-2]:
-                keep &= cand != col[rows]
-            rows, cand = rows[keep], cand[keep]
-        found = len(cand)
+        if length == l_max:
+            # count only: each walk has one backtrack candidate, and every
+            # other candidate on the walk equals exactly one older position
+            found = len(cand)
+            if length > 1:
+                found -= len(cols[-1]) + sum(
+                    int(np.count_nonzero(cand == col[rows])) for col in cols[:-2]
+                )
+        else:
+            if length > 1:
+                keep = cand != cols[-2][rows]  # no backtrack
+                for col in cols[:-2]:
+                    keep &= cand != col[rows]
+                rows, cand = rows[keep], cand[keep]
+            found = len(cand)
         counts[length] += found
         total += found
         if total > budget:

@@ -15,7 +15,7 @@ from sawcount.connconst import (
     truncate3,
     z2_branching_matrix,
 )
-from sawcount.graph import gen_graph
+from sawcount.graph import gen_graph, graph_from_edges
 
 
 # -- finite-graph profiles ---------------------------------------------------
@@ -58,6 +58,17 @@ def test_conn_profile_budget_flag():
     assert not prof.complete
     assert prof.roots == [0, 1]
     assert prof.cumulative == [7, 49, 259, 1099, 3619, 8659, 13699]
+
+
+def test_conn_profile_budget_spent_exactly():
+    # root 0 has 2 walks (0-1, 0-1-2), root 3 has 1 (3-4): once the budget
+    # of 2 is spent, root 3 must not count its walk
+    g = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    prof = conn_profile(g, 2, roots=[0, 3], budget=2)
+    assert not prof.complete
+    assert prof.roots == [0] and prof.cumulative == [1, 2]
+    prof = conn_profile(g, 2, roots=[0, 3], budget=3)
+    assert prof.complete and prof.roots == [0, 3]
 
 
 def test_sample_roots_deterministic():
@@ -220,15 +231,16 @@ def test_invalid_memory_rejected():
 
 def test_state_keys_round_trip_at_memory_30():
     # the longest state of memory 30 keeps 29 moves: 62 bits of key
+    # (moves are laid out position by state: one column per key)
     rng = np.random.default_rng(3)
-    moves = rng.integers(0, 4, size=(200, 30), dtype=np.int8)
+    moves = rng.integers(0, 4, size=(200, 30), dtype=np.int8).T
     length = rng.integers(0, 30, size=200).astype(np.int16)
     length[:2] = (0, 29)
     pre = rng.integers(-1, 4, size=200).astype(np.int8)
-    keys = connconst._pack(moves[:, :29], length, pre)
+    keys = connconst._pack(moves[:29], length, pre)
     got_moves, got_length, got_pre = connconst._unpack(keys, 30)
     assert np.array_equal(got_length, length) and np.array_equal(got_pre, pre)
-    held = np.arange(30) < length[:, None]
+    held = np.arange(30)[:, None] < length
     assert np.array_equal(np.where(held, got_moves, 0), np.where(held, moves, 0))
 
 
@@ -370,6 +382,65 @@ def test_automaton_frozen(case):
     bm = z2_branching_matrix(L, ordering=ordering, pruning=pruning, merge=merge)
     got = (bm.states_raw, bm.k, bm.start, _coo_digest(bm), spectral_bound(bm, tol=1e-10))
     assert got == _FROZEN_AUTOMATA[case]
+
+
+def lexsort_merge(table):
+    """Reference refinement: each round lexsorts the (k, 5) signatures
+    (class, then the sorted successor classes) and numbers the classes by
+    first member."""
+    k = len(table)
+    cls = np.zeros(k + 1, dtype=np.int32)
+    cls[k] = -1  # table's -1 reads this slot
+    nclasses = 1
+    while True:
+        sig = np.empty((k, 5), dtype=np.int32)
+        sig[:, 0] = cls[:k]
+        sig[:, 1:] = np.sort(cls[table], axis=1)
+        order = np.lexsort(sig.T)
+        ordered = sig[order]
+        head = np.ones(k, dtype=bool)
+        head[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        reps = np.sort(order[head])  # lexsort is stable: heads are first members
+        number = np.empty(k, dtype=np.int32)
+        number[reps] = np.arange(len(reps), dtype=np.int32)
+        cls[order] = number[order[head]][np.cumsum(head) - 1]
+        if len(reps) == nclasses:
+            return cls[:k], reps
+        nclasses = len(reps)
+
+
+def _assert_merge_matches_reference(table):
+    cls, reps = connconst._merge_isomorphic(table)
+    want_cls, want_reps = lexsort_merge(table)
+    assert cls.dtype == want_cls.dtype and np.array_equal(cls, want_cls)
+    assert np.array_equal(reps, want_reps)
+    return len(reps)
+
+
+@pytest.mark.parametrize(
+    "L,ordering,pruning",
+    list(itertools.product(range(2, 15, 2), ("relative", "uniform"), ("none", "weitz"))),
+)
+def test_merge_matches_lexsort_reference(monkeypatch, L, ordering, pruning):
+    tables = []
+    merge = connconst._merge_isomorphic
+    monkeypatch.setattr(connconst, "_merge_isomorphic", lambda t: tables.append(t) or merge(t))
+    z2_branching_matrix(L, ordering=ordering, pruning=pruning)
+    _assert_merge_matches_reference(tables[0])
+
+
+def test_merge_matches_lexsort_reference_on_random_tables():
+    # more than 4096 classes need 13 bits a field: a signature then spans
+    # two keys, the first replaced by its dense rank
+    rng = np.random.default_rng(11)
+    most = 0
+    for k in (1, 2, 7, 300, 5000, 20000):
+        for targets in (k, min(k, 16)):  # few targets: many equal rows
+            for missing in (0.0, 0.3, 0.9):
+                table = rng.integers(0, targets, size=(k, 4)).astype(np.int32)
+                table[rng.random((k, 4)) < missing] = -1
+                most = max(most, _assert_merge_matches_reference(table))
+    assert most > 4096
 
 
 def test_merge_preserves_uniform_ordering_too():
