@@ -27,30 +27,72 @@ GNP_GENERATOR = "numpy.random.default_rng (PCG64), lexicographic pair scan"
 class Csr:
     """A graph's adjacency in CSR form: the neighbors of u, ascending, are
     nbrs[indptr[u]:indptr[u + 1]], and deg[u] is their number.  Vertex ids
-    are int16 when n <= 32767 and int32 above."""
+    are int16 when n <= 32767 and int32 above.
+
+    A flat index f into nbrs names the half-edge u -> nbrs[f], and back[f]
+    is the flat index of its reverse, nbrs[f] -> u.  In an adjacency
+    `without` some vertices, a left-out vertex still lists its kept
+    neighbors, and back[f] of such a half-edge is some index in range,
+    not a reverse."""
 
     deg: np.ndarray
     indptr: np.ndarray
     nbrs: np.ndarray
+    back: np.ndarray
 
     @classmethod
     def of(cls, n: int, adjacency) -> Csr:
-        """The CSR form of n ascending neighbor lists, built in O(n + m)."""
+        """The CSR form of a graph's n ascending neighbor lists, built in
+        O(n + m log m)."""
         dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
         deg = np.fromiter(map(len, adjacency), dtype=np.intp, count=n)
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(deg, out=indptr[1:])
         nbrs = np.fromiter(chain.from_iterable(adjacency), dtype=dtype, count=int(indptr[-1]))
-        return cls(deg, indptr, nbrs)
+        # the keys u*n + w of the half-edges u -> w ascend in flat order
+        src = np.repeat(np.arange(n, dtype=np.intp), deg)
+        key = src * n + nbrs
+        back = np.searchsorted(key, nbrs * np.intp(n) + src)
+        return cls(deg, indptr, nbrs, back)
 
-    def steps(self, end):
-        """(rows, cand): every neighbor cand[k] of every vertex end[rows[k]],
-        grouped by row in ascending order, each row's neighbors ascending."""
-        d = self.deg[end]
+    def without(self, gone) -> Csr:
+        """This adjacency with the vertices where the bool mask `gone` is
+        set left out of every neighbor list, in O(n + m).  A left-out
+        vertex keeps its own list, so a half-edge out of it has no reverse
+        and its back entry is only in range."""
+        keep = ~gone.take(self.nbrs)
+        src = np.repeat(np.arange(len(self.deg)), self.deg)
+        deg = np.bincount(src[keep], minlength=len(self.deg))
+        indptr = np.zeros_like(self.indptr)
+        np.cumsum(deg, out=indptr[1:])
+        # the kept half-edges' new flat indices, -1 before the first
+        moved = np.cumsum(keep) - 1
+        back = moved.take(self.back[keep])
+        np.maximum(back, 0, out=back)
+        return Csr(deg, indptr, self.nbrs[keep], back)
+
+    def steps(self, end, arrive=None):
+        """(rows, flat): every half-edge flat[k] out of every vertex
+        end[rows[k]] but the one the row arrived by, grouped by row in
+        ascending order, each row's neighbors ascending.
+
+        arrive[r] is the flat index of the half-edge from end[r] back to
+        the vertex it was reached from, back[f] of the step f that reached
+        it; None lists every neighbor (a root)."""
+        d = self.deg.take(end)
+        if arrive is not None:
+            d -= 1
         rows = np.repeat(np.arange(len(end)), d)
-        # flat CSR index of each candidate: its row's slice start + offset
-        first = np.cumsum(d) - d
-        return rows, self.nbrs[np.arange(len(rows)) + np.repeat(self.indptr[end] - first, d)]
+        # flat index of each step: its row's slice start + offset, plus
+        # one from the arrival on
+        base = self.indptr.take(end)
+        base -= np.cumsum(d)
+        base += d
+        flat = np.arange(len(rows))
+        flat += base.take(rows)
+        if arrive is not None:
+            flat += flat >= arrive.take(rows)
+        return rows, flat
 
 
 @dataclass(frozen=True)

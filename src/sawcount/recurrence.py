@@ -61,7 +61,6 @@ from .sawtree import (
     BoundaryCondition,
     NodeBudgetError,
     SawTree,
-    csr_adjacency,
     loop_copy_occupied,
 )
 
@@ -71,7 +70,10 @@ MONOMERDIMER = "monomerdimer"
 ALL_ZERO = "all_zero"
 ALL_MAX = "all_max"
 
-_CAP = 2048  # nodes a depth-first pass may visit before the block walker takes over
+# nodes a depth-first pass may visit before the block walker takes over:
+# on small loopy graphs hard-core trees of a few hundred nodes still walk
+# faster depth-first, monomer-dimer ones on blocks (BENCH_steps.json)
+_CAP = {HARDCORE: 2048, MONOMERDIMER: 256}
 _BLOCK = 1024  # rows per block of tree nodes in the block walker
 _BLOCK_DEPTH = 64  # the deepest truncation the block walker takes
 
@@ -177,10 +179,10 @@ def sandwich_values(
     Each activity takes one pass over the implicit SAW tree, in weitz
     mode for hard-core and plain mode for monomer-dimer; nodes and
     truncated do not depend on the activity.  The first pass is
-    depth-first with its budget capped at `_CAP` nodes, unless depth
-    exceeds `_BLOCK_DEPTH`.  If the tree is larger and the budget allows
-    it, that pass is repeated, and the other activities walked, by the
-    block walker, which wastes at most `_CAP` nodes of work per call.
+    depth-first with its budget capped at the model's `_CAP` nodes, unless
+    depth exceeds `_BLOCK_DEPTH`.  If the tree is larger and the budget
+    allows it, that pass is repeated, and the other activities walked, by
+    the block walker, which wastes at most `_CAP` nodes of work per call.
     Both walkers combine children in ascending-id order with the same
     float operations, so results are bit-reproducible and do not depend
     on the walker.
@@ -208,7 +210,7 @@ def sandwich_values(
         if v in boundary.assignments:
             raise ValueError("boundary must not pin the root vertex")
         blocked = boundary.blocked(g) | blocked
-    cap = budget if depth > _BLOCK_DEPTH else min(budget, _CAP)
+    cap = budget if depth > _BLOCK_DEPTH else min(budget, _CAP[model])
     walk = _sandwich
     try:
         first = _sandwich(g, v, model, acts[0], depth, blocked, cap)
@@ -418,17 +420,22 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
 
     It walks the same tree, but a block of up to `_BLOCK` nodes of one depth
     at a time, with numpy array operations.  A block keeps the root paths
-    of its nodes column-major, one int array per path position, as
-    `saw_counts` does.  `step` lists the children of every node of a block
-    from the graph's CSR adjacency, in the depth-first walker's order, and
-    applies its rules: the skipped neighbors, the Weitz loop pin, the stop
-    at a first occupied child.  Children one level above the frontier are
-    scanned in bulk (`scan`): their values are looked up by their numbers
-    of exact-leaf and truncated children.  Deeper children are cut into
-    blocks and pushed on a LIFO stack above their parent block, which
-    waits there under a marker.  When the marker pops, every child block
-    has been folded in, so the parent's values are closed and folded into
-    its own parent.
+    of its nodes column-major, one int array per path position, and the
+    half-edge each node arrived by, as `saw_counts` does.  `step` lists
+    the children of every node of a block from the graph's CSR adjacency,
+    every neighbour but the arrival half-edge (`Csr.steps`), in the
+    depth-first walker's order, and applies its other rules: the skipped
+    path vertices, the Weitz loop pin, the stop at a first occupied child.
+    Children one level above the frontier are scanned in bulk (`scan`):
+    their values are looked up by their numbers of exact-leaf and
+    truncated children.  A monomer-dimer frontier child is exact when no
+    neighbour of it is off the path; `step` tests its first neighbour
+    other than its parent on the same path columns that filter the child,
+    and only the few whose first neighbour is on the path are tested on
+    all neighbours.  Deeper children are cut into blocks and pushed on a
+    LIFO stack above their parent block, which waits there under a
+    marker.  When the marker pops, every child block has been folded in,
+    so the parent's values are closed and folded into its own parent.
 
     Folds keep the depth-first walker's arithmetic: child blocks fold in
     order, and within one block `np.multiply.at` and `np.add.at` fold the
@@ -438,37 +445,51 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
     one scan, O(_BLOCK * max degree**2) entries.
     """
     hc = model == HARDCORE
-    free = csr_adjacency(g, blocked)
-    # monomer-dimer never steps onto a blocked vertex; hard-core counts it
-    csr = csr_adjacency(g) if hc and blocked else free
-    if hc and blocked:
+    csr = free = g.csr
+    if blocked:
         is_blocked = np.zeros(g.n, dtype=bool)
         is_blocked[np.fromiter(blocked, dtype=np.intp, count=len(blocked))] = True
+        # monomer-dimer never steps onto a blocked vertex; hard-core counts it
+        free = csr.without(is_blocked)
+        if not hc:
+            csr = free
     # table[i] is the value of a last-level node with i children, so that
     # _last_level_value(hc, a, exact, cut) is (table[exact], table[exact + cut])
     table = np.array([_last_level_value(hc, a, i, 0)[0] for i in range(int(csr.deg.max()) + 1)])
     nodes = 1
     truncated = False
 
-    def step(cols):
-        # (rows, cand, dead): the children to expand of the nodes ending the
-        # rows of cols, child cand[k] under row rows[k], and the hard-core
-        # rows that an occupied child zeroes; counts every child visited
+    def step(cols, arrive, near=False):
+        # (rows, cand, flat, dead, on): the children to expand of the nodes
+        # ending the rows of cols, child cand[k] under row rows[k] by the
+        # half-edge flat[k], and the hard-core rows that an occupied child
+        # zeroes; counts every child visited.  With near (monomer-dimer),
+        # on[k] says whether the first neighbor of cand[k] other than its
+        # parent is on the path, tested on the columns that filter cand.
         nonlocal nodes
-        rows, cand = csr.steps(cols[-1])
-        dead = None
+        rows, flat = csr.steps(cols[-1], arrive)
+        cand = csr.nbrs.take(flat, mode="clip")
+        dead = on = None
         if not hc:
             kid = np.ones(len(cand), dtype=bool)
-            for col in cols[:-1]:
-                kid &= cand != col[rows]  # never a path vertex
-            nodes += int(kid.sum())
+            if near:
+                i = free.indptr.take(cand, mode="clip")
+                i += free.back.take(flat, mode="clip") == i
+                other = free.nbrs.take(i, mode="clip")  # any vertex when cand has no other
+                if len(cols) > 1:
+                    on = other == cols[-2].take(rows, mode="clip")
+                else:
+                    on = np.zeros(len(cand), dtype=bool)
+            for col in cols[:-2]:
+                at = col.take(rows, mode="clip")
+                kid &= cand != at  # never a path vertex
+                if near:
+                    on |= other == at
+            nodes += int(np.count_nonzero(kid))
         else:
-            if len(cols) > 1:
-                keep = cand != cols[-2][rows]  # never the parent
-                rows, cand = rows[keep], cand[keep]
             copy = np.zeros(len(cand), dtype=bool)
             for col in cols[:-2]:
-                copy |= cand == col[rows]  # a loop copy
+                copy |= cand == col.take(rows, mode="clip")  # a loop copy
             if copy.any():
                 # pinned by loop_copy_occupied: occupied when the path vertex
                 # after the copied one has a smaller id than the node
@@ -485,89 +506,88 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
                     np.minimum.at(stop, rows[at], at)
                     dead = stop < len(cand)
                     keep = np.arange(len(cand)) <= stop[rows]
-                    rows, cand, copy = rows[keep], cand[keep], copy[keep]
+                    rows, cand, flat, copy = rows[keep], cand[keep], flat[keep], copy[keep]
             nodes += len(cand)
-            kid = ~(copy | is_blocked[cand]) if blocked else ~copy
+            kid = ~(copy | is_blocked.take(cand)) if blocked else ~copy
         if nodes > budget:
             raise NodeBudgetError(budget + 1)
-        return rows[kid], cand[kid], dead
+        if near:
+            on = on[kid]
+        return rows[kid], cand[kid], flat[kid], dead, on
 
-    def scan(cols):
+    def scan(cols, arrive):
         # (y0, y1) of the nodes ending the rows of cols, one level above the frontier
         nonlocal truncated
-        rows, cand, dead = step(cols)
-        exact = free.deg[cand] == 1  # no neighbor but its parent outside blocked
-        if not hc and not exact.all():
+        rows, cand, flat, dead, on = step(cols, arrive, near=not hc)
+        exact = free.deg.take(cand) == 1  # no neighbor but its parent outside blocked
+        if not hc:
             # a child is exact when every neighbor is on the path (or
             # blocked).  One neighbor other than the parent, off the path,
             # settles nearly every child; the rest are tested on all neighbors
-            i = free.indptr[cand]
-            other = free.nbrs[i]
-            other = np.where(other == cols[-1][rows], free.nbrs[i + ~exact], other)
-            test = np.zeros(len(cand), dtype=bool)
-            for col in cols[:-1]:
-                test |= other == col[rows]
-            test = np.flatnonzero(test & ~exact)
+            test = np.flatnonzero(on & ~exact)
             for lo in range(0, len(test), _BLOCK):
                 part = test[lo:lo + _BLOCK]
-                sub, nxt = free.steps(cand[part])
+                sub, nxt = free.steps(cand[part], free.back.take(flat[part]))
+                nxt = free.nbrs.take(nxt, mode="clip")
                 ext = np.ones(len(nxt), dtype=bool)
-                at = rows[part][sub]
-                for col in cols:
-                    ext &= nxt != col[at]
+                at = rows[part].take(sub)
+                for col in cols[:-1]:
+                    ext &= nxt != col.take(at, mode="clip")
                 exact[part] = np.bincount(sub[ext], minlength=len(part)) == 0
         truncated = truncated or not exact.all()
         width = len(cols[-1])
-        y0 = table[np.bincount(rows[exact], minlength=width)]
-        y1 = table[np.bincount(rows, minlength=width)]
+        y0 = table.take(np.bincount(rows[exact], minlength=width))
+        y1 = table.take(np.bincount(rows, minlength=width))
         if dead is not None:
             y0[dead] = y1[dead] = 0.0
         return y0, y1
 
     def fold(blk, rows, y0, y1):
         if hc:
-            np.multiply.at(blk[1], rows, 1.0 / (1.0 + y0))
-            np.multiply.at(blk[2], rows, 1.0 / (1.0 + y1))
+            np.multiply.at(blk[2], rows, 1.0 / (1.0 + y0))
+            np.multiply.at(blk[3], rows, 1.0 / (1.0 + y1))
         else:
-            np.add.at(blk[1], rows, y0)
-            np.add.at(blk[2], rows, y1)
+            np.add.at(blk[2], rows, y0)
+            np.add.at(blk[3], rows, y1)
 
     cols = [np.array([root], dtype=csr.nbrs.dtype)]
     last = max_depth - 1  # the depth of the nodes that scan reads off
     if last == 0:
-        x0, x1 = (float(y[0]) for y in scan(cols))
+        x0, x1 = (float(y[0]) for y in scan(cols, None))
         return ((x0, x1) if x0 <= x1 else (x1, x0)), nodes, truncated
 
     start = a if hc else 0.0
 
-    def block(cols, parent, prow):
-        # [cols, x0, x1, dead rows, parent block, parent row of each row]
-        return [cols, np.full(len(cols[-1]), start), np.full(len(cols[-1]), start), None, parent, prow]
+    def block(cols, arrive, parent, prow):
+        # [cols, arrive, x0, x1, dead rows, parent block, parent row of each row]
+        width = len(cols[-1])
+        return [cols, arrive, np.full(width, start), np.full(width, start), None, parent, prow]
 
-    stack = [(block(cols, None, None), False)]
+    stack = [(block(cols, None, None, None), False)]
     while True:
         blk, closed = stack.pop()
         if not closed:
             cols = blk[0]
-            rows, cand, blk[3] = step(cols)
-            kids = [col[rows] for col in cols]
+            rows, cand, flat, blk[4], _ = step(cols, blk[1])
+            kids = [col.take(rows, mode="clip") for col in cols]
             kids.append(cand)
+            arrive = csr.back.take(flat, mode="clip")
             if len(cols) < last:
                 stack.append((blk, True))
                 for lo in reversed(range(0, len(cand), _BLOCK)):
                     hi = lo + _BLOCK
-                    stack.append((block([col[lo:hi] for col in kids], blk, rows[lo:hi]), False))
+                    stack.append((block([col[lo:hi] for col in kids], arrive[lo:hi], blk, rows[lo:hi]), False))
                 continue
-            fold(blk, rows, *scan(kids))
-        x0, x1 = blk[1], blk[2]
+            fold(blk, rows, *scan(kids, arrive))
+        x0, x1 = blk[2], blk[3]
         if not hc:
             x0 = 1.0 / (1.0 + a * x0)
             x1 = 1.0 / (1.0 + a * x1)
-        elif blk[3] is not None:
-            x0[blk[3]] = x1[blk[3]] = 0.0
-        if blk[4] is None:
+        elif blk[4] is not None:
+            x0[blk[4]] = x1[blk[4]] = 0.0
+        if blk[5] is None:
             break
-        fold(blk[4], blk[5], x0, x1)
+        fold(blk[5], blk[6], x0, x1)
     x0, x1 = float(x0[0]), float(x1[0])
     return ((x0, x1) if x0 <= x1 else (x1, x0)), nodes, truncated
 

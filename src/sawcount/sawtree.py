@@ -38,8 +38,9 @@ nodes to an initial condition).
 blocks of at most `_BLOCK` walks of one length at a time with numpy array
 operations, keeping pending blocks on a LIFO stack, so its memory stays
 within O(l_max**2 * _BLOCK * max degree) entries.  It lists a block's
-steps from the graph's CSR adjacency (`Graph.csr`, `Csr.steps`),
-which the block walker of `recurrence` shares.
+steps from the graph's CSR adjacency (`Graph.csr`, `Csr.steps`): every
+neighbour but the arrival half-edge, so the step back to the parent is
+never listed.  The block walker of `recurrence` shares these steps.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Csr, Graph
+from .graph import Graph
 
 FREE = "free"
 OCCUPIED = "occupied"
@@ -227,29 +228,20 @@ def expand_saw_tree(
     return SawTree(root_node, mode, max_depth, level_counts, frontier, count)
 
 
-def csr_adjacency(g: Graph, drop=frozenset()) -> Csr:
-    """The CSR adjacency of g with the vertices in `drop` left out of every
-    neighbor list.  Without `drop` it is the graph's own, built once per
-    graph (`Graph.csr`)."""
-    if not drop:
-        return g.csr
-    return Csr.of(g.n, [[w for w in nbrs if w not in drop] for nbrs in g.adjacency])
-
-
 def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
     """Exact self-avoiding-walk counts N(v, 1..l_max), a block of walks at a time.
 
     No tree is materialized.  A block holds walks of one length, column-major
-    (one int array per path position), at most `_BLOCK` rows.  Extending a
-    block repeats each walk by its endpoint's degree, gathers the candidate
-    steps from the graph's CSR adjacency, and keeps those that differ from
-    every position already on the walk.  The survivors are counted at their
-    length and, below l_max, pushed as new blocks on a LIFO stack.  The
-    last length is counted without keeping anything: of the candidates,
-    one per walk steps back to its parent, and every other one on the walk
-    equals exactly one older position, so it counts the candidates less
-    the walks and the hits on older positions.  The stack keeps at most one
-    extension's children per length pending, so memory stays within
+    (one int array per path position), at most `_BLOCK` rows, and beside
+    them the half-edge each walk arrived by.  Extending a block lists, for
+    every walk, every neighbour of its endpoint but the arrival half-edge
+    (`Csr.steps`), and keeps the candidates that differ from every position
+    older than the parent.  The survivors are counted at their length and,
+    below l_max, pushed as new blocks on a LIFO stack.  The last length is
+    counted without keeping anything: a candidate on the walk equals
+    exactly one position older than its parent, so it counts the
+    candidates less the hits on those positions.  The stack keeps at most
+    one extension's children per length pending, so memory stays within
     O(l_max**2 * _BLOCK * max degree) entries.
 
     `budget` caps the number of walks counted: NodeBudgetError(budget + 1)
@@ -263,25 +255,24 @@ def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
     csr = g.csr
     counts = [0] * (l_max + 1)
     total = 0
-    stack = [[np.array([v], dtype=csr.nbrs.dtype)]]
+    stack = [([np.array([v], dtype=csr.nbrs.dtype)], None)]
     while stack:
-        cols = stack.pop()
+        cols, arrive = stack.pop()
         length = len(cols)  # of the walks this block extends to
-        rows, cand = csr.steps(cols[-1])
+        rows, flat = csr.steps(cols[-1], arrive)
+        cand = csr.nbrs.take(flat, mode="clip")
         if length == l_max:
-            # count only: each walk has one backtrack candidate, and every
-            # other candidate on the walk equals exactly one older position
-            found = len(cand)
-            if length > 1:
-                found -= len(cols[-1]) + sum(
-                    int(np.count_nonzero(cand == col[rows])) for col in cols[:-2]
-                )
+            # count only: a candidate on the walk equals exactly one
+            # position older than its parent
+            found = len(cand) - sum(
+                int(np.count_nonzero(cand == col.take(rows, mode="clip"))) for col in cols[:-2]
+            )
         else:
-            if length > 1:
-                keep = cand != cols[-2][rows]  # no backtrack
-                for col in cols[:-2]:
-                    keep &= cand != col[rows]
-                rows, cand = rows[keep], cand[keep]
+            if length > 2:
+                keep = cand != cols[0].take(rows, mode="clip")
+                for col in cols[1:-2]:
+                    keep &= cand != col.take(rows, mode="clip")
+                rows, flat, cand = rows[keep], flat[keep], cand[keep]
             found = len(cand)
         counts[length] += found
         total += found
@@ -289,8 +280,9 @@ def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
             raise NodeBudgetError(max(budget, 0) + 1)
         if length == l_max or not found:
             continue
-        children = [col[rows] for col in cols]
+        children = [col.take(rows, mode="clip") for col in cols]
         children.append(cand)
+        arrive = csr.back.take(flat, mode="clip")
         for lo in range(0, found, _BLOCK):
-            stack.append([col[lo:lo + _BLOCK] for col in children])
+            stack.append(([col[lo:lo + _BLOCK] for col in children], arrive[lo:lo + _BLOCK]))
     return counts[1:]

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from sawcount.graph import (
@@ -148,3 +150,55 @@ def test_delete_vertex():
     assert list(p3.edges()) == [(0, 1), (1, 2)]
     with pytest.raises(ValueError):
         delete_vertex(c4, 9)
+
+
+def _half_edges(csr):
+    # (source, flat index) of every half-edge of a CSR adjacency
+    return np.repeat(np.arange(len(csr.deg)), csr.deg), np.arange(len(csr.nbrs))
+
+
+def test_csr_back_reverses_half_edges(catalog6):
+    graphs = list(catalog6) + [gen_graph("gnp", n=n, d=3.0, seed=s)
+                               for n in (20, 200) for s in range(3)]
+    graphs.append(graph_from_edges(5, []))
+    for g in graphs:
+        csr = g.csr
+        src, flat = _half_edges(csr)
+        assert (csr.nbrs[csr.back] == src).all()
+        assert (csr.back[csr.back] == flat).all()
+    # steps lists every half-edge out of a vertex but its arrival, by row
+    csr = graphs[-2].csr
+    src, flat = _half_edges(csr)
+    rows, got = csr.steps(csr.nbrs, csr.back)
+    want = [f for a, w in zip(csr.back, csr.nbrs)
+            for f in range(csr.indptr[w], csr.indptr[w + 1]) if f != a]
+    assert got.tolist() == want
+    assert (rows == np.repeat(flat, csr.deg[csr.nbrs] - 1)).all()
+    rows, got = csr.steps(np.arange(csr.deg.size))
+    assert got.tolist() == flat.tolist() and rows.tolist() == src.tolist()
+
+
+def test_csr_without_vertices():
+    # a left-out vertex keeps its own list, so only half-edges between kept
+    # vertices have a reverse; every other back entry stays in range
+    rng = random.Random(7)
+    for n in (12, 40, 200):
+        g = gen_graph("gnp", n=n, d=3.5, seed=n)
+        for trial in range(6):
+            gone = np.zeros(n, dtype=bool)
+            if trial:
+                gone[rng.sample(range(n), rng.randrange(1, n // 3))] = True
+            else:
+                # the reverse 0 -> a of a left-out a -> 0 precedes every
+                # kept half-edge
+                gone[list(g.adjacency[0])] = True
+            csr = g.csr.without(gone)
+            lists = [[w for w in nbrs if not gone[w]] for nbrs in g.adjacency]
+            assert [csr.nbrs[csr.indptr[u]:csr.indptr[u + 1]].tolist()
+                    for u in range(n)] == lists
+            assert csr.deg.tolist() == list(map(len, lists))
+            src, flat = _half_edges(csr)
+            assert ((0 <= csr.back) & (csr.back < len(flat))).all()
+            kept = ~gone[src] & ~gone[csr.nbrs]
+            assert (csr.nbrs[csr.back][kept] == src[kept]).all()
+            assert (csr.back[csr.back][kept] == flat[kept]).all()

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sawcount.graph import gen_graph, graph_from_edges
@@ -182,6 +183,12 @@ def test_saw_counts_frozen_growth_root():
     assert counts == [7, 17, 62, 179, 538, 1656, 5022, 14823, 44188,
                       131462, 390508, 1159141]
     assert all(type(c) is int for c in counts)
+
+
+def test_saw_counts_int32_ids(sparse40k):
+    # above 32767 vertices the CSR keeps vertex ids as int32
+    assert sparse40k.csr.nbrs.dtype == np.int32
+    assert saw_counts(sparse40k, 32774, 7) == dfs_saw_counts(sparse40k, 32774, 7)
 
 
 def test_boundary_validation():
