@@ -30,10 +30,7 @@ class Csr:
     are int16 when n <= 32767 and int32 above.
 
     A flat index f into nbrs names the half-edge u -> nbrs[f], and back[f]
-    is the flat index of its reverse, nbrs[f] -> u.  In an adjacency
-    `without` some vertices, a left-out vertex still lists its kept
-    neighbors, and back[f] of such a half-edge is some index in range,
-    not a reverse."""
+    is the flat index of its reverse, nbrs[f] -> u."""
 
     deg: np.ndarray
     indptr: np.ndarray
@@ -52,24 +49,21 @@ class Csr:
         # the keys u*n + w of the half-edges u -> w ascend in flat order
         src = np.repeat(np.arange(n, dtype=np.intp), deg)
         key = src * n + nbrs
-        back = np.searchsorted(key, nbrs * np.intp(n) + src)
+        back = np.searchsorted(key, nbrs.astype(np.intp) * n + src)
         return cls(deg, indptr, nbrs, back)
 
     def without(self, gone) -> Csr:
         """This adjacency with the vertices where the bool mask `gone` is
-        set left out of every neighbor list, in O(n + m).  A left-out
-        vertex keeps its own list, so a half-edge out of it has no reverse
-        and its back entry is only in range."""
-        keep = ~gone.take(self.nbrs)
+        set left out, in O(n + m): every half-edge at a left-out vertex is
+        dropped, so those vertices keep their ids but have no neighbors."""
         src = np.repeat(np.arange(len(self.deg)), self.deg)
+        keep = ~gone.take(self.nbrs) & ~gone.take(src)
         deg = np.bincount(src[keep], minlength=len(self.deg))
         indptr = np.zeros_like(self.indptr)
         np.cumsum(deg, out=indptr[1:])
-        # the kept half-edges' new flat indices, -1 before the first
+        # the kept half-edges' new flat indices
         moved = np.cumsum(keep) - 1
-        back = moved.take(self.back[keep])
-        np.maximum(back, 0, out=back)
-        return Csr(deg, indptr, self.nbrs[keep], back)
+        return Csr(deg, indptr, self.nbrs[keep], moved.take(self.back[keep]))
 
     def steps(self, end, arrive=None):
         """(rows, flat): every half-edge flat[k] out of every vertex

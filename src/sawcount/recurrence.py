@@ -70,10 +70,7 @@ MONOMERDIMER = "monomerdimer"
 ALL_ZERO = "all_zero"
 ALL_MAX = "all_max"
 
-# nodes a depth-first pass may visit before the block walker takes over:
-# on small loopy graphs hard-core trees of a few hundred nodes still walk
-# faster depth-first, monomer-dimer ones on blocks (BENCH_steps.json)
-_CAP = {HARDCORE: 2048, MONOMERDIMER: 256}
+_CAP = 2048  # nodes a depth-first pass may visit before the block walker takes over
 _BLOCK = 1024  # rows per block of tree nodes in the block walker
 _BLOCK_DEPTH = 64  # the deepest truncation the block walker takes
 
@@ -179,10 +176,10 @@ def sandwich_values(
     Each activity takes one pass over the implicit SAW tree, in weitz
     mode for hard-core and plain mode for monomer-dimer; nodes and
     truncated do not depend on the activity.  The first pass is
-    depth-first with its budget capped at the model's `_CAP` nodes, unless
-    depth exceeds `_BLOCK_DEPTH`.  If the tree is larger and the budget
-    allows it, that pass is repeated, and the other activities walked, by
-    the block walker, which wastes at most `_CAP` nodes of work per call.
+    depth-first with its budget capped at `_CAP` nodes, unless depth
+    exceeds `_BLOCK_DEPTH`.  If the tree is larger and the budget allows
+    it, that pass is repeated, and the other activities walked, by the
+    block walker, which wastes at most `_CAP` nodes of work per call.
     Both walkers combine children in ascending-id order with the same
     float operations, so results are bit-reproducible and do not depend
     on the walker.
@@ -210,7 +207,7 @@ def sandwich_values(
         if v in boundary.assignments:
             raise ValueError("boundary must not pin the root vertex")
         blocked = boundary.blocked(g) | blocked
-    cap = budget if depth > _BLOCK_DEPTH else min(budget, _CAP[model])
+    cap = budget if depth > _BLOCK_DEPTH else min(budget, _CAP)
     walk = _sandwich
     try:
         first = _sandwich(g, v, model, acts[0], depth, blocked, cap)
@@ -468,20 +465,22 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
         # parent is on the path, tested on the columns that filter cand.
         nonlocal nodes
         rows, flat = csr.steps(cols[-1], arrive)
-        cand = csr.nbrs.take(flat, mode="clip")
+        cand = csr.nbrs.take(flat)
         dead = on = None
         if not hc:
             kid = np.ones(len(cand), dtype=bool)
             if near:
-                i = free.indptr.take(cand, mode="clip")
-                i += free.back.take(flat, mode="clip") == i
-                other = free.nbrs.take(i, mode="clip")  # any vertex when cand has no other
+                i = free.indptr.take(cand)
+                i += free.back.take(flat) == i
+                # i runs one past the list of a cand with no other neighbor
+                # (exact, so its on is unused); clip keeps it in range
+                other = free.nbrs.take(i, mode="clip")
                 if len(cols) > 1:
-                    on = other == cols[-2].take(rows, mode="clip")
+                    on = other == cols[-2].take(rows)
                 else:
                     on = np.zeros(len(cand), dtype=bool)
             for col in cols[:-2]:
-                at = col.take(rows, mode="clip")
+                at = col.take(rows)
                 kid &= cand != at  # never a path vertex
                 if near:
                     on |= other == at
@@ -489,7 +488,7 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
         else:
             copy = np.zeros(len(cand), dtype=bool)
             for col in cols[:-2]:
-                copy |= cand == col.take(rows, mode="clip")  # a loop copy
+                copy |= cand == col.take(rows)  # a loop copy
             if copy.any():
                 # pinned by loop_copy_occupied: occupied when the path vertex
                 # after the copied one has a smaller id than the node
@@ -528,11 +527,11 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
             for lo in range(0, len(test), _BLOCK):
                 part = test[lo:lo + _BLOCK]
                 sub, nxt = free.steps(cand[part], free.back.take(flat[part]))
-                nxt = free.nbrs.take(nxt, mode="clip")
+                nxt = free.nbrs.take(nxt)
                 ext = np.ones(len(nxt), dtype=bool)
                 at = rows[part].take(sub)
                 for col in cols[:-1]:
-                    ext &= nxt != col.take(at, mode="clip")
+                    ext &= nxt != col.take(at)
                 exact[part] = np.bincount(sub[ext], minlength=len(part)) == 0
         truncated = truncated or not exact.all()
         width = len(cols[-1])
@@ -569,9 +568,9 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
         if not closed:
             cols = blk[0]
             rows, cand, flat, blk[4], _ = step(cols, blk[1])
-            kids = [col.take(rows, mode="clip") for col in cols]
+            kids = [col.take(rows) for col in cols]
             kids.append(cand)
-            arrive = csr.back.take(flat, mode="clip")
+            arrive = csr.back.take(flat)
             if len(cols) < last:
                 stack.append((blk, True))
                 for lo in reversed(range(0, len(cand), _BLOCK)):

@@ -260,18 +260,18 @@ def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
         cols, arrive = stack.pop()
         length = len(cols)  # of the walks this block extends to
         rows, flat = csr.steps(cols[-1], arrive)
-        cand = csr.nbrs.take(flat, mode="clip")
+        cand = csr.nbrs.take(flat)
         if length == l_max:
             # count only: a candidate on the walk equals exactly one
             # position older than its parent
             found = len(cand) - sum(
-                int(np.count_nonzero(cand == col.take(rows, mode="clip"))) for col in cols[:-2]
+                int(np.count_nonzero(cand == col.take(rows))) for col in cols[:-2]
             )
         else:
             if length > 2:
-                keep = cand != cols[0].take(rows, mode="clip")
+                keep = cand != cols[0].take(rows)
                 for col in cols[1:-2]:
-                    keep &= cand != col.take(rows, mode="clip")
+                    keep &= cand != col.take(rows)
                 rows, flat, cand = rows[keep], flat[keep], cand[keep]
             found = len(cand)
         counts[length] += found
@@ -280,9 +280,9 @@ def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
             raise NodeBudgetError(max(budget, 0) + 1)
         if length == l_max or not found:
             continue
-        children = [col.take(rows, mode="clip") for col in cols]
+        children = [col.take(rows) for col in cols]
         children.append(cand)
-        arrive = csr.back.take(flat, mode="clip")
+        arrive = csr.back.take(flat)
         for lo in range(0, found, _BLOCK):
             stack.append(([col[lo:lo + _BLOCK] for col in children], arrive[lo:lo + _BLOCK]))
     return counts[1:]

@@ -270,7 +270,7 @@ def test_block_walker_int32_ids(sparse40k):
         for drop in (frozenset(), blocked):
             args = (g, 32774, model, 1.0, 9, drop)
             want = recurrence._sandwich(*args, 10**7)
-            assert want[1] > recurrence._CAP[model]
+            assert want[1] > recurrence._CAP
             assert recurrence._sandwich_blocks(*args, 10**7) == want
             assert (_walk(recurrence._sandwich_blocks, *args, want[1] // 2)
                     == ("budget", want[1] // 2 + 1))
@@ -303,7 +303,7 @@ def test_sandwich_values_above_the_cap(monkeypatch):
     # a budget above the cap runs out in the block walker, one at or below
     # it in the depth-first pass; both report the first node over budget
     for model in (HARDCORE, MONOMERDIMER):
-        for budget in (24484, recurrence._CAP[model], 100):
+        for budget in (24484, recurrence._CAP, 100):
             with pytest.raises(NodeBudgetError) as err:
                 sandwich_values(big, 943, model, [1.0], 10, budget=budget)
             assert err.value.nodes_expanded == budget + 1
