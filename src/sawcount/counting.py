@@ -11,20 +11,23 @@ ascending id.  Writing G_i for G with v_0..v_{i-1} deleted:
 Each factor is a marginal on G itself with v_0..v_{i-1} blocked, so no
 graph is rebuilt.  It comes from a certified marginal interval, so the
 product interval encloses Z regardless of any decay assumption.  Only
-the feedback vertices lie on cycles of their G_i; every later vertex
-lies in a forest, whose SAW tree is the forest component itself, so its
-factor is exact at full expansion.  One stopping rule serves both models:
-each feedback factor is deepened until its log-width is within a running
-share of eps, so the final interval ratio is at most e^eps <=
-(1+eps)^2, and the reported value (the geometric interval midpoint) is
-within a factor 1+-eps of Z.  Accumulation is in log space.
+the feedback vertices lie on cycles of their G_i; the later vertices
+make up the forest G minus the feedback set, whose factors multiply to
+its partition function, which one bottom-up pass gives exactly.  One
+stopping rule serves both models: each feedback factor is deepened until
+its log-width is within its share of eps.  The shares follow each
+factor's predicted cost, fitted from its first passes, and are re-split
+from the allowance still unspent as the factors finish, so the final
+interval ratio is at most e^eps <= (1+eps)^2 whatever the fit, and the
+reported value (the geometric interval midpoint) is within a factor
+1+-eps of Z.  Accumulation is in log space.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
-from . import recurrence
 from .graph import Graph, degree_stats
 from .recurrence import (
     HARDCORE,
@@ -33,11 +36,15 @@ from .recurrence import (
     ApproxResult,
     ModelParams,
     _adaptive,
+    _Deepening,
 )
-from .sawtree import UNOCCUPIED, BoundaryCondition, NodeBudgetError
+from .sawtree import UNOCCUPIED, BoundaryCondition
 
 ORACLE_MAX_VERTICES = 28
 ORACLE_MAX_EDGES = 40
+
+_PROBE_DEPTH = 4  # every feedback factor is deepened this far before the shares are fitted
+_BISECTIONS = 60  # halvings of the bracket on log mu in `_cost_shares`
 
 
 # ---------------------------------------------------------------------------
@@ -194,20 +201,36 @@ def _telescope(g, params, eps, budget):
     """The telescope of both models, in the cycle-cutting order of
     `_cycle_cutting_order`: factor i is the marginal of vertex order[i] on
     g with order[:i] deleted (see `sandwich_values`, argument `blocked`).
-    The budget defaults to 10**7 nodes per vertex.  On budget exhaustion
-    it pads the failed and all later factors with their a-priori bounds
-    and reports the failed vertex.
+    The budget defaults to 10**7 nodes per vertex, handed out as each
+    factor starts: (budget - nodes spent) // (vertices left).  On budget
+    exhaustion the failed vertex is reported, each feedback factor keeps
+    the best bracket it reached (narrowed to its a-priori bounds, or those
+    bounds if it has none), and the forest factors get their a-priori
+    bounds.
 
     Only the first k factors, of the feedback vertices, lie on cycles and
-    are truncated: factor i < k is deepened until its log-width is at most
-    an equal share of the allowance still unspent, (allowance - spent) /
-    (k - i).  The shares never decrease (a factor that finishes under its
-    share passes the rest on), the spent total never exceeds the
-    allowance, and the allowance leaves room for the roundoff pad, so
-    log(hi/lo) <= eps holds by construction.  Every later factor lies in
-    a tree, whose SAW tree is the tree itself: one untruncated pass at
-    depth n - i (more than the n - i vertices left allow) gives it
-    exactly.  Only the truncated factors count toward depth_max_used.
+    are truncated, each by an `_adaptive` loop run in two stages:
+
+      probe -- every feedback factor runs the passes of its loop up to
+          depth `_PROBE_DEPTH` (depths 0, 1, 2 and 4 as a rule) against
+          an equal share of the allowance.  A factor that meets it, or
+          whose tree ends, is settled.
+      resume -- `_cost_shares` splits what the settled factors left of
+          the allowance over the others by their cost fits.  Each loop
+          then goes on from its probe passes, in order, towards the
+          allowance still unspent times its weight over the weights of
+          the factors not yet run.
+
+    A factor that finishes under its target passes the rest on, the spent
+    total never exceeds the allowance whatever the weights, and the
+    allowance leaves room for the roundoff pad, so log(hi/lo) <= eps holds
+    by construction: a bad fit costs nodes, never the certificate.
+
+    Every later vertex lies in the forest g minus the feedback set, whose
+    factors multiply to its partition function: one pass of
+    `_forest_log_z` gives them at one node per vertex, which the
+    per-vertex budget always grants.  Only the truncated factors count
+    toward depth_max_used.
     """
     if not (0 < eps <= 1):
         raise ValueError("eps must be in (0, 1]")
@@ -217,7 +240,6 @@ def _telescope(g, params, eps, budget):
     if budget is None:
         budget = 10**7 * n
     model = params.model
-    act = [params.activity]
     pad = _roundoff_pad(g, params)
     allowance = eps * (1.0 - 1e-9) - 2.0 * pad
 
@@ -226,45 +248,62 @@ def _telescope(g, params, eps, budget):
         return fhi - flo
 
     order, k = _cycle_cutting_order(g)
+    blocked = [frozenset(order[:i]) for i in range(k)]
+    loops = [_Deepening() for _ in range(k)]
+    nodes = 0
+    failed = None
+
+    def deepen(i, target, until=None):
+        # go on with factor i's loop; False when the budget ran out
+        nonlocal nodes, failed
+        loop = loops[i]
+        before = loop.total
+        limit = before + max(1, (budget - nodes) // (n - i))
+        try:
+            _adaptive(g, order[i], params, log_width, target, None, limit,
+                      blocked[i], loop, until)
+        except AdaptiveBudgetError as exc:
+            failed = order[i]
+            nodes += exc.nodes_expanded - before
+            return False
+        nodes += loop.total - before
+        return True
+
+    share = allowance / max(1, k)
+    if all(deepen(i, share, _PROBE_DEPTH) for i in range(k)):
+        open_ = [i for i, loop in enumerate(loops) if not loop.settled(share)]
+        spent = sum(loop.passes[-1][1] for loop in loops if loop.settled(share))
+        if open_:
+            even = (allowance - spent) / len(open_)
+            weights = _cost_shares([_cost_fit(loops[i].passes) for i in open_],
+                                   allowance - spent)
+            # a weight that is not a positive share counts as no fit
+            weights = [w if 0 < w < math.inf else even for w in weights]
+            rest = list(itertools.accumulate(reversed(weights)))[::-1]
+            for i, w, r in zip(open_, weights, rest):
+                if not deepen(i, (allowance - spent) * min(1.0, w / r)):
+                    break
+                spent += loops[i].passes[-1][1]
+
     log_lo = 0.0
     log_hi = 0.0
     depth_max = 0
-    nodes = 0
-    failed_vertex = None
-    taken = set()
-    for i, v in enumerate(order):
-        if failed_vertex is None:
-            vertex_budget = max(1, (budget - nodes) // (n - i))
-            try:
-                if i < k:
-                    share = (allowance - (log_hi - log_lo)) / (k - i)
-                    lo, hi, depth, used = _adaptive(
-                        g, v, params, log_width, share, None, vertex_budget, taken
-                    )
-                    depth_max = max(depth_max, depth)
-                else:
-                    # looked up on the module at call time, as _adaptive's
-                    # passes are, so a wrapper of it sees every pass
-                    pairs, used, _ = recurrence.sandwich_values(
-                        g, v, model, act, n - i, None, vertex_budget, taken
-                    )
-                    lo, hi = pairs[0]
-            except AdaptiveBudgetError as exc:
-                failed_vertex = v
-                lo, hi = _trivial_bracket(params, g, v, exc.lo, exc.hi)
-                depth_max = max(depth_max, exc.depth)
-                used = exc.nodes_expanded
-            except NodeBudgetError as exc:
-                failed_vertex = v
-                lo, hi = _trivial_bracket(params, g, v)
-                used = exc.nodes_expanded
-            nodes += used
-        else:
-            lo, hi = _trivial_bracket(params, g, v)
-        flo, fhi = _log_factor(model, lo, hi)
+    for v, loop in zip(order, loops):
+        lo, hi, depth = loop.best or (None, None, 0)
+        depth_max = max(depth_max, depth)
+        flo, fhi = _log_factor(model, *_trivial_bracket(params, g, v, lo, hi))
         log_lo += flo
         log_hi += fhi
-        taken.add(v)
+    if failed is None:
+        log_z = _forest_log_z(g, params, order[:k])
+        log_lo += log_z
+        log_hi += log_z
+        nodes += n - k
+    else:
+        for v in order[k:]:
+            flo, fhi = _log_factor(model, *_trivial_bracket(params, g, v))
+            log_lo += flo
+            log_hi += fhi
     log_mid = 0.5 * (log_lo + log_hi)
     log_lo -= pad
     log_hi += pad
@@ -275,12 +314,115 @@ def _telescope(g, params, eps, budget):
         eps_requested=eps,
         depth_max_used=depth_max,
         nodes_expanded=nodes,
-        converged=failed_vertex is None,
+        converged=failed is None,
         log_value=log_mid,
-        failed_vertex=failed_vertex,
+        failed_vertex=failed,
         log_lo=log_lo,
         log_hi=log_hi,
     )
+
+
+def _cost_fit(passes):
+    """(beta, log A, width reached) of a factor's cost model from its last
+    two passes, or None without a usable fit.
+
+    With width W rho**d and nodes B b**d at depth d, reaching width s
+    takes about A s**-beta nodes, beta = log b / log(1/rho).  Through the
+    last pass (depth d, width w, n nodes), A = n w**beta.
+    """
+    (_, w0, n0), (_, w1, n1) = passes
+    if not (0.0 < w1 < w0 < math.inf and n1 > n0):
+        return None
+    beta = math.log(n1 / n0) / math.log(w0 / w1)
+    return beta, math.log(n1) + beta * math.log(w1), w1
+
+
+def _cost_shares(fits, total):
+    """Shares of `total` log-width for factors with the cost fits of
+    `_cost_fit`, which minimize their predicted nodes.
+
+    A factor without a fit gets total / len(fits).  The others split the
+    rest: minimizing sum_i A_i s_i**-beta_i subject to sum_i s_i fixed
+    gives s_i = (beta_i A_i / mu)**(1/(1 + beta_i)), each capped at the
+    width its factor has reached already, with mu found by bisection on
+    log mu.  The shares sum to at most `total`.
+    """
+    even = total / len(fits)
+    fitted = [f for f in fits if f is not None]
+    part = even * len(fitted)
+    if not fitted or part <= 0:
+        return [even] * len(fits)
+
+    def shares(log_mu):
+        return [min(cap, math.exp((math.log(beta) + log_a - log_mu) / (1.0 + beta)))
+                for beta, log_a, cap in fitted]
+
+    if sum(cap for _, _, cap in fitted) <= part:
+        best = [cap for _, _, cap in fitted]
+    else:
+        # every share is at least part below lo, at most part/len above hi
+        lo = min(math.log(b) + a - (1.0 + b) * math.log(part) for b, a, _ in fitted)
+        hi = max(math.log(b) + a - (1.0 + b) * math.log(part / len(fitted))
+                 for b, a, _ in fitted)
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            if sum(shares(mid)) > part:
+                lo = mid
+            else:
+                hi = mid
+        best = shares(hi)
+    it = iter(best)
+    return [even if f is None else next(it) for f in fits]
+
+
+def _forest_log_z(g, params, cut):
+    """log Z of g minus the vertices `cut`, which must leave a forest, in
+    one bottom-up pass.
+
+    Each component is rooted at its lowest id, listed breadth first and
+    folded from the last listed vertex back, each vertex's children in
+    ascending id as the sandwich walkers fold them: R_u = lambda prod
+    1/(1 + R_c) (hard-core) or p_u = 1/(1 + gamma sum p_c) (monomer-dimer)
+    over the children c of u.  Deleting the vertices leaf to root is a
+    telescope of its own whose factor at u is the marginal of u's
+    subtree, so log Z = sum_u log(1 + R_u), resp. sum_u -log p_u.
+    """
+    a = params.activity
+    hc = params.model == HARDCORE
+    adj = g.adjacency
+    parent = [-1] * g.n
+    done = bytearray(g.n)
+    for v in cut:
+        done[v] = 1
+    value = [0.0] * g.n
+    out = 0.0
+    for root in range(g.n):
+        if done[root]:
+            continue
+        done[root] = 1
+        tree = [root]
+        for u in tree:  # breadth first: the list grows as it is read
+            for w in adj[u]:
+                if not done[w]:
+                    done[w] = 1
+                    parent[w] = u
+                    tree.append(w)
+        for u in reversed(tree):
+            if hc:
+                x = a
+                for w in adj[u]:
+                    if parent[w] == u:
+                        x *= 1.0 / (1.0 + value[w])
+                out += math.log1p(x)
+            else:
+                s = 0.0
+                for w in adj[u]:
+                    if parent[w] == u:
+                        s += value[w]
+                x = 1.0 / (1.0 + a * s)
+                out -= math.log(x)
+            value[u] = x
+    return out
 
 
 def _roundoff_pad(g, params):
@@ -334,7 +476,7 @@ def partition_hc(
     Each deleted vertex contributes the factor 1 + R from its pinned
     walk-tree ratio, with the vertices deleted before it pinned
     unoccupied.  A feedback vertex's factor is bracketed until its
-    log-width log(1+R_hi) - log(1+R_lo) fits its running share of eps,
+    log-width log(1+R_hi) - log(1+R_lo) fits its cost-aware share of eps,
     and every other factor is exact (see `_telescope`), so the full
     product interval ratio is at most e^eps.  The budget defaults to
     10**7 nodes per marginal (10**7 * n total).  Inputs with activity
@@ -362,7 +504,7 @@ def partition_md(
     Each deleted vertex contributes the factor 1/p from its monomer
     probability, with the vertices deleted before it blocked.  A feedback
     vertex's factor is bracketed until its log-width log(p_hi) - log(p_lo)
-    fits its running share of eps, and every other factor is exact (see
+    fits its cost-aware share of eps, and every other factor is exact (see
     `_telescope`), so the full product interval ratio is at most e^eps.
     The budget defaults to 10**7 nodes per marginal.
     """

@@ -39,16 +39,16 @@ O(depth**2 * _BLOCK * max degree) entries beside the temporaries of one
 block's scan.  A numpy pass costs a fixed 100-200 us per block, more
 than a small tree takes depth-first, so the depth-first walker stays for
 the small trees, which are most calls of a telescope.  It also stays for
-truncations deeper than `_BLOCK_DEPTH`, such as the untruncated passes
-of a telescope's forest factors: a deep thin tree holds a few nodes per
-block, and the block walker's path arrays grow with the square of its
-depth.  Every walk runs in the calling thread.
+truncations deeper than `_BLOCK_DEPTH`, such as a full expansion of a
+long path: a deep thin tree holds a few nodes per block, and the block
+walker's path arrays grow with the square of its depth.  Every walk runs
+in the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -743,10 +743,48 @@ def marginal_adaptive(
     )
 
 
-def _adaptive(g, v, params, measure, target, boundary, budget, blocked=frozenset()):
+@dataclass
+class _Deepening:
+    """Where one `_adaptive` loop stands between calls, so that a caller
+    can run it in stages: the last two passes as (depth, measure, nodes),
+    oldest first, the interval of the last pass and whether its tree was
+    truncated, the best (smallest-measure) interval as (lo, hi, depth),
+    and the nodes of all passes."""
+
+    passes: list = field(default_factory=list)
+    last: tuple = (0.0, 0.0)
+    truncated: bool = True
+    best: tuple | None = None
+    best_w: float = math.inf
+    total: int = 0
+
+    def settled(self, target) -> bool:
+        """Whether the last pass met `target` or expanded the whole tree."""
+        return bool(self.passes) and (self.passes[-1][1] <= target or not self.truncated)
+
+    def next_depth(self, target, budget) -> int:
+        """The depth of the next pass (see `_adaptive`)."""
+        depth, w, nodes = self.passes[-1]
+        step = 1
+        # a pass that did not stop measured above target, so with target > 0
+        # the ratio is defined; an infinite measure gives no usable rate
+        if len(self.passes) == 2 and target > 0 and 0.0 < w / self.passes[0][1] < 1.0:
+            prev = self.passes[0]
+            levels = depth - prev[0]
+            per_level = math.log(w / prev[1]) / levels
+            step = max(1, min(depth, math.ceil(math.log(target / w) / per_level)))
+            growth = math.log(nodes / prev[2]) / levels
+            left = budget - self.total
+            if growth > 0 and left > 0:
+                step = max(1, min(step, int(math.log(left / nodes) / growth)))
+        return depth + step
+
+
+def _adaptive(g, v, params, measure, target, boundary, budget, blocked=frozenset(),
+              state=None, until=None):
     """Deepen the sandwich at v (of g minus `blocked`, see sandwich_values)
     until measure(lo, hi) <= target or the tree is fully expanded; returns
-    (lo, hi, depth, nodes expanded in total).
+    (lo, hi, depth, nodes expanded in total) of the last pass.
 
     After each truncated pass the per-level contraction of the measure is
     fitted from the last two passes, rate = (w / w_prev)**(1/depth step),
@@ -758,41 +796,37 @@ def _adaptive(g, v, params, measure, target, boundary, budget, blocked=frozenset
     rate (a measure that is infinite or did not shrink) the depth steps
     by 1.  Raises AdaptiveBudgetError with the best (smallest-measure)
     interval found if the budget runs out first.
+
+    The loop can run in stages.  A `state` (a `_Deepening`) carries it
+    from one call to the next, and `until` stops it, unsettled, after
+    its first pass at that depth or deeper.  A later call with the same
+    state goes on from the passes already made, under its own target,
+    and with `budget` counting the nodes of the earlier calls as well.
+    One call without either runs the passes that the stages would.
     """
-    bmax = params.activity if params.model == HARDCORE else 1.0
-    best = (0.0, bmax, 0)
-    best_w = math.inf
-    total = 0
-    depth = 0
-    prev = None  # (depth, measure, nodes) of the previous pass
+    st = _Deepening() if state is None else state
     while True:
-        remaining = budget - total
+        if not st.passes:
+            depth = 0
+        elif st.settled(target) or until is not None and st.passes[-1][0] >= until:
+            return (*st.last, st.passes[-1][0], st.total)
+        else:
+            depth = st.next_depth(target, budget)
+        best = st.best or (0.0, params.activity if params.model == HARDCORE else 1.0, 0)
+        remaining = budget - st.total
         if remaining <= 0:
-            raise AdaptiveBudgetError(*best, total)
+            raise AdaptiveBudgetError(*best, st.total)
         try:
             pairs, nodes, truncated = sandwich_values(
                 g, v, params.model, [params.activity], depth, boundary,
                 remaining, blocked,
             )
         except NodeBudgetError as exc:
-            raise AdaptiveBudgetError(*best, total + exc.nodes_expanded)
-        total += nodes
-        lo, hi = pairs[0]
-        w = measure(lo, hi)
-        if w < best_w:
-            best, best_w = (lo, hi, depth), w
-        if w <= target or not truncated:
-            return lo, hi, depth, total
-        step = 1
-        # a pass that did not stop measured above target, so with target > 0
-        # the ratio is defined; an infinite measure gives no usable rate
-        if prev is not None and target > 0 and 0.0 < w / prev[1] < 1.0:
-            levels = depth - prev[0]
-            per_level = math.log(w / prev[1]) / levels
-            step = max(1, min(depth, math.ceil(math.log(target / w) / per_level)))
-            growth = math.log(nodes / prev[2]) / levels
-            left = budget - total
-            if growth > 0 and left > 0:
-                step = max(1, min(step, int(math.log(left / nodes) / growth)))
-        prev = (depth, w, nodes)
-        depth += step
+            raise AdaptiveBudgetError(*best, st.total + exc.nodes_expanded)
+        st.total += nodes
+        st.last = pairs[0]
+        st.truncated = truncated
+        w = measure(*st.last)
+        if w < st.best_w:
+            st.best, st.best_w = (*st.last, depth), w
+        st.passes = [*st.passes[-1:], (depth, w, nodes)]

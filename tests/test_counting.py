@@ -3,9 +3,11 @@ from decimal import Decimal
 
 import pytest
 
-from sawcount import recurrence
+from sawcount import counting, recurrence
 from sawcount.counting import (
+    _cost_shares,
     _cycle_cutting_order,
+    _forest_log_z,
     _roundoff_pad,
     oracle_Z,
     oracle_marginal,
@@ -261,8 +263,8 @@ def test_partition_exact_on_forests():
 
 def test_partition_truncates_only_feedback_factors(monkeypatch):
     # every factor runs on the original graph with the earlier vertices
-    # blocked; only the feedback vertices' factors are ever truncated, and
-    # each later factor is a single untruncated pass
+    # blocked; only the feedback vertices' factors make sandwich passes, and
+    # the forest tail makes none (one pass of `_forest_log_z` gives it)
     calls = []
 
     def recording(g, v, model, activities, depth, boundary=None, budget=10**7,
@@ -282,8 +284,93 @@ def test_partition_truncates_only_feedback_factors(monkeypatch):
             assert partition(g, act, 0.01).converged
             assert all(position[v] == n_blocked for v, n_blocked, _ in calls)
             assert {v for v, _, truncated in calls if truncated} <= set(order[:k])
-            tail = [(v, truncated) for v, _, truncated in calls if position[v] >= k]
-            assert tail == [(v, False) for v in order[k:]]
+            assert [v for v, _, _ in calls if position[v] >= k] == []
+
+
+def _per_vertex_forest_log_z(g, params, cut):
+    # the reference telescope of the forest g minus `cut`: its vertices in
+    # ascending id, each one untruncated sandwich pass with the vertices
+    # before it blocked
+    taken = set(cut)
+    out = 0.0
+    for v in range(g.n):
+        if v in taken:
+            continue
+        pairs, _, truncated = recurrence.sandwich_values(
+            g, v, params.model, [params.activity], g.n, None, 10**7, taken)
+        (lo, hi), = pairs
+        assert lo == hi and not truncated
+        out += math.log1p(lo) if params.model == recurrence.HARDCORE else -math.log(lo)
+        taken.add(v)
+    return out
+
+
+def test_forest_log_z_matches_per_vertex_factors(catalog8):
+    # one bottom-up pass over g minus the feedback set gives the sum of the
+    # per-vertex untruncated factors to within a few ulps
+    graphs = [gen_graph("gnp", n=50, d=3.0, seed=s) for s in (1, 2, 3, 4)]
+    graphs += [g for g in catalog8 if g.num_edges == g.n - 1]  # the trees
+    assert len(graphs) == 4 + 48
+    for g in graphs:
+        order, k = _cycle_cutting_order(g)
+        for params in (hardcore(0.5), hardcore(2.0), monomerdimer(1.0), monomerdimer(0.3)):
+            got = _forest_log_z(g, params, order[:k])
+            want = _per_vertex_forest_log_z(g, params, order[:k])
+            assert abs(got - want) <= 8 * math.ulp(want)
+
+
+def test_cost_shares():
+    # shares sum to the total, no share exceeds the width its factor has
+    # reached, factors without a fit get an even share, and the uncapped
+    # shares equalize the marginal cost beta A s**(-beta - 1)
+    fits = [(1.5, math.log(2e3), 1.0), None, (3.0, math.log(40.0), 1.0),
+            (2.0, math.log(10.0), 1e-4)]
+    total = 0.02
+    shares = _cost_shares(fits, total)
+    assert shares[1] == total / 4
+    assert shares[3] == 1e-4  # capped
+    assert sum(shares) == pytest.approx(total, rel=1e-9) and sum(shares) <= total
+    cost = [b * math.exp(a) * s ** (-b - 1) for (b, a, _), s in
+            ((fits[0], shares[0]), (fits[2], shares[2]))]
+    assert cost[0] == pytest.approx(cost[1], rel=1e-9)
+    # every width already reached: the shares are the widths
+    assert _cost_shares([(1.0, 0.0, 1e-3), (2.0, 0.0, 2e-3)], 0.01) == [1e-3, 2e-3]
+    assert _cost_shares([None, None], 0.01) == [0.005, 0.005]
+
+
+@pytest.mark.parametrize("skew", ["first", "last", "none"])
+def test_partition_sound_under_bad_shares(monkeypatch, skew):
+    # the targets are re-split from the allowance still unspent, so shares
+    # that put all the weight on one factor, or on none, cost nodes but
+    # never the certificate
+    def bad(fits, total):
+        weights = [0.0] * len(fits)
+        if skew == "first":
+            weights[0] = total
+        elif skew == "last":
+            weights[-1] = total
+        return weights
+
+    monkeypatch.setattr(counting, "_cost_shares", bad)
+    eps = 0.01
+    cases = [(gen_graph("grid", width=5, height=5), (hardcore(1.0), monomerdimer(1.0)))]
+    cases += [(gen_graph("gnp", n=26, d=3.0, seed=s), (hardcore(0.5),)) for s in (1, 2, 3, 4)]
+    for g, models in cases:
+        for params in models:
+            partition = partition_hc if params.model == recurrence.HARDCORE else partition_md
+            res = partition(g, params.activity, eps)
+            assert res.converged
+            assert res.log_hi - res.log_lo <= eps
+            assert res.lo <= oracle_Z(g, params) <= res.hi
+
+
+def test_partition_md_nodes_fall():
+    # cost-aware shares and the one-pass forest tail: fewer tree nodes than
+    # equal shares with a sandwich pass per tail vertex (68219 and 45466)
+    grid = gen_graph("grid", width=6, height=6)
+    assert partition_md(grid, 1.0, 0.01).nodes_expanded < 68219
+    g = gen_graph("gnp", n=50, d=3.0, seed=3)
+    assert partition_md(g, 1.0, 0.01).nodes_expanded < 45466
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.01])
