@@ -558,6 +558,23 @@ def test_adaptive_schedule_stops_near_minimal_depth():
         assert res.nodes_expanded < doubling_nodes
 
 
+def test_adaptive_in_stages_runs_the_same_passes():
+    # a loop stopped at a depth and resumed under the same target and
+    # budget makes the passes of one uninterrupted call, bit for bit
+    g = gen_graph("gnp", n=200, d=3.0, seed=1)
+    width = lambda lo, hi: hi - lo  # noqa: E731
+    for v in (0, 7, 43):
+        for params in (hardcore(0.5), monomerdimer(1.0)):
+            for until in (0, 2, 4):
+                whole = recurrence._adaptive(g, v, params, width, 1e-3, None, 10**6)
+                state = recurrence._Deepening()
+                first = recurrence._adaptive(g, v, params, width, 1e-3, None, 10**6,
+                                             state=state, until=until)
+                assert first[2] >= until and first[3] == state.total
+                assert recurrence._adaptive(g, v, params, width, 1e-3, None, 10**6,
+                                            state=state) == whole
+
+
 def test_adaptive_budget_error():
     g = gen_graph("dary_tree", d=3, depth=8)
     with pytest.raises(AdaptiveBudgetError) as err:
