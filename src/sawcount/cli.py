@@ -289,10 +289,8 @@ def _cmd_conn_const(args, out):
     g = _read_graph(args.graph)
     if args.roots == "all":
         roots = "all"
-        root_list = list(range(g.n))
     else:
-        root_list = sample_roots(g, int(args.roots), seed=args.seed)
-        roots = root_list
+        roots = sample_roots(g, int(args.roots), seed=args.seed)
     prof = conn_profile(g, args.lmax, roots=roots, budget=args.budget)
     cfg = _base_config(
         graph=args.graph, lmax=args.lmax, roots=args.roots,

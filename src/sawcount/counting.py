@@ -203,10 +203,9 @@ def _telescope(g, params, eps, budget):
     g with order[:i] deleted (see `sandwich_values`, argument `blocked`).
     The budget defaults to 10**7 nodes per vertex, handed out as each
     factor starts: (budget - nodes spent) // (vertices left).  On budget
-    exhaustion the failed vertex is reported, each feedback factor keeps
-    the best bracket it reached (narrowed to its a-priori bounds, or those
-    bounds if it has none), and the forest factors get their a-priori
-    bounds.
+    exhaustion the failed vertex is reported and each feedback factor
+    keeps the best bracket it reached (narrowed to its a-priori bounds, or
+    those bounds if it has none); the forest factors stay exact.
 
     Only the first k factors, of the feedback vertices, lie on cycles and
     are truncated, each by an `_adaptive` loop run in two stages:
@@ -229,8 +228,9 @@ def _telescope(g, params, eps, budget):
     Every later vertex lies in the forest g minus the feedback set, whose
     factors multiply to its partition function: one pass of
     `_forest_log_z` gives them at one node per vertex, which the
-    per-vertex budget always grants.  Only the truncated factors count
-    toward depth_max_used.
+    per-vertex budget always grants, so it runs whether or not a feedback
+    factor ran out.  Only the truncated factors count toward
+    depth_max_used.
     """
     if not (0 < eps <= 1):
         raise ValueError("eps must be in (0, 1]")
@@ -294,16 +294,10 @@ def _telescope(g, params, eps, budget):
         flo, fhi = _log_factor(model, *_trivial_bracket(params, g, v, lo, hi))
         log_lo += flo
         log_hi += fhi
-    if failed is None:
-        log_z = _forest_log_z(g, params, order[:k])
-        log_lo += log_z
-        log_hi += log_z
-        nodes += n - k
-    else:
-        for v in order[k:]:
-            flo, fhi = _log_factor(model, *_trivial_bracket(params, g, v))
-            log_lo += flo
-            log_hi += fhi
+    log_z = _forest_log_z(g, params, order[:k])
+    log_lo += log_z
+    log_hi += log_z
+    nodes += n - k
     log_mid = 0.5 * (log_lo + log_hi)
     log_lo -= pad
     log_hi += pad

@@ -24,10 +24,12 @@ its fold: a product of 1/(1 + R_i) for hard-core, a sum of p_i closed by
 1/(1 + gamma*sum) for monomer-dimer.  The last tree level, about two
 thirds of a truncated tree's nodes, is counted in bulk: a node one level
 above the frontier is never pushed; its children are counted as exact
-leaves or truncated frontier nodes and its value is read off those two
-counts, bit for bit what folding them one by one gives.  The
-materialized trees of `expand_saw_tree` with `eval_hc`/`eval_md` are the
-reference implementation the walker is tested against.
+leaves or truncated frontier nodes, and its pair is read off one linear
+table by those two counts (`_leaf_table`), bit for bit what folding them
+one by one gives.  The walkers return the root's pair as walked, and
+`sandwich_values` orders it into (lo, hi).  The materialized trees of
+`expand_saw_tree` with `eval_hc`/`eval_md` are the reference
+implementation the walker is tested against.
 
 Trees of more than `_CAP` nodes are walked again by a block walker,
 which applies the same rules to up to `_BLOCK` nodes of one depth at a
@@ -38,7 +40,8 @@ block's children per depth, so its memory stays within
 O(depth**2 * _BLOCK * max degree) entries beside the temporaries of one
 block's scan.  A numpy pass costs a fixed 100-200 us per block, more
 than a small tree takes depth-first, so the depth-first walker stays for
-the small trees, which are most calls of a telescope.  It also stays for
+the small trees, which are most calls of a telescope.  It also takes
+every tree of depth 0 or 1, a single scan of the root's neighbors, and
 truncations deeper than `_BLOCK_DEPTH`, such as a full expansion of a
 long path: a deep thin tree holds a few nodes per block, and the block
 walker's path arrays grow with the square of its depth.  Every walk runs
@@ -176,13 +179,15 @@ def sandwich_values(
     Each activity takes one pass over the implicit SAW tree, in weitz
     mode for hard-core and plain mode for monomer-dimer; nodes and
     truncated do not depend on the activity.  The first pass is
-    depth-first with its budget capped at `_CAP` nodes, unless depth
+    depth-first with its budget capped at `_CAP` nodes, unless depth is
+    at most 1 (one scan of the root's neighbors, whatever its degree) or
     exceeds `_BLOCK_DEPTH`.  If the tree is larger and the budget allows
     it, that pass is repeated, and the other activities walked, by the
     block walker, which wastes at most `_CAP` nodes of work per call.
     Both walkers combine children in ascending-id order with the same
     float operations, so results are bit-reproducible and do not depend
-    on the walker.
+    on the walker.  Each walker returns the root's (x0, x1) as walked,
+    and they are ordered into (lo, hi) here.
     """
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
@@ -194,10 +199,7 @@ def sandwich_values(
     if not acts:
         raise ValueError("need at least one activity")
     for a in acts:
-        if not (math.isfinite(a) and a > 0):
-            raise ValueError("activity must be positive and finite")
-    if model not in (HARDCORE, MONOMERDIMER):
-        raise ValueError(f"unknown model {model!r}")
+        ModelParams(model, a)
     if v in blocked:
         raise ValueError("the root vertex must not be blocked")
     if boundary is not None:
@@ -207,7 +209,7 @@ def sandwich_values(
         if v in boundary.assignments:
             raise ValueError("boundary must not pin the root vertex")
         blocked = boundary.blocked(g) | blocked
-    cap = budget if depth > _BLOCK_DEPTH else min(budget, _CAP)
+    cap = budget if depth <= 1 or depth > _BLOCK_DEPTH else min(budget, _CAP)
     walk = _sandwich
     try:
         first = _sandwich(g, v, model, acts[0], depth, blocked, cap)
@@ -218,42 +220,41 @@ def sandwich_values(
         first = walk(g, v, model, acts[0], depth, blocked, budget)
     _, nodes, truncated = first
     pairs = [first[0]] + [walk(g, v, model, a, depth, blocked, budget)[0] for a in acts[1:]]
-    return pairs, nodes, truncated
+    # x0 and x1 swap the roles of lower and upper bound with depth parity
+    return [(x0, x1) if x0 <= x1 else (x1, x0) for x0, x1 in pairs], nodes, truncated
 
 
-def _last_level_value(hc, a, exact, cut):
-    """The (frontier at 0, frontier at max) values of a node one level
-    above the frontier, from its numbers of exact-leaf and truncated
-    children.
+def _leaf_table(hc, a, size):
+    """The values of a node whose i children are all at their maximum,
+    for i < size: lambda times 1/(1 + lambda), i times in sequence, for
+    hard-core, 1/(1 + gamma*i) for monomer-dimer.
 
-    Bit for bit what folding those children one at a time gives.  An
-    exact leaf folds lambda (resp. 1) into both values; a frontier child
-    folds its pin, 0 into the first and lambda (resp. 1) into the second,
-    and a hard-core pin of 0 multiplies by exactly 1.0.  So a hard-core
-    value is lambda times 1/(1 + lambda), exact resp. exact + cut times in
-    sequence, and a monomer-dimer sum is exactly float(exact) resp.
-    float(exact + cut).
+    A node one level above the frontier with `exact` exact-leaf and `cut`
+    truncated children has the pair (table[exact], table[exact + cut]),
+    bit for bit what folding those children one at a time gives, in any
+    order: an exact leaf folds lambda (resp. 1) into both values, a
+    frontier child folds its pin, 0 into the first and lambda (resp. 1)
+    into the second, and a hard-core pin of 0 multiplies by exactly 1.0,
+    a monomer-dimer one adds exactly 0.0 to an integer sum.
     """
     if not hc:
-        return 1.0 / (1.0 + a * exact), 1.0 / (1.0 + a * (exact + cut))
+        return [1.0 / (1.0 + a * i) for i in range(size)]
     factor = 1.0 / (1.0 + a)
-    x0 = a
-    for _ in range(exact):
-        x0 *= factor
-    x1 = x0
-    for _ in range(cut):
-        x1 *= factor
-    return x0, x1
+    table = [a]
+    for _ in range(size - 1):
+        table.append(table[-1] * factor)
+    return table
 
 
 def _sandwich(g, root, model, a, max_depth, blocked, budget):
     """The depth-first walker behind sandwich_values, for one activity a;
-    returns ((lo, hi), nodes, truncated).
+    returns ((x0, x1), nodes, truncated).
 
     Each tree node carries two values: its evaluation with the frontier
     pinned to 0 (x0) and the one with the frontier pinned to the maximum
-    (x1).  Which is the lower bound alternates with depth, so the root's
-    pair is ordered at the end.  The models differ in three places only:
+    (x1).  Which is the lower bound alternates with depth, so
+    sandwich_values orders the root's pair.  The models differ in three
+    places only:
 
       skipped neighbors -- the plain tree skips every vertex on the root
           path; the weitz tree skips only the parent and turns any other
@@ -268,8 +269,8 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget):
     so that level is counted in bulk: a node one level above the frontier
     (the root when max_depth is 1) is never pushed.  `last_level` scans
     its neighbors, counts its exact-leaf and truncated children, and
-    looks up its values by those two counts (`_last_level_value`).  A
-    pushed child without extensions pops with exactly its leaf value.
+    looks up its values by those two counts in `_leaf_table`.  A pushed
+    child without extensions pops with exactly its leaf value.
 
     `blocked` holds the vertices pinned unoccupied or deleted.  Hard-core
     counts a blocked child as an unoccupied leaf (factor 1), and a
@@ -295,10 +296,10 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget):
     path = [root]
     path_pos = {root: 0}
     on_path = path_pos.keys()
-    values = {}  # (exact, cut) -> _last_level_value(hc, a, exact, cut)
+    table = _leaf_table(hc, a, int(g.csr.deg.max()) + 1)
 
     def last_level(u, parent):
-        # ((x0, x1), children visited, any child truncated) of a node u one
+        # (x0, x1, children visited, any child truncated) of a node u one
         # level above the frontier; like a pushed node, u stops at its
         # first occupied child and the siblings after it are not visited
         exact = cut = 0
@@ -311,7 +312,7 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget):
                 pos = path_pos.get(w)
                 if pos is not None:
                     if loop_copy_occupied(path, pos, u):
-                        return (0.0, 0.0), seen, cut > 0
+                        return 0.0, 0.0, seen, cut > 0
                 elif w not in blocked:
                     if len(adj[w]) == 1 or blocked and len(adj_sets[w] - blocked) == 1:
                         exact += 1  # no neighbor but u outside blocked
@@ -328,19 +329,16 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget):
                         cut += 1
             del path_pos[u]
             seen = exact + cut
-        value = values.get((exact, cut))
-        if value is None:
-            value = values[exact, cut] = _last_level_value(hc, a, exact, cut)
-        return value, seen, cut > 0
+        return table[exact], table[exact + cut], seen, cut > 0
 
     # a budget error reports the first node over budget, budget + 1
     last = max_depth - 1  # the depth of the nodes that last_level scans
     if last == 0:
-        (x0, x1), seen, truncated = last_level(root, -1)
+        x0, x1, seen, truncated = last_level(root, -1)
         nodes = 1 + seen
         if nodes > budget:
             raise NodeBudgetError(budget + 1)
-        return ((x0, x1) if x0 <= x1 else (x1, x0)), nodes, truncated
+        return (x0, x1), nodes, truncated
 
     nodes = 1
     truncated = False
@@ -376,7 +374,7 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget):
                 path_pos[w] = len(path)
                 path.append(w)
                 break
-            (y0, y1), seen, cut = last_level(w, vtx)
+            y0, y1, seen, cut = last_level(w, vtx)
             nodes += seen
             if nodes > budget:
                 raise NodeBudgetError(budget + 1)
@@ -407,12 +405,12 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget):
             fr[3] += x0
             fr[4] += x1
 
-    return ((x0, x1) if x0 <= x1 else (x1, x0)), nodes, truncated
+    return (x0, x1), nodes, truncated
 
 
 def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
     """The block walker behind sandwich_values, for trees above `_CAP`
-    nodes; returns what `_sandwich` returns, bit for bit, for max_depth >= 1
+    nodes; returns what `_sandwich` returns, bit for bit, for max_depth >= 2
     and an unblocked root.
 
     It walks the same tree, but a block of up to `_BLOCK` nodes of one depth
@@ -424,12 +422,12 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
     depth-first walker's order, and applies its other rules: the skipped
     path vertices, the Weitz loop pin, the stop at a first occupied child.
     Children one level above the frontier are scanned in bulk (`scan`):
-    their values are looked up by their numbers of exact-leaf and
-    truncated children.  A monomer-dimer frontier child is exact when no
-    neighbour of it is off the path; `step` tests its first neighbour
-    other than its parent on the same path columns that filter the child,
-    and only the few whose first neighbour is on the path are tested on
-    all neighbours.  Deeper children are cut into blocks and pushed on a
+    their values are looked up in `_leaf_table` by their numbers of
+    exact-leaf and truncated children.  A monomer-dimer frontier child is
+    exact when no neighbour of it is off the path; `step` tests its first
+    neighbour other than its parent on the same path columns that filter
+    the child, and only the few whose first neighbour is on the path are
+    tested on all neighbours.  Deeper children are cut into blocks and pushed on a
     LIFO stack above their parent block, which waits there under a
     marker.  When the marker pops, every child block has been folded in,
     so the parent's values are closed and folded into its own parent.
@@ -450,9 +448,7 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
         free = csr.without(is_blocked)
         if not hc:
             csr = free
-    # table[i] is the value of a last-level node with i children, so that
-    # _last_level_value(hc, a, exact, cut) is (table[exact], table[exact + cut])
-    table = np.array([_last_level_value(hc, a, i, 0)[0] for i in range(int(csr.deg.max()) + 1)])
+    table = np.array(_leaf_table(hc, a, int(csr.deg.max()) + 1))
     nodes = 1
     truncated = False
 
@@ -475,10 +471,7 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
                 # i runs one past the list of a cand with no other neighbor
                 # (exact, so its on is unused); clip keeps it in range
                 other = free.nbrs.take(i, mode="clip")
-                if len(cols) > 1:
-                    on = other == cols[-2].take(rows)
-                else:
-                    on = np.zeros(len(cand), dtype=bool)
+                on = other == cols[-2].take(rows)
             for col in cols[:-2]:
                 at = col.take(rows)
                 kid &= cand != at  # never a path vertex
@@ -549,12 +542,7 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
             np.add.at(blk[2], rows, y0)
             np.add.at(blk[3], rows, y1)
 
-    cols = [np.array([root], dtype=csr.nbrs.dtype)]
     last = max_depth - 1  # the depth of the nodes that scan reads off
-    if last == 0:
-        x0, x1 = (float(y[0]) for y in scan(cols, None))
-        return ((x0, x1) if x0 <= x1 else (x1, x0)), nodes, truncated
-
     start = a if hc else 0.0
 
     def block(cols, arrive, parent, prow):
@@ -562,7 +550,7 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
         width = len(cols[-1])
         return [cols, arrive, np.full(width, start), np.full(width, start), None, parent, prow]
 
-    stack = [(block(cols, None, None, None), False)]
+    stack = [(block([np.array([root], dtype=csr.nbrs.dtype)], None, None, None), False)]
     while True:
         blk, closed = stack.pop()
         if not closed:
@@ -587,8 +575,7 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
         if blk[5] is None:
             break
         fold(blk[5], blk[6], x0, x1)
-    x0, x1 = float(x0[0]), float(x1[0])
-    return ((x0, x1) if x0 <= x1 else (x1, x0)), nodes, truncated
+    return (float(x0[0]), float(x1[0])), nodes, truncated
 
 
 # ---------------------------------------------------------------------------

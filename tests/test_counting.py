@@ -156,6 +156,17 @@ def test_partition_budget_error_reports_depth_reached():
     assert res.depth_max_used >= 2
 
 
+def test_partition_budget_error_keeps_the_forest_exact():
+    # a count that runs out of budget still takes the forest tail in its
+    # exact pass: with a-priori forest bounds the interval below was
+    # log(hi/lo) = 9.50 wide, 9.25 of it from the forest
+    g = gen_graph("gnp", n=12, d=3.0, seed=4)
+    res = partition_md(g, 1.0, 0.01, budget=240)
+    assert not res.converged and res.failed_vertex == 5
+    assert res.log_hi - res.log_lo < 1.0
+    assert res.lo <= oracle_Z(g, monomerdimer(1.0)) <= res.hi
+
+
 def test_partition_log_width_within_eps():
     eps = 0.01
     for seed in (1, 2, 3, 4):

@@ -226,7 +226,8 @@ def test_block_walker_matches_dfs(monkeypatch):
     # the block walker against the depth-first walker, bit for bit on
     # (pairs, nodes, truncated) and on the budget error, with blocks of a
     # few rows so that a parent's children are split over several blocks
-    # and folded across block boundaries
+    # and folded across block boundaries; from depth 2, since shallower
+    # trees never reach the block walker
     rng = random.Random(10)
     cases = 0
     for rows in (2, 5):
@@ -235,7 +236,7 @@ def test_block_walker_matches_dfs(monkeypatch):
             for seed in range(2):
                 g = gen_graph("gnp", n=n, d=3.0, seed=seed)
                 for model in (HARDCORE, MONOMERDIMER):
-                    for depth in range(1, 9):
+                    for depth in range(2, 9):
                         blocked = set(rng.sample(range(n), rng.randrange(n // 3 + 1)))
                         if model == HARDCORE and rng.random() < 0.5:
                             pins = rng.sample(range(n), rng.randrange(1, 4))
@@ -258,6 +259,69 @@ def test_block_walker_matches_dfs(monkeypatch):
                                 == _walk(recurrence._sandwich, *args, budget))
                         cases += 1
     assert cases > 600
+
+
+def test_leaf_table_matches_folding():
+    # a last-level node's pair is (table[exact], table[exact + cut]), bit
+    # for bit what folding its children one at a time gives, in any order:
+    # an exact leaf folds its leaf value into both, a frontier child its
+    # pins, 0 (x1.0 hard-core, +0.0 monomer-dimer) and the maximum
+    rng = random.Random(3)
+    for hc in (True, False):
+        for a in ACTIVITIES:
+            top = a if hc else 1.0
+            table = recurrence._leaf_table(hc, a, 129)
+            assert len(table) == 129
+            for exact in range(65):
+                for cut in range(65):
+                    kids = [(top, top)] * exact + [(0.0, top)] * cut
+                    rng.shuffle(kids)
+                    if hc:
+                        x0 = x1 = a
+                        for y0, y1 in kids:
+                            x0 *= 1.0 / (1.0 + y0)
+                            x1 *= 1.0 / (1.0 + y1)
+                    else:
+                        s0 = s1 = 0.0
+                        for y0, y1 in kids:
+                            s0 += y0
+                            s1 += y1
+                        x0, x1 = 1.0 / (1.0 + a * s0), 1.0 / (1.0 + a * s1)
+                    assert (table[exact], table[exact + cut]) == (x0, x1)
+
+
+def test_shallow_trees_stay_depth_first(monkeypatch):
+    # depth 0 and 1 are one scan of the root's neighbors: the depth-first
+    # walker takes them with the full budget, whatever the root's degree.
+    # The hub is the centre of a 6000-leaf star whose leaves are joined by
+    # a path; values frozen
+    calls = []
+    blocks = recurrence._sandwich_blocks
+    monkeypatch.setattr(recurrence, "_sandwich_blocks",
+                        lambda *args: calls.append(args[4]) or blocks(*args))
+    n = 6001
+    hub = graph_from_edges(n, [(0, i) for i in range(1, n)]
+                           + [(i, i + 1) for i in range(1, n - 1)])
+    for model, top in ((HARDCORE, 0.5), (MONOMERDIMER, 1.0)):
+        assert sandwich_values(hub, 0, model, [0.5], 0) == ([(0.0, top)], 1, True)
+    # 0.5 * (2/3)**6000 underflows, and round-to-nearest keeps the product
+    # at the smallest subnormal
+    assert sandwich_values(hub, 0, HARDCORE, [0.5], 1) == ([(5e-324, 0.5)], 6001, True)
+    assert sandwich_values(hub, 0, MONOMERDIMER, [0.5], 1) == (
+        [(0.0003332222592469177, 1.0)], 6001, True)
+    for model in (HARDCORE, MONOMERDIMER):
+        with pytest.raises(NodeBudgetError) as err:
+            sandwich_values(hub, 0, model, [0.5], 1, budget=6000)
+        assert err.value.nodes_expanded == 6001
+    big = gen_graph("gnp", n=2000, d=3.0, seed=1)
+    for model in (HARDCORE, MONOMERDIMER):
+        for depth in (0, 1):
+            sandwich_values(big, 943, model, ACTIVITIES, depth)
+    assert calls == []
+    # from depth 2 a tree of more than _CAP nodes goes to the block walker
+    assert sandwich_values(hub, 0, MONOMERDIMER, [0.5], 2) == (
+        [(0.00033325927571650743, 0.0006661485511269014)], 17999, True)
+    assert calls == [2]
 
 
 def test_block_walker_int32_ids(sparse40k):
