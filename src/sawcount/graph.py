@@ -119,9 +119,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj_sets[u]
-
     def edges(self):
         """Yield edges as (u, v) with u < v, ascending."""
         for u, nbrs in enumerate(self.adjacency):

@@ -166,15 +166,16 @@ def sandwich_values(
     (False means the tree was fully expanded, so lo == hi).
 
     `blocked` is a set of vertices deleted from g, ids unchanged: the
-    marginal is that of g minus blocked.  Hard-core treats a blocked
-    vertex as pinned unoccupied (a leaf of factor 1 in the tree);
-    monomer-dimer never steps onto one.  The root must not be blocked.
+    marginal is that of g minus blocked.  Blocked = deleted, in both
+    models: no walker steps onto a blocked vertex, which for hard-core
+    gives the value of pinning it unoccupied.  The root must not be
+    blocked.
 
     A node stops at its first occupied child (a hard-core loop copy), and
     the siblings after that child are not visited.  So nodes equals
     `SawTree.nodes_expanded` of the plain tree for monomer-dimer, but on a
     weitz tree it can be smaller than `SawTree.nodes_expanded`, which
-    counts those siblings too.
+    counts those siblings and the leaves of blocked vertices too.
 
     Each activity takes one pass over the implicit SAW tree, in weitz
     mode for hard-core and plain mode for monomer-dimer; nodes and
@@ -186,8 +187,8 @@ def sandwich_values(
     block walker, which wastes at most `_CAP` nodes of work per call.
     Both walkers combine children in ascending-id order with the same
     float operations, so results are bit-reproducible and do not depend
-    on the walker.  Each walker returns the root's (x0, x1) as walked,
-    and they are ordered into (lo, hi) here.
+    on the walker.  Each walker reads the activity's `_leaf_table`, built
+    here once, and returns the root's (x0, x1) as walked, ordered here.
     """
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
@@ -209,17 +210,21 @@ def sandwich_values(
         if v in boundary.assignments:
             raise ValueError("boundary must not pin the root vertex")
         blocked = boundary.blocked(g) | blocked
+    hc = model == HARDCORE
+    size = int(g.csr.deg.max()) + 1
+    table = _leaf_table(hc, acts[0], size)
     cap = budget if depth <= 1 or depth > _BLOCK_DEPTH else min(budget, _CAP)
     walk = _sandwich
     try:
-        first = _sandwich(g, v, model, acts[0], depth, blocked, cap)
+        first = _sandwich(g, v, model, acts[0], depth, blocked, cap, table)
     except NodeBudgetError:
         if cap == budget:
             raise
         walk = _sandwich_blocks
-        first = walk(g, v, model, acts[0], depth, blocked, budget)
+        first = walk(g, v, model, acts[0], depth, blocked, budget, table)
     _, nodes, truncated = first
-    pairs = [first[0]] + [walk(g, v, model, a, depth, blocked, budget)[0] for a in acts[1:]]
+    pairs = [first[0]] + [walk(g, v, model, a, depth, blocked, budget, _leaf_table(hc, a, size))[0]
+                          for a in acts[1:]]
     # x0 and x1 swap the roles of lower and upper bound with depth parity
     return [(x0, x1) if x0 <= x1 else (x1, x0) for x0, x1 in pairs], nodes, truncated
 
@@ -246,9 +251,9 @@ def _leaf_table(hc, a, size):
     return table
 
 
-def _sandwich(g, root, model, a, max_depth, blocked, budget):
-    """The depth-first walker behind sandwich_values, for one activity a;
-    returns ((x0, x1), nodes, truncated).
+def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
+    """The depth-first walker behind sandwich_values, for one activity a
+    and its `_leaf_table`; returns ((x0, x1), nodes, truncated).
 
     Each tree node carries two values: its evaluation with the frontier
     pinned to 0 (x0) and the one with the frontier pinned to the maximum
@@ -272,14 +277,14 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget):
     looks up its values by those two counts in `_leaf_table`.  A pushed
     child without extensions pops with exactly its leaf value.
 
-    `blocked` holds the vertices pinned unoccupied or deleted.  Hard-core
-    counts a blocked child as an unoccupied leaf (factor 1), and a
-    frontier child whose only other neighbors are blocked as an exact
-    leaf.  Monomer-dimer skips a blocked neighbor as it skips a path
-    vertex, and counts it as on the path in the extension test.
-    Pins need no test of their own in a scan: an expanded vertex is never
-    blocked, so no neighbor of it is pinned occupied, and the only
-    occupied children are loop copies.
+    `blocked` = deleted, in both models: a blocked neighbor is skipped in
+    the test that skips the parent (for hard-core, the value of pinning it
+    unoccupied, a factor of 1).  A hard-core frontier child whose only
+    other neighbors are blocked is an exact leaf; monomer-dimer counts a
+    blocked neighbor as on the path in the extension test.  Pins need no
+    test of their own in a scan: an expanded vertex is never blocked, so
+    no neighbor of it is pinned occupied, and the only occupied children
+    are loop copies.
     """
     adj = g.adjacency
     adj_sets = g._adj_sets
@@ -296,7 +301,6 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget):
     path = [root]
     path_pos = {root: 0}
     on_path = path_pos.keys()
-    table = _leaf_table(hc, a, int(g.csr.deg.max()) + 1)
 
     def last_level(u, parent):
         # (x0, x1, children visited, any child truncated) of a node u one
@@ -306,18 +310,17 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget):
         if hc:
             seen = 0
             for w in adj[u]:
-                if w == parent:
+                if w == parent or w in blocked:
                     continue
                 seen += 1
                 pos = path_pos.get(w)
                 if pos is not None:
                     if loop_copy_occupied(path, pos, u):
                         return 0.0, 0.0, seen, cut > 0
-                elif w not in blocked:
-                    if len(adj[w]) == 1 or blocked and len(adj_sets[w] - blocked) == 1:
-                        exact += 1  # no neighbor but u outside blocked
-                    else:
-                        cut += 1
+                elif len(adj[w]) == 1 or blocked and len(adj_sets[w] - blocked) == 1:
+                    exact += 1  # no neighbor but u outside blocked
+                else:
+                    cut += 1
         else:
             path_pos[u] = len(path)
             for w in adj[u]:
@@ -351,10 +354,10 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget):
         while i < len(nbrs):
             w = nbrs[i]
             i += 1
-            if w == parent:
+            if w == parent or w in blocked:
                 continue
             pos = path_pos.get(w)
-            if not hc and (pos is not None or w in blocked):
+            if not hc and pos is not None:
                 continue
             nodes += 1
             if nodes > budget:
@@ -366,8 +369,6 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget):
                 if dead:
                     break
                 continue
-            if w in blocked:
-                continue  # unoccupied child: factor 1
             if dep + 1 < last:
                 fr[3], fr[4], fr[6] = x0, x1, i
                 stack.append([w, vtx, dep + 1, start, start, adj[w], 0])
@@ -408,7 +409,7 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget):
     return (x0, x1), nodes, truncated
 
 
-def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
+def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
     """The block walker behind sandwich_values, for trees above `_CAP`
     nodes; returns what `_sandwich` returns, bit for bit, for max_depth >= 2
     and an unblocked root.
@@ -417,20 +418,21 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
     at a time, with numpy array operations.  A block keeps the root paths
     of its nodes column-major, one int array per path position, and the
     half-edge each node arrived by, as `saw_counts` does.  `step` lists
-    the children of every node of a block from the graph's CSR adjacency,
-    every neighbour but the arrival half-edge (`Csr.steps`), in the
-    depth-first walker's order, and applies its other rules: the skipped
-    path vertices, the Weitz loop pin, the stop at a first occupied child.
-    Children one level above the frontier are scanned in bulk (`scan`):
-    their values are looked up in `_leaf_table` by their numbers of
-    exact-leaf and truncated children.  A monomer-dimer frontier child is
-    exact when no neighbour of it is off the path; `step` tests its first
-    neighbour other than its parent on the same path columns that filter
-    the child, and only the few whose first neighbour is on the path are
-    tested on all neighbours.  Deeper children are cut into blocks and pushed on a
-    LIFO stack above their parent block, which waits there under a
-    marker.  When the marker pops, every child block has been folded in,
-    so the parent's values are closed and folded into its own parent.
+    the children of every node of a block from the CSR adjacency of g
+    minus blocked, every neighbour but the arrival half-edge (`Csr.steps`),
+    in the depth-first walker's order, and applies its other rules: the
+    skipped path vertices, the Weitz loop pin, the stop at a first
+    occupied child.  Children one level above the frontier are scanned in
+    bulk (`scan`): their values are looked up in `_leaf_table` by their
+    numbers of exact-leaf and truncated children.  A monomer-dimer
+    frontier child is exact when no neighbour of it is off the path;
+    `step` tests its first neighbour other than its parent on the same
+    path columns that filter the child, and only the few whose first
+    neighbour is on the path are tested on all neighbours.  Deeper
+    children are cut into blocks and pushed on a LIFO stack above their
+    parent block, which waits there under a marker.  When the marker
+    pops, every child block has been folded in, so the parent's values
+    are closed and folded into its own parent.
 
     Folds keep the depth-first walker's arithmetic: child blocks fold in
     order, and within one block `np.multiply.at` and `np.add.at` fold the
@@ -440,15 +442,13 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
     one scan, O(_BLOCK * max degree**2) entries.
     """
     hc = model == HARDCORE
-    csr = free = g.csr
+    csr = g.csr
     if blocked:
         is_blocked = np.zeros(g.n, dtype=bool)
         is_blocked[np.fromiter(blocked, dtype=np.intp, count=len(blocked))] = True
-        # monomer-dimer never steps onto a blocked vertex; hard-core counts it
-        free = csr.without(is_blocked)
-        if not hc:
-            csr = free
-    table = np.array(_leaf_table(hc, a, int(csr.deg.max()) + 1))
+        # blocked = deleted, in both models: no walk steps onto one
+        csr = csr.without(is_blocked)
+    table = np.array(table)
     nodes = 1
     truncated = False
 
@@ -466,11 +466,11 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
         if not hc:
             kid = np.ones(len(cand), dtype=bool)
             if near:
-                i = free.indptr.take(cand)
-                i += free.back.take(flat) == i
+                i = csr.indptr.take(cand)
+                i += csr.back.take(flat) == i
                 # i runs one past the list of a cand with no other neighbor
                 # (exact, so its on is unused); clip keeps it in range
-                other = free.nbrs.take(i, mode="clip")
+                other = csr.nbrs.take(i, mode="clip")
                 on = other == cols[-2].take(rows)
             for col in cols[:-2]:
                 at = col.take(rows)
@@ -500,7 +500,7 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
                     keep = np.arange(len(cand)) <= stop[rows]
                     rows, cand, flat, copy = rows[keep], cand[keep], flat[keep], copy[keep]
             nodes += len(cand)
-            kid = ~(copy | is_blocked.take(cand)) if blocked else ~copy
+            kid = ~copy
         if nodes > budget:
             raise NodeBudgetError(budget + 1)
         if near:
@@ -511,7 +511,7 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
         # (y0, y1) of the nodes ending the rows of cols, one level above the frontier
         nonlocal truncated
         rows, cand, flat, dead, on = step(cols, arrive, near=not hc)
-        exact = free.deg.take(cand) == 1  # no neighbor but its parent outside blocked
+        exact = csr.deg.take(cand) == 1  # no neighbor but its parent outside blocked
         if not hc:
             # a child is exact when every neighbor is on the path (or
             # blocked).  One neighbor other than the parent, off the path,
@@ -519,8 +519,8 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget):
             test = np.flatnonzero(on & ~exact)
             for lo in range(0, len(test), _BLOCK):
                 part = test[lo:lo + _BLOCK]
-                sub, nxt = free.steps(cand[part], free.back.take(flat[part]))
-                nxt = free.nbrs.take(nxt)
+                sub, nxt = csr.steps(cand[part], csr.back.take(flat[part]))
+                nxt = csr.nbrs.take(nxt)
                 ext = np.ones(len(nxt), dtype=bool)
                 at = rows[part].take(sub)
                 for col in cols[:-1]:

@@ -124,7 +124,8 @@ def test_eval_matches_fused_sandwich(catalog6):
 def test_sandwich_outputs_frozen():
     # (pairs, nodes, truncated) recorded from earlier walkers, compared bit
     # for bit: the per-model walkers, and for the bulk-scan cases below the
-    # single walker that still pushed every node above the frontier
+    # single walker that still pushed every node above the frontier.  Under
+    # a boundary a blocked vertex is no node of the hard-core tree
     g = gen_graph("gnp", n=12, d=3.0, seed=2)
     assert sandwich_values(g, 0, HARDCORE, ACTIVITIES, 5) == (
         [(0.218428316136688, 0.22215512171398627),
@@ -136,10 +137,10 @@ def test_sandwich_outputs_frozen():
          (0.27684730560739296, 0.31250611499716957)], 76, True)
     occupied = BoundaryCondition({1: OCCUPIED})
     assert sandwich_values(g, 0, HARDCORE, [1.0], 5, occupied) == (
-        [(0.29836829836829837, 0.30303030303030304)], 28, True)
+        [(0.29836829836829837, 0.30303030303030304)], 20, True)
     unoccupied = BoundaryCondition({1: UNOCCUPIED})
     assert sandwich_values(g, 0, HARDCORE, [1.0], 5, unoccupied) == (
-        [(0.28999675823816223, 0.3147605083088954)], 75, True)
+        [(0.28999675823816223, 0.3147605083088954)], 64, True)
     edge = graph_from_edges(2, [(0, 1)])  # degree-1 root at depth 0
     assert sandwich_values(edge, 0, HARDCORE, [1.5], 0) == ([(0.0, 1.5)], 1, True)
     assert sandwich_values(edge, 0, MONOMERDIMER, [1.5], 0) == ([(0.0, 1.0)], 1, True)
@@ -173,13 +174,13 @@ def test_sandwich_outputs_frozen():
     occupied9 = BoundaryCondition({9: OCCUPIED})
     unoccupied4 = BoundaryCondition({4: UNOCCUPIED})
     assert sandwich_values(g, 0, HARDCORE, [1.0], 1, occupied9) == (
-        [(0.25, 0.5)], 4, True)
+        [(0.25, 0.5)], 3, True)
     assert sandwich_values(g, 0, HARDCORE, [1.0], 1, unoccupied4) == (
-        [(0.25, 1.0)], 4, True)
+        [(0.25, 1.0)], 3, True)
     assert sandwich_values(g, 0, HARDCORE, [1.0], 2, occupied9) == (
-        [(0.3333333333333333, 0.3333333333333333)], 6, False)
+        [(0.3333333333333333, 0.3333333333333333)], 4, False)
     assert sandwich_values(g, 0, HARDCORE, [1.0], 2, unoccupied4) == (
-        [(0.25, 0.5925925925925926)], 8, True)
+        [(0.25, 0.5925925925925926)], 7, True)
     # budgets that run out inside a bulk scan: of the root (depth 1) and of
     # the root child 8, whose children are nodes 7-9 (depth 2)
     for model in (HARDCORE, MONOMERDIMER):
@@ -213,6 +214,11 @@ def test_sandwich_outputs_frozen():
         pairs, nodes, truncated = sandwich_values(g, 0, model, ACTIVITIES, 5)
         singles = [sandwich_values(g, 0, model, [a], 5) for a in ACTIVITIES]
         assert [([pair], nodes, truncated) for pair in pairs] == singles
+
+
+def _table(g, model, a):
+    # the leaf table sandwich_values hands to either walker
+    return recurrence._leaf_table(model == HARDCORE, a, int(g.csr.deg.max()) + 1)
 
 
 def _walk(walker, *args):
@@ -252,11 +258,12 @@ def test_block_walker_matches_dfs(monkeypatch):
                             continue
                         args = (g, rng.choice(roots), model, rng.choice(ACTIVITIES), depth,
                                 frozenset(blocked))
-                        want = recurrence._sandwich(*args, 10**7)
-                        assert recurrence._sandwich_blocks(*args, 10**7) == want
+                        table = _table(g, model, args[3])
+                        want = recurrence._sandwich(*args, 10**7, table)
+                        assert recurrence._sandwich_blocks(*args, 10**7, table) == want
                         budget = rng.randrange(1, want[1] + 1)
-                        assert (_walk(recurrence._sandwich_blocks, *args, budget)
-                                == _walk(recurrence._sandwich, *args, budget))
+                        assert (_walk(recurrence._sandwich_blocks, *args, budget, table)
+                                == _walk(recurrence._sandwich, *args, budget, table))
                         cases += 1
     assert cases > 600
 
@@ -333,10 +340,11 @@ def test_block_walker_int32_ids(sparse40k):
     for model in (HARDCORE, MONOMERDIMER):
         for drop in (frozenset(), blocked):
             args = (g, 32774, model, 1.0, 9, drop)
-            want = recurrence._sandwich(*args, 10**7)
+            table = _table(g, model, 1.0)
+            want = recurrence._sandwich(*args, 10**7, table)
             assert want[1] > recurrence._CAP
-            assert recurrence._sandwich_blocks(*args, 10**7) == want
-            assert (_walk(recurrence._sandwich_blocks, *args, want[1] // 2)
+            assert recurrence._sandwich_blocks(*args, 10**7, table) == want
+            assert (_walk(recurrence._sandwich_blocks, *args, want[1] // 2, table)
                     == ("budget", want[1] // 2 + 1))
 
 
@@ -361,7 +369,7 @@ def test_sandwich_values_above_the_cap(monkeypatch):
          (0.35956760230978835, 0.36258947935685143)], 24485, True)
     pins = BoundaryCondition({1317: OCCUPIED, 501: UNOCCUPIED})
     assert sandwich_values(big, 943, HARDCORE, [1.0], 10, pins) == (
-        [(0.6763237535335309, 0.6825987386345193)], 4716, True)
+        [(0.6763237535335309, 0.6825987386345193)], 4709, True)
     assert sandwich_values(big, 943, MONOMERDIMER, [1.0], 10, blocked={894}) == (
         [(0.4395583735395785, 0.4400892568141723)], 23322, True)
     # a budget above the cap runs out in the block walker, one at or below
@@ -388,32 +396,38 @@ def test_sandwich_needs_an_activity():
             sandwich_values(g, 0, model, [], 3)
 
 
-def test_blocked_vertices_act_as_deleted():
+def test_blocked_vertices_act_as_deleted(monkeypatch):
     # a blocked vertex is deleted from the graph, ids unchanged: both models
-    # give bit for bit the values of the induced subgraph (monomer-dimer
-    # also its node counts; hard-core counts blocked children as leaves)
+    # give bit for bit the values and node counts of the induced subgraph,
+    # in the depth-first walker and, with the cap at one node, in the block
+    # walker from depth 2
+    calls = []
+    blocks = recurrence._sandwich_blocks
+    monkeypatch.setattr(recurrence, "_sandwich_blocks",
+                        lambda *args: calls.append(args[4]) or blocks(*args))
     g = gen_graph("gnp", n=12, d=3.0, seed=2)
     blocked = {4, 9, 10}
     keep = [v for v in range(g.n) if v not in blocked]
     index = {v: i for i, v in enumerate(keep)}
     h = graph_from_edges(len(keep), [(index[u], index[v]) for u, v in g.edges()
                                      if u in index and v in index])
-    for root in (0, 5, 8):
-        for depth in range(7):
-            for model in (HARDCORE, MONOMERDIMER):
-                got = sandwich_values(g, root, model, ACTIVITIES, depth, blocked=blocked)
-                want = sandwich_values(h, index[root], model, ACTIVITIES, depth)
-                assert (got[0], got[2]) == (want[0], want[2])
-                if model == MONOMERDIMER:
-                    assert got[1] == want[1]
+    for cap in (recurrence._CAP, 1):
+        monkeypatch.setattr(recurrence, "_CAP", cap)
+        for root in (0, 5, 8):
+            for depth in range(7):
+                for model in (HARDCORE, MONOMERDIMER):
+                    got = sandwich_values(g, root, model, ACTIVITIES, depth, blocked=blocked)
+                    assert got == sandwich_values(h, index[root], model, ACTIVITIES, depth)
+    assert set(calls) == set(range(2, 7))
     with pytest.raises(ValueError, match="blocked"):
         sandwich_values(g, 4, MONOMERDIMER, [1.0], 3, blocked=blocked)
 
 
 def test_walker_node_counts_against_materialized_trees(catalog6):
     # nodes counts the tree nodes the walker visits: every node of the plain
-    # tree, but on a weitz tree not the siblings after an occupied child,
-    # which expand_saw_tree still creates
+    # tree, but on a weitz tree not the siblings after an occupied child nor
+    # the unoccupied leaves of blocked vertices, which expand_saw_tree still
+    # creates
     graphs = catalog6 + [gen_graph("gnp", n=n, d=3.0, seed=s)
                          for n in (12, 20) for s in range(1, 4)]
     for g in graphs:
@@ -431,7 +445,7 @@ def test_walker_node_counts_against_materialized_trees(catalog6):
     assert sandwich_values(g, 0, HARDCORE, [1.0], 5)[1] == 81
     occupied = BoundaryCondition({1: OCCUPIED})
     assert expand_saw_tree(g, 0, 5, mode="weitz", boundary=occupied).nodes_expanded == 34
-    assert sandwich_values(g, 0, HARDCORE, [1.0], 5, occupied)[1] == 28
+    assert sandwich_values(g, 0, HARDCORE, [1.0], 5, occupied)[1] == 20
 
 
 # -- certified intervals -----------------------------------------------------
