@@ -204,7 +204,7 @@ def _telescope(g, params, eps, budget):
     The budget defaults to 10**7 nodes per vertex, handed out as each
     factor starts: (budget - nodes spent) // (vertices left).  On budget
     exhaustion the failed vertex is reported and each feedback factor
-    keeps the best bracket it reached (narrowed to its a-priori bounds, or
+    keeps the bracket of its last pass (narrowed to its a-priori bounds, or
     those bounds if it has none); the forest factors stay exact.
 
     Only the first k factors, of the feedback vertices, lie on cycles and
@@ -289,7 +289,7 @@ def _telescope(g, params, eps, budget):
     log_hi = 0.0
     depth_max = 0
     for v, loop in zip(order, loops):
-        lo, hi, depth = loop.best or (None, None, 0)
+        lo, hi, depth = (*loop.last, loop.passes[-1][0]) if loop.passes else (None, None, 0)
         depth_max = max(depth_max, depth)
         flo, fhi = _log_factor(model, *_trivial_bracket(params, g, v, lo, hi))
         log_lo += flo

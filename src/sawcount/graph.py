@@ -294,16 +294,3 @@ def gen_graph(kind: str, seed: int = 0, **params) -> Graph:
         return kinds[kind]()
     except KeyError as exc:
         raise ValueError(f"missing parameter {exc} for kind {kind!r}")
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    """Return g with vertex v removed; higher ids shift down by one."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    remap = lambda u: u if u < v else u - 1
-    adj = []
-    for u in range(g.n):
-        if u == v:
-            continue
-        adj.append(tuple(remap(w) for w in g.adjacency[u] if w != v))
-    return Graph(g.n - 1, tuple(adj))

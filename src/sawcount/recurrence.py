@@ -19,9 +19,10 @@ is the sole soundness certificate used here: no decay assumption enters.
 One depth-first walker serves both models.  It fuses tree expansion
 with evaluation (no nodes are materialized) and computes both extreme
 evaluations of one activity value in a single pass.  Per model it
-differs only in the neighbors it skips, its leaf and frontier values and
-its fold: a product of 1/(1 + R_i) for hard-core, a sum of p_i closed by
-1/(1 + gamma*sum) for monomer-dimer.  The last tree level, about two
+differs only in its loop copies (hard-core pins the path vertices it
+meets, which are no nodes in either model), its leaf and frontier
+values and its fold: a product of 1/(1 + R_i) for hard-core, a sum of
+p_i closed by 1/(1 + gamma*sum) for monomer-dimer.  The last tree level, about two
 thirds of a truncated tree's nodes, is counted in bulk: a node one level
 above the frontier is never pushed; its children are counted as exact
 leaves or truncated frontier nodes, and its pair is read off one linear
@@ -128,7 +129,9 @@ class ApproxResult:
 class AdaptiveBudgetError(RuntimeError):
     """Adaptive evaluation ran out of node budget before reaching tolerance.
 
-    Carries the best certified interval found so far.
+    Carries the certified interval of the last pass that completed (the
+    a-priori range when none did): sandwich intervals nest as the depth
+    grows, so it is the narrowest one found.
     """
 
     def __init__(self, lo: float, hi: float, depth: int, nodes: int):
@@ -161,9 +164,11 @@ def sandwich_values(
 
     Returns (pairs, nodes, truncated) where pairs[i] = (lo, hi) brackets
     the exact marginal for activities[i] (ratio R_v for hard-core, monomer
-    probability for monomer-dimer), nodes is the number of tree nodes
-    visited and truncated says whether any frontier node was pinned
-    (False means the tree was fully expanded, so lo == hi).
+    probability for monomer-dimer), nodes is the number of self-avoiding
+    walks visited and truncated says whether some pair is not exact
+    (lo != hi).  A fully expanded tree gives exact pairs, but so can a
+    truncated hard-core tree whose every frontier pin sits under an
+    occupied loop copy.
 
     `blocked` is a set of vertices deleted from g, ids unchanged: the
     marginal is that of g minus blocked.  Blocked = deleted, in both
@@ -171,24 +176,28 @@ def sandwich_values(
     gives the value of pinning it unoccupied.  The root must not be
     blocked.
 
-    A node stops at its first occupied child (a hard-core loop copy), and
-    the siblings after that child are not visited.  So nodes equals
-    `SawTree.nodes_expanded` of the plain tree for monomer-dimer, but on a
-    weitz tree it can be smaller than `SawTree.nodes_expanded`, which
-    counts those siblings and the leaves of blocked vertices too.
+    A loop copy carries no walk, so it is no node: unoccupied it
+    multiplies its parent by exactly 1, and occupied it zeroes its parent,
+    whose scan stops there, so the siblings after it are not visited.  So
+    nodes equals `SawTree.nodes_expanded` of the plain tree for
+    monomer-dimer.  For hard-core it counts the free nodes of the weitz
+    tree that this stop rule reaches, which is at most the monomer-dimer
+    count; `SawTree.nodes_expanded` also counts the loop copies, the
+    siblings after an occupied one and the leaves of blocked vertices.
 
     Each activity takes one pass over the implicit SAW tree, in weitz
-    mode for hard-core and plain mode for monomer-dimer; nodes and
-    truncated do not depend on the activity.  The first pass is
-    depth-first with its budget capped at `_CAP` nodes, unless depth is
-    at most 1 (one scan of the root's neighbors, whatever its degree) or
-    exceeds `_BLOCK_DEPTH`.  If the tree is larger and the budget allows
-    it, that pass is repeated, and the other activities walked, by the
-    block walker, which wastes at most `_CAP` nodes of work per call.
+    mode for hard-core and plain mode for monomer-dimer; nodes does not
+    depend on the activity.  The first pass is depth-first with its
+    budget capped at `_CAP` nodes, unless depth is at most 1 (one scan of
+    the root's neighbors, whatever its degree) or exceeds `_BLOCK_DEPTH`.
+    If the tree is larger and the budget allows it, that pass is
+    repeated, and the other activities walked, by the block walker,
+    which wastes at most `_CAP` nodes of work per call.
     Both walkers combine children in ascending-id order with the same
     float operations, so results are bit-reproducible and do not depend
     on the walker.  Each walker reads the activity's `_leaf_table`, built
-    here once, and returns the root's (x0, x1) as walked, ordered here.
+    here once, and returns the root's (x0, x1) as walked, ordered here,
+    and the node count.
     """
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
@@ -201,6 +210,8 @@ def sandwich_values(
         raise ValueError("need at least one activity")
     for a in acts:
         ModelParams(model, a)
+    if blocked and (min(blocked) < 0 or max(blocked) >= g.n):
+        raise ValueError("blocked vertex out of range")
     if v in blocked:
         raise ValueError("the root vertex must not be blocked")
     if boundary is not None:
@@ -222,11 +233,11 @@ def sandwich_values(
             raise
         walk = _sandwich_blocks
         first = walk(g, v, model, acts[0], depth, blocked, budget, table)
-    _, nodes, truncated = first
     pairs = [first[0]] + [walk(g, v, model, a, depth, blocked, budget, _leaf_table(hc, a, size))[0]
                           for a in acts[1:]]
     # x0 and x1 swap the roles of lower and upper bound with depth parity
-    return [(x0, x1) if x0 <= x1 else (x1, x0) for x0, x1 in pairs], nodes, truncated
+    pairs = [(x0, x1) if x0 <= x1 else (x1, x0) for x0, x1 in pairs]
+    return pairs, first[1], any(lo != hi for lo, hi in pairs)
 
 
 def _leaf_table(hc, a, size):
@@ -253,7 +264,7 @@ def _leaf_table(hc, a, size):
 
 def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
     """The depth-first walker behind sandwich_values, for one activity a
-    and its `_leaf_table`; returns ((x0, x1), nodes, truncated).
+    and its `_leaf_table`; returns ((x0, x1), nodes).
 
     Each tree node carries two values: its evaluation with the frontier
     pinned to 0 (x0) and the one with the frontier pinned to the maximum
@@ -261,9 +272,10 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
     sandwich_values orders the root's pair.  The models differ in three
     places only:
 
-      skipped neighbors -- the plain tree skips every vertex on the root
-          path; the weitz tree skips only the parent and turns any other
-          path vertex into a loop copy pinned by `loop_copy_occupied`.
+      loop copies -- no path vertex is a child or a node in either
+          model, but in the weitz tree a path vertex other than the
+          parent is a loop copy pinned by `loop_copy_occupied`: occupied,
+          it zeroes the node and ends its scan.
       leaf and frontier values -- an exact leaf is lambda (resp. 1) and a
           truncated frontier node is pinned to (0, lambda) (resp. (0, 1)).
       fold -- hard-core starts a node at lambda and multiplies in
@@ -283,19 +295,19 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
     other neighbors are blocked is an exact leaf; monomer-dimer counts a
     blocked neighbor as on the path in the extension test.  Pins need no
     test of their own in a scan: an expanded vertex is never blocked, so
-    no neighbor of it is pinned occupied, and the only occupied children
-    are loop copies.
+    no neighbor of it is pinned occupied, and the only occupied
+    neighbors are loop copies.
     """
     adj = g.adjacency
     adj_sets = g._adj_sets
     hc = model == HARDCORE
     top = a if hc else 1.0
     if root in blocked:
-        return (0.0, 0.0), 1, False
+        return (0.0, 0.0), 1
     if max_depth == 0:
         if adj_sets[root] <= blocked:
-            return (top, top), 1, False
-        return (0.0, top), 1, True
+            return (top, top), 1
+        return (0.0, top), 1
 
     start = a if hc else 0.0
     path = [root]
@@ -303,20 +315,18 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
     on_path = path_pos.keys()
 
     def last_level(u, parent):
-        # (x0, x1, children visited, any child truncated) of a node u one
-        # level above the frontier; like a pushed node, u stops at its
-        # first occupied child and the siblings after it are not visited
+        # (x0, x1, children visited) of a node u one level above the
+        # frontier; like a pushed node, u stops at its first occupied loop
+        # copy and the siblings after it are not visited
         exact = cut = 0
         if hc:
-            seen = 0
             for w in adj[u]:
                 if w == parent or w in blocked:
                     continue
-                seen += 1
                 pos = path_pos.get(w)
                 if pos is not None:
                     if loop_copy_occupied(path, pos, u):
-                        return 0.0, 0.0, seen, cut > 0
+                        return 0.0, 0.0, exact + cut
                 elif len(adj[w]) == 1 or blocked and len(adj_sets[w] - blocked) == 1:
                     exact += 1  # no neighbor but u outside blocked
                 else:
@@ -331,20 +341,18 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
                     else:
                         cut += 1
             del path_pos[u]
-            seen = exact + cut
-        return table[exact], table[exact + cut], seen, cut > 0
+        return table[exact], table[exact + cut], exact + cut
 
     # a budget error reports the first node over budget, budget + 1
     last = max_depth - 1  # the depth of the nodes that last_level scans
     if last == 0:
-        x0, x1, seen, truncated = last_level(root, -1)
+        x0, x1, seen = last_level(root, -1)
         nodes = 1 + seen
         if nodes > budget:
             raise NodeBudgetError(budget + 1)
-        return (x0, x1), nodes, truncated
+        return (x0, x1), nodes
 
     nodes = 1
-    truncated = False
     # frame: [vertex, parent, depth, x0, x1, neighbor tuple, next index]
     stack = [[root, -1, 0, start, start, adj[root], 0]]
     while True:
@@ -357,29 +365,27 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
             if w == parent or w in blocked:
                 continue
             pos = path_pos.get(w)
-            if not hc and pos is not None:
+            if pos is not None:
+                # a path vertex is never a child.  Path vertices are never
+                # pinned, so for hard-core the loop rule decides: an
+                # occupied loop copy zeroes the node and ends its scan
+                if hc and loop_copy_occupied(path, pos, vtx):
+                    dead = True
+                    break
                 continue
             nodes += 1
             if nodes > budget:
                 raise NodeBudgetError(budget + 1)
-            if pos is not None:
-                # path vertices are never pinned, so the loop rule decides;
-                # an occupied child zeroes the node and ends its scan
-                dead = loop_copy_occupied(path, pos, vtx)
-                if dead:
-                    break
-                continue
             if dep + 1 < last:
                 fr[3], fr[4], fr[6] = x0, x1, i
                 stack.append([w, vtx, dep + 1, start, start, adj[w], 0])
                 path_pos[w] = len(path)
                 path.append(w)
                 break
-            y0, y1, seen, cut = last_level(w, vtx)
+            y0, y1, seen = last_level(w, vtx)
             nodes += seen
             if nodes > budget:
                 raise NodeBudgetError(budget + 1)
-            truncated = truncated or cut
             if hc:
                 x0 *= 1.0 / (1.0 + y0)
                 x1 *= 1.0 / (1.0 + y1)
@@ -406,7 +412,7 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
             fr[3] += x0
             fr[4] += x1
 
-    return (x0, x1), nodes, truncated
+    return (x0, x1), nodes
 
 
 def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
@@ -420,11 +426,13 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
     half-edge each node arrived by, as `saw_counts` does.  `step` lists
     the children of every node of a block from the CSR adjacency of g
     minus blocked, every neighbour but the arrival half-edge (`Csr.steps`),
-    in the depth-first walker's order, and applies its other rules: the
-    skipped path vertices, the Weitz loop pin, the stop at a first
-    occupied child.  Children one level above the frontier are scanned in
-    bulk (`scan`): their values are looked up in `_leaf_table` by their
-    numbers of exact-leaf and truncated children.  A monomer-dimer
+    in the depth-first walker's order, and applies its other rules with
+    one path filter for both models: a path vertex is never a child, and
+    for hard-core the ones it drops are the loop copies, whose Weitz pin
+    stops a node at its first occupied copy.  Children one level above
+    the frontier are scanned in bulk (`scan`): their values are looked up
+    in `_leaf_table` by their numbers of exact-leaf and truncated
+    children.  A monomer-dimer
     frontier child is exact when no neighbour of it is off the path;
     `step` tests its first neighbour other than its parent on the same
     path columns that filter the child, and only the few whose first
@@ -450,57 +458,50 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
         csr = csr.without(is_blocked)
     table = np.array(table)
     nodes = 1
-    truncated = False
 
     def step(cols, arrive, near=False):
         # (rows, cand, flat, dead, on): the children to expand of the nodes
         # ending the rows of cols, child cand[k] under row rows[k] by the
-        # half-edge flat[k], and the hard-core rows that an occupied child
-        # zeroes; counts every child visited.  With near (monomer-dimer),
+        # half-edge flat[k], and the hard-core rows that an occupied loop
+        # copy zeroes; counts every child visited.  With near (monomer-dimer),
         # on[k] says whether the first neighbor of cand[k] other than its
         # parent is on the path, tested on the columns that filter cand.
         nonlocal nodes
         rows, flat = csr.steps(cols[-1], arrive)
         cand = csr.nbrs.take(flat)
+        kid = np.ones(len(cand), dtype=bool)
         dead = on = None
-        if not hc:
-            kid = np.ones(len(cand), dtype=bool)
+        if near:
+            i = csr.indptr.take(cand)
+            i += csr.back.take(flat) == i
+            # i runs one past the list of a cand with no other neighbor
+            # (exact, so its on is unused); clip keeps it in range
+            other = csr.nbrs.take(i, mode="clip")
+            on = other == cols[-2].take(rows)
+        for col in cols[:-2]:
+            at = col.take(rows)
+            kid &= cand != at  # never a path vertex
             if near:
-                i = csr.indptr.take(cand)
-                i += csr.back.take(flat) == i
-                # i runs one past the list of a cand with no other neighbor
-                # (exact, so its on is unused); clip keeps it in range
-                other = csr.nbrs.take(i, mode="clip")
-                on = other == cols[-2].take(rows)
-            for col in cols[:-2]:
-                at = col.take(rows)
-                kid &= cand != at  # never a path vertex
-                if near:
-                    on |= other == at
-            nodes += int(np.count_nonzero(kid))
-        else:
-            copy = np.zeros(len(cand), dtype=bool)
-            for col in cols[:-2]:
-                copy |= cand == col.take(rows)  # a loop copy
-            if copy.any():
-                # pinned by loop_copy_occupied: occupied when the path vertex
-                # after the copied one has a smaller id than the node
-                at = np.flatnonzero(copy)
-                r, w = rows[at], cand[at]
-                after = np.empty_like(w)
-                for col, nxt in zip(cols[:-2], cols[1:-1]):
-                    hit = w == col[r]
-                    after[hit] = nxt[r][hit]
-                at = at[after < cols[-1][r]]
-                if len(at):
-                    # a node stops at its first occupied child
-                    stop = np.full(len(cols[-1]), len(cand))
-                    np.minimum.at(stop, rows[at], at)
-                    dead = stop < len(cand)
-                    keep = np.arange(len(cand)) <= stop[rows]
-                    rows, cand, flat, copy = rows[keep], cand[keep], flat[keep], copy[keep]
-            nodes += len(cand)
-            kid = ~copy
+                on |= other == at
+        if hc and not kid.all():
+            # the path vertices dropped are loop copies, pinned by
+            # loop_copy_occupied: occupied when the path vertex after the
+            # copied one has a smaller id than the node
+            at = np.flatnonzero(~kid)
+            r, w = rows[at], cand[at]
+            after = np.empty_like(w)
+            for col, nxt in zip(cols[:-2], cols[1:-1]):
+                hit = w == col[r]
+                after[hit] = nxt[r][hit]
+            at = at[after < cols[-1][r]]
+            if len(at):
+                # a node stops at its first occupied copy
+                stop = np.full(len(cols[-1]), len(cand))
+                np.minimum.at(stop, rows[at], at)
+                dead = stop < len(cand)
+                keep = np.arange(len(cand)) <= stop[rows]
+                rows, cand, flat, kid = rows[keep], cand[keep], flat[keep], kid[keep]
+        nodes += int(np.count_nonzero(kid))
         if nodes > budget:
             raise NodeBudgetError(budget + 1)
         if near:
@@ -509,7 +510,6 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
 
     def scan(cols, arrive):
         # (y0, y1) of the nodes ending the rows of cols, one level above the frontier
-        nonlocal truncated
         rows, cand, flat, dead, on = step(cols, arrive, near=not hc)
         exact = csr.deg.take(cand) == 1  # no neighbor but its parent outside blocked
         if not hc:
@@ -526,7 +526,6 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
                 for col in cols[:-1]:
                     ext &= nxt != col.take(at)
                 exact[part] = np.bincount(sub[ext], minlength=len(part)) == 0
-        truncated = truncated or not exact.all()
         width = len(cols[-1])
         y0 = table.take(np.bincount(rows[exact], minlength=width))
         y1 = table.take(np.bincount(rows, minlength=width))
@@ -575,7 +574,7 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
         if blk[5] is None:
             break
         fold(blk[5], blk[6], x0, x1)
-    return (float(x0[0]), float(x1[0])), nodes, truncated
+    return (float(x0[0]), float(x1[0])), nodes
 
 
 # ---------------------------------------------------------------------------
@@ -710,10 +709,10 @@ def marginal_adaptive(
     """Certified marginal to additive tolerance `tol` by adaptive deepening.
 
     Deepens the truncation along the predicted depth schedule of
-    `_adaptive` until the sandwich width is at most 2*tol or the tree is
-    fully expanded, then returns the interval midpoint.  The certificate
+    `_adaptive` until the sandwich width is at most 2*tol or the pair is
+    exact, then returns the interval midpoint.  The certificate
     is the sandwich property alone.  Raises AdaptiveBudgetError (carrying
-    the best interval found) if the node budget runs out first.
+    the interval of the last pass) if the node budget runs out first.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -734,20 +733,18 @@ def marginal_adaptive(
 class _Deepening:
     """Where one `_adaptive` loop stands between calls, so that a caller
     can run it in stages: the last two passes as (depth, measure, nodes),
-    oldest first, the interval of the last pass and whether its tree was
-    truncated, the best (smallest-measure) interval as (lo, hi, depth),
-    and the nodes of all passes."""
+    oldest first, the interval of the last pass, and the nodes of all
+    passes.  Sandwich intervals nest as the depth grows, so the last
+    interval is the narrowest, and an exact one measures 0."""
 
     passes: list = field(default_factory=list)
     last: tuple = (0.0, 0.0)
-    truncated: bool = True
-    best: tuple | None = None
-    best_w: float = math.inf
     total: int = 0
 
     def settled(self, target) -> bool:
-        """Whether the last pass met `target` or expanded the whole tree."""
-        return bool(self.passes) and (self.passes[-1][1] <= target or not self.truncated)
+        """Whether the last pass met `target`, or gave an exact pair (which
+        measures 0) under a target below 0."""
+        return bool(self.passes) and self.passes[-1][1] <= max(target, 0.0)
 
     def next_depth(self, target, budget) -> int:
         """The depth of the next pass (see `_adaptive`)."""
@@ -770,8 +767,9 @@ class _Deepening:
 def _adaptive(g, v, params, measure, target, boundary, budget, blocked=frozenset(),
               state=None, until=None):
     """Deepen the sandwich at v (of g minus `blocked`, see sandwich_values)
-    until measure(lo, hi) <= target or the tree is fully expanded; returns
-    (lo, hi, depth, nodes expanded in total) of the last pass.
+    until measure(lo, hi) <= target or the pair is exact (lo == hi, as
+    when the tree is fully expanded); returns (lo, hi, depth, nodes
+    expanded in total) of the last pass.
 
     After each truncated pass the per-level contraction of the measure is
     fitted from the last two passes, rate = (w / w_prev)**(1/depth step),
@@ -781,8 +779,8 @@ def _adaptive(g, v, params, measure, target, boundary, budget, blocked=frozenset
     cut so that the next pass, extrapolated from the node growth of the
     last two passes, fits in what is left of the budget.  Without a usable
     rate (a measure that is infinite or did not shrink) the depth steps
-    by 1.  Raises AdaptiveBudgetError with the best (smallest-measure)
-    interval found if the budget runs out first.
+    by 1.  Raises AdaptiveBudgetError with the interval of the last pass
+    (the a-priori range before the first) if the budget runs out first.
 
     The loop can run in stages.  A `state` (a `_Deepening`) carries it
     from one call to the next, and `until` stops it, unsettled, after
@@ -799,21 +797,18 @@ def _adaptive(g, v, params, measure, target, boundary, budget, blocked=frozenset
             return (*st.last, st.passes[-1][0], st.total)
         else:
             depth = st.next_depth(target, budget)
-        best = st.best or (0.0, params.activity if params.model == HARDCORE else 1.0, 0)
+        top = params.activity if params.model == HARDCORE else 1.0
+        last = (*st.last, st.passes[-1][0]) if st.passes else (0.0, top, 0)
         remaining = budget - st.total
         if remaining <= 0:
-            raise AdaptiveBudgetError(*best, st.total)
+            raise AdaptiveBudgetError(*last, st.total)
         try:
-            pairs, nodes, truncated = sandwich_values(
+            pairs, nodes, _ = sandwich_values(
                 g, v, params.model, [params.activity], depth, boundary,
                 remaining, blocked,
             )
         except NodeBudgetError as exc:
-            raise AdaptiveBudgetError(*best, st.total + exc.nodes_expanded)
+            raise AdaptiveBudgetError(*last, st.total + exc.nodes_expanded)
         st.total += nodes
         st.last = pairs[0]
-        st.truncated = truncated
-        w = measure(*st.last)
-        if w < st.best_w:
-            st.best, st.best_w = (*st.last, depth), w
-        st.passes = [*st.passes[-1:], (depth, w, nodes)]
+        st.passes = [*st.passes[-1:], (depth, measure(*st.last), nodes)]

@@ -6,7 +6,6 @@ import pytest
 
 from sawcount.graph import (
     degree_stats,
-    delete_vertex,
     gen_graph,
     graph_from_edge_list,
     graph_from_edges,
@@ -141,15 +140,6 @@ def test_graph_from_edges_validation():
         graph_from_edges(2, [(0, 2)])
     with pytest.raises(ValueError, match="self-loop"):
         graph_from_edges(2, [(1, 1)])
-
-
-def test_delete_vertex():
-    c4 = gen_graph("cycle", n=4)
-    p3 = delete_vertex(c4, 0)
-    assert p3.n == 3
-    assert list(p3.edges()) == [(0, 1), (1, 2)]
-    with pytest.raises(ValueError):
-        delete_vertex(c4, 9)
 
 
 def _half_edges(csr):

@@ -25,6 +25,7 @@ from sawcount.recurrence import (
     sandwich_values,
 )
 from sawcount.sawtree import (
+    FREE,
     OCCUPIED,
     UNOCCUPIED,
     BoundaryCondition,
@@ -124,29 +125,30 @@ def test_eval_matches_fused_sandwich(catalog6):
 def test_sandwich_outputs_frozen():
     # (pairs, nodes, truncated) recorded from earlier walkers, compared bit
     # for bit: the per-model walkers, and for the bulk-scan cases below the
-    # single walker that still pushed every node above the frontier.  Under
-    # a boundary a blocked vertex is no node of the hard-core tree
+    # single walker that still pushed every node above the frontier.  Node
+    # counts are walks: under a boundary a blocked vertex is no node of the
+    # hard-core tree, and neither is a loop copy
     g = gen_graph("gnp", n=12, d=3.0, seed=2)
     assert sandwich_values(g, 0, HARDCORE, ACTIVITIES, 5) == (
         [(0.218428316136688, 0.22215512171398627),
          (0.28870868230531177, 0.31665049744145796),
-         (0.33979986740420864, 0.4702666686200684)], 81, True)
+         (0.33979986740420864, 0.4702666686200684)], 64, True)
     assert sandwich_values(g, 0, MONOMERDIMER, ACTIVITIES, 5) == (
         [(0.5010813483680187, 0.5054889301107047),
          (0.37962961465673983, 0.3944031294446818),
          (0.27684730560739296, 0.31250611499716957)], 76, True)
     occupied = BoundaryCondition({1: OCCUPIED})
     assert sandwich_values(g, 0, HARDCORE, [1.0], 5, occupied) == (
-        [(0.29836829836829837, 0.30303030303030304)], 20, True)
+        [(0.29836829836829837, 0.30303030303030304)], 16, True)
     unoccupied = BoundaryCondition({1: UNOCCUPIED})
     assert sandwich_values(g, 0, HARDCORE, [1.0], 5, unoccupied) == (
-        [(0.28999675823816223, 0.3147605083088954)], 64, True)
+        [(0.28999675823816223, 0.3147605083088954)], 49, True)
     edge = graph_from_edges(2, [(0, 1)])  # degree-1 root at depth 0
     assert sandwich_values(edge, 0, HARDCORE, [1.5], 0) == ([(0.0, 1.5)], 1, True)
     assert sandwich_values(edge, 0, MONOMERDIMER, [1.5], 0) == ([(0.0, 1.0)], 1, True)
     c5 = gen_graph("cycle", n=5)  # fully expanded
     assert sandwich_values(c5, 0, HARDCORE, [1.0], 5) == (
-        [(0.37500000000000006, 0.37500000000000006)], 11, False)
+        [(0.37500000000000006, 0.37500000000000006)], 9, False)
     assert sandwich_values(c5, 0, MONOMERDIMER, [1.0], 5) == (
         [(0.45454545454545453, 0.45454545454545453)], 9, False)
     for model in (HARDCORE, MONOMERDIMER):
@@ -193,7 +195,7 @@ def test_sandwich_outputs_frozen():
     assert sandwich_values(big, 943, HARDCORE, ACTIVITIES, 9) == (
         [(0.2850955575677363, 0.28570210953326375),
          (0.41540424078124716, 0.42616225319966006),
-         (0.5200203596837023, 0.6033398500302531)], 8211, True)
+         (0.5200203596837023, 0.6033398500302531)], 8197, True)
     assert sandwich_values(big, 943, MONOMERDIMER, ACTIVITIES, 9) == (
         [(0.6060784267850263, 0.6062289340967085),
          (0.47972474058583, 0.48092063631200443),
@@ -362,20 +364,21 @@ def test_sandwich_values_above_the_cap(monkeypatch):
     assert sandwich_values(big, 943, HARDCORE, ACTIVITIES, 10) == (
         [(0.28511785571550624, 0.28543293310972134),
          (0.4158222243406578, 0.42298366929764664),
-         (0.5223720318148909, 0.58825795398411)], 24489, True)
+         (0.5223720318148909, 0.58825795398411)], 24427, True)
     assert sandwich_values(big, 943, MONOMERDIMER, ACTIVITIES, 10) == (
         [(0.6060829097074611, 0.6061415710709686),
          (0.47976881109830816, 0.48034793761990735),
          (0.35956760230978835, 0.36258947935685143)], 24485, True)
     pins = BoundaryCondition({1317: OCCUPIED, 501: UNOCCUPIED})
     assert sandwich_values(big, 943, HARDCORE, [1.0], 10, pins) == (
-        [(0.6763237535335309, 0.6825987386345193)], 4709, True)
+        [(0.6763237535335309, 0.6825987386345193)], 4693, True)
     assert sandwich_values(big, 943, MONOMERDIMER, [1.0], 10, blocked={894}) == (
         [(0.4395583735395785, 0.4400892568141723)], 23322, True)
-    # a budget above the cap runs out in the block walker, one at or below
-    # it in the depth-first pass; both report the first node over budget
+    # a budget above the cap and below both node counts runs out in the
+    # block walker, one at or below the cap in the depth-first pass; both
+    # report the first node over budget
     for model in (HARDCORE, MONOMERDIMER):
-        for budget in (24484, recurrence._CAP, 100):
+        for budget in (24426, recurrence._CAP, 100):
             with pytest.raises(NodeBudgetError) as err:
                 sandwich_values(big, 943, model, [1.0], 10, budget=budget)
             assert err.value.nodes_expanded == budget + 1
@@ -423,29 +426,74 @@ def test_blocked_vertices_act_as_deleted(monkeypatch):
         sandwich_values(g, 4, MONOMERDIMER, [1.0], 3, blocked=blocked)
 
 
-def test_walker_node_counts_against_materialized_trees(catalog6):
-    # nodes counts the tree nodes the walker visits: every node of the plain
-    # tree, but on a weitz tree not the siblings after an occupied child nor
-    # the unoccupied leaves of blocked vertices, which expand_saw_tree still
-    # creates
+def _stop_rule_walks(node):
+    # the walks of a weitz tree that the stop rule reaches: the free nodes,
+    # each node's children taken in order up to its first occupied one
+    walks = 1
+    for child in node.children:
+        if child.fix == OCCUPIED:
+            break
+        if child.fix == FREE:
+            walks += _stop_rule_walks(child)
+    return walks
+
+
+def test_walker_node_counts_against_materialized_trees(catalog6, monkeypatch):
+    # nodes counts the self-avoiding walks the walker visits, in both
+    # walkers: every node of the plain tree, and on a weitz tree the free
+    # nodes the stop rule reaches, so no loop copy, no unoccupied leaf of
+    # a blocked vertex and no sibling after an occupied copy, all of which
+    # expand_saw_tree creates.  With the cap at one node every tree of
+    # depth 2 or more goes through the block walker
+    calls = []
+    blocks = recurrence._sandwich_blocks
+    monkeypatch.setattr(recurrence, "_sandwich_blocks",
+                        lambda *args: calls.append(args[4]) or blocks(*args))
     graphs = catalog6 + [gen_graph("gnp", n=n, d=3.0, seed=s)
                          for n in (12, 20) for s in range(1, 4)]
-    for g in graphs:
-        pins = [None] + [BoundaryCondition({g.n - 1: state})
-                         for state in (OCCUPIED, UNOCCUPIED) if g.n > 1]
-        for depth in range(7):
-            md = sandwich_values(g, 0, MONOMERDIMER, [1.0], depth)[1]
-            assert md == expand_saw_tree(g, 0, depth, mode="plain").nodes_expanded
-            for bc in pins:
-                hc = sandwich_values(g, 0, HARDCORE, [1.0], depth, bc)[1]
-                tree = expand_saw_tree(g, 0, depth, mode="weitz", boundary=bc)
-                assert hc <= tree.nodes_expanded
+    for cap in (recurrence._CAP, 1):
+        monkeypatch.setattr(recurrence, "_CAP", cap)
+        for g in graphs:
+            pins = [None] + [BoundaryCondition({g.n - 1: state})
+                             for state in (OCCUPIED, UNOCCUPIED) if g.n > 1]
+            for depth in range(7):
+                md = sandwich_values(g, 0, MONOMERDIMER, [1.0], depth)[1]
+                assert md == expand_saw_tree(g, 0, depth, mode="plain").nodes_expanded
+                for bc in pins:
+                    hc = sandwich_values(g, 0, HARDCORE, [1.0], depth, bc)[1]
+                    tree = expand_saw_tree(g, 0, depth, mode="weitz", boundary=bc)
+                    assert hc == _stop_rule_walks(tree.root)
+                    assert hc <= md
+    assert set(calls) == set(range(2, 7))
     g = gen_graph("gnp", n=12, d=3.0, seed=2)
     assert expand_saw_tree(g, 0, 5, mode="weitz").nodes_expanded == 98
-    assert sandwich_values(g, 0, HARDCORE, [1.0], 5)[1] == 81
+    assert sandwich_values(g, 0, HARDCORE, [1.0], 5)[1] == 64
     occupied = BoundaryCondition({1: OCCUPIED})
     assert expand_saw_tree(g, 0, 5, mode="weitz", boundary=occupied).nodes_expanded == 34
-    assert sandwich_values(g, 0, HARDCORE, [1.0], 5, occupied)[1] == 20
+    assert sandwich_values(g, 0, HARDCORE, [1.0], 5, occupied)[1] == 16
+
+
+def test_truncated_flag_means_some_pair_is_not_exact():
+    # gnp(5, 3, 1) at root 1, depth 4: the weitz tree is truncated, but
+    # every frontier pin sits under an occupied loop copy, so the pair is
+    # the exact ratio 2/7 and the flag is False
+    g = gen_graph("gnp", n=5, d=3.0, seed=1)
+    assert expand_saw_tree(g, 1, 4, mode="weitz").truncated_frontier
+    (pair,), nodes, truncated = sandwich_values(g, 1, HARDCORE, [1.0], 4)
+    assert pair == (2 / 7, 2 / 7)
+    assert (nodes, truncated) == (15, False)
+    assert oracle_marginal(g, 1, hardcore(1.0))[1] == pytest.approx(2 / 7, rel=1e-12)
+
+
+def test_blocked_ids_out_of_range():
+    # a blocked id outside range(g.n) is an error, whichever walker the
+    # tree would go to: depth 5 is depth-first, depth 10 the block walker
+    big = gen_graph("gnp", n=2000, d=3.0, seed=1)
+    for model in (HARDCORE, MONOMERDIMER):
+        for depth in (5, 10):
+            for bad in (-1, 5000):
+                with pytest.raises(ValueError, match="blocked vertex out of range"):
+                    sandwich_values(big, 943, model, [1.0], depth, blocked={bad, 7})
 
 
 # -- certified intervals -----------------------------------------------------
