@@ -32,12 +32,12 @@ one by one gives.  The walkers return the root's pair as walked, and
 `expand_saw_tree` with `eval_hc`/`eval_md` are the reference
 implementation the walker is tested against.
 
-Trees of more than `_CAP` nodes are walked again by a block walker,
-which applies the same rules to up to `_BLOCK` nodes of one depth at a
-time with numpy array operations, as `sawtree.saw_counts` does for walk
-counts, and gives the same values, node counts and budget errors bit for
-bit.  Its pending blocks wait on a LIFO stack that holds at most one
-block's children per depth, so its memory stays within
+Trees of more than `_CAP` nodes go to a block walker, which applies
+the same rules to up to `_BLOCK` nodes of one depth at a time with numpy
+array operations, as `sawtree.saw_counts` does for walk counts, and
+gives the same values, node counts and budget errors bit for bit.  Its
+pending blocks wait on a LIFO stack that holds at most one block's
+children per depth, so its memory stays within
 O(depth**2 * _BLOCK * max degree) entries beside the temporaries of one
 block's scan.  A numpy pass costs a fixed 100-200 us per block, more
 than a small tree takes depth-first, so the depth-first walker stays for
@@ -45,8 +45,13 @@ the small trees, which are most calls of a telescope.  It also takes
 every tree of depth 0 or 1, a single scan of the root's neighbors, and
 truncations deeper than `_BLOCK_DEPTH`, such as a full expansion of a
 long path: a deep thin tree holds a few nodes per block, and the block
-walker's path arrays grow with the square of its depth.  Every walk runs
-in the calling thread.
+walker's path arrays grow with the square of its depth.  A tree's size
+is known only once it is walked: a depth-first pass that runs past
+`_CAP` nodes is thrown away and the tree walked again on blocks, unless
+the caller expects it above the cap.  `_adaptive` extrapolates each
+pass's node count from its last two passes and sends a pass it expects
+above `_CAP` straight to the block walker.  Every walk runs in the
+calling thread.
 """
 
 from __future__ import annotations
@@ -159,6 +164,8 @@ def sandwich_values(
     boundary: BoundaryCondition | None = None,
     budget: int = 10**7,
     blocked: set | frozenset = frozenset(),
+    *,
+    expected_nodes: float | None = None,
 ):
     """Evaluate the truncated recurrence under both extreme frontier pins.
 
@@ -191,8 +198,12 @@ def sandwich_values(
     budget capped at `_CAP` nodes, unless depth is at most 1 (one scan of
     the root's neighbors, whatever its degree) or exceeds `_BLOCK_DEPTH`.
     If the tree is larger and the budget allows it, that pass is
-    repeated, and the other activities walked, by the block walker,
-    which wastes at most `_CAP` nodes of work per call.
+    repeated, and the other activities walked, by the block walker, at a
+    waste of `_CAP` nodes of work.  `expected_nodes`, the caller's
+    estimate of the node count, saves it: one above `_CAP` sends the
+    first pass straight to the block walker with the full budget when
+    the cap would apply (2 <= depth <= `_BLOCK_DEPTH` and budget above
+    `_CAP`).  The hint chooses the walker only, never an output.
     Both walkers combine children in ascending-id order with the same
     float operations, so results are bit-reproducible and do not depend
     on the walker.  Each walker reads the activity's `_leaf_table`, built
@@ -226,8 +237,10 @@ def sandwich_values(
     table = _leaf_table(hc, acts[0], size)
     cap = budget if depth <= 1 or depth > _BLOCK_DEPTH else min(budget, _CAP)
     walk = _sandwich
+    if cap < budget and expected_nodes is not None and expected_nodes > _CAP:
+        walk, cap = _sandwich_blocks, budget
     try:
-        first = _sandwich(g, v, model, acts[0], depth, blocked, cap, table)
+        first = walk(g, v, model, acts[0], depth, blocked, cap, table)
     except NodeBudgetError:
         if cap == budget:
             raise
@@ -735,7 +748,9 @@ class _Deepening:
     can run it in stages: the last two passes as (depth, measure, nodes),
     oldest first, the interval of the last pass, and the nodes of all
     passes.  Sandwich intervals nest as the depth grows, so the last
-    interval is the narrowest, and an exact one measures 0."""
+    interval is the narrowest, and an exact one measures 0.  The node
+    growth per level of the last two passes both cuts the next depth
+    step to the budget and predicts the next pass's node count."""
 
     passes: list = field(default_factory=list)
     last: tuple = (0.0, 0.0)
@@ -745,6 +760,27 @@ class _Deepening:
         """Whether the last pass met `target`, or gave an exact pair (which
         measures 0) under a target below 0."""
         return bool(self.passes) and self.passes[-1][1] <= max(target, 0.0)
+
+    def _growth(self):
+        """The per-level log growth of the node count from the pass before
+        the last to the last, None before the second pass."""
+        if len(self.passes) < 2:
+            return None
+        (d0, _, n0), (d1, _, n1) = self.passes
+        return math.log(n1 / n0) / (d1 - d0)
+
+    def expected_nodes(self, depth):
+        """The nodes of a pass at `depth`, extrapolated from the last two
+        passes, n1 * (n1/n0)**((depth - d1) / (d1 - d0)); the last pass's
+        n1 when the count did not grow or there is one pass (trees nest,
+        so n1 is a lower bound), None before the first pass."""
+        if not self.passes:
+            return None
+        d1, _, n1 = self.passes[-1]
+        growth = self._growth()
+        if growth is None or growth <= 0:
+            return n1
+        return n1 * math.exp(growth * (depth - d1))
 
     def next_depth(self, target, budget) -> int:
         """The depth of the next pass (see `_adaptive`)."""
@@ -757,7 +793,7 @@ class _Deepening:
             levels = depth - prev[0]
             per_level = math.log(w / prev[1]) / levels
             step = max(1, min(depth, math.ceil(math.log(target / w) / per_level)))
-            growth = math.log(nodes / prev[2]) / levels
+            growth = self._growth()
             left = budget - self.total
             if growth > 0 and left > 0:
                 step = max(1, min(step, int(math.log(left / nodes) / growth)))
@@ -781,6 +817,10 @@ def _adaptive(g, v, params, measure, target, boundary, budget, blocked=frozenset
     rate (a measure that is infinite or did not shrink) the depth steps
     by 1.  Raises AdaptiveBudgetError with the interval of the last pass
     (the a-priori range before the first) if the budget runs out first.
+    Each pass hands `sandwich_values` its node count extrapolated by the
+    same growth (`_Deepening.expected_nodes`), so a pass expected above
+    `_CAP` nodes is walked on blocks once, not started depth-first and
+    thrown away.  The choice of walker changes no output.
 
     The loop can run in stages.  A `state` (a `_Deepening`) carries it
     from one call to the next, and `until` stops it, unsettled, after
@@ -805,7 +845,7 @@ def _adaptive(g, v, params, measure, target, boundary, budget, blocked=frozenset
         try:
             pairs, nodes, _ = sandwich_values(
                 g, v, params.model, [params.activity], depth, boundary,
-                remaining, blocked,
+                remaining, blocked, expected_nodes=st.expected_nodes(depth),
             )
         except NodeBudgetError as exc:
             raise AdaptiveBudgetError(*last, st.total + exc.nodes_expanded)

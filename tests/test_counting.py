@@ -279,8 +279,8 @@ def test_partition_truncates_only_feedback_factors(monkeypatch):
     calls = []
 
     def recording(g, v, model, activities, depth, boundary=None, budget=10**7,
-                  blocked=frozenset()):
-        out = sandwich_values(g, v, model, activities, depth, boundary, budget, blocked)
+                  blocked=frozenset(), **hint):
+        out = sandwich_values(g, v, model, activities, depth, boundary, budget, blocked, **hint)
         calls.append((v, len(blocked), out[2]))
         return out
 
@@ -296,6 +296,57 @@ def test_partition_truncates_only_feedback_factors(monkeypatch):
             assert all(position[v] == n_blocked for v, n_blocked, _ in calls)
             assert {v for v, _, truncated in calls if truncated} <= set(order[:k])
             assert [v for v, _, _ in calls if position[v] >= k] == []
+
+
+def test_partition_walks_no_pass_twice(monkeypatch):
+    # `_adaptive` sends a pass it expects above _CAP nodes straight to the
+    # block walker, so no depth-first pass runs out at _CAP under a larger
+    # budget to be walked again on blocks.  Without the hint those passes
+    # come back and every output stays bit for bit
+    budgets, discarded, blocks = [], [], []
+    sandwich_values, dfs = recurrence.sandwich_values, recurrence._sandwich
+    block_walker = recurrence._sandwich_blocks
+
+    def outer(g, v, model, activities, depth, boundary=None, budget=10**7,
+              blocked=frozenset(), **hint):
+        budgets.append(budget)
+        return sandwich_values(g, v, model, activities, depth, boundary, budget, blocked, **hint)
+
+    def first_pass(*args):
+        try:
+            return dfs(*args)
+        except recurrence.NodeBudgetError:
+            if args[6] == recurrence._CAP < budgets[-1]:
+                discarded.append(args[4])
+            raise
+
+    monkeypatch.setattr(recurrence, "sandwich_values", outer)
+    monkeypatch.setattr(recurrence, "_sandwich", first_pass)
+    monkeypatch.setattr(recurrence, "_sandwich_blocks",
+                        lambda *args: blocks.append(args[4]) or block_walker(*args))
+
+    def run(g, partition, act):
+        discarded.clear()
+        blocks.clear()
+        res = partition(g, act, 0.01)
+        assert res.converged
+        return (res.lo, res.hi, res.log_lo, res.log_hi, res.value, res.depth_max_used,
+                res.nodes_expanded), len(discarded), len(blocks)
+
+    # graphs with the monomer-dimer passes thrown away without the hint
+    cases = ((gen_graph("grid", width=6, height=6), 5),
+             (gen_graph("gnp", n=50, d=3.0, seed=3), 4))
+    for g, without_hint in cases:
+        for partition, act in ((partition_md, 1.0), (partition_hc, 0.5)):
+            out, n_discarded, n_blocks = run(g, partition, act)
+            assert n_discarded == 0
+            with monkeypatch.context() as m:
+                m.setattr(recurrence._Deepening, "expected_nodes", lambda self, depth: None)
+                unhinted, unhinted_discarded, _ = run(g, partition, act)
+            assert unhinted == out
+            if partition is partition_md:
+                assert n_blocks > 0
+                assert unhinted_discarded == without_hint
 
 
 def _per_vertex_forest_log_z(g, params, cut):

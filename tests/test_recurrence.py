@@ -232,7 +232,7 @@ def _walk(walker, *args):
 
 def test_block_walker_matches_dfs(monkeypatch):
     # the block walker against the depth-first walker, bit for bit on
-    # (pairs, nodes, truncated) and on the budget error, with blocks of a
+    # pair and node count and on the budget error, with blocks of a
     # few rows so that a parent's children are split over several blocks
     # and folded across block boundaries; from depth 2, since shallower
     # trees never reach the block walker
@@ -390,6 +390,85 @@ def test_sandwich_values_above_the_cap(monkeypatch):
     assert (nodes, truncated) == (5000, False)
     assert pairs[0][0] == pairs[0][1] == pytest.approx(0.618034, rel=1e-6)
     assert calls == [10] * 10
+
+
+HINTS = (None, 0, recurrence._CAP + 1, 10**9)
+
+
+def test_expected_nodes_hint_changes_no_output(monkeypatch):
+    # a hint above _CAP sends the first activity straight to the block
+    # walker when the budget is above the cap; pairs, node counts, flags
+    # and budget errors are those of no hint, with blocked sets and pins,
+    # on trees below and above the cap
+    calls = []
+    dfs, blocks = recurrence._sandwich, recurrence._sandwich_blocks
+    monkeypatch.setattr(recurrence, "_sandwich",
+                        lambda *args: calls.append("dfs") or dfs(*args))
+    monkeypatch.setattr(recurrence, "_sandwich_blocks",
+                        lambda *args: calls.append("blocks") or blocks(*args))
+    big = gen_graph("gnp", n=2000, d=3.0, seed=1)
+    pins = BoundaryCondition({1317: OCCUPIED, 501: UNOCCUPIED})
+    cases = [(HARDCORE, None, frozenset()), (MONOMERDIMER, None, frozenset()),
+             (HARDCORE, pins, frozenset({894})), (MONOMERDIMER, None, frozenset({894, 7}))]
+    for model, boundary, blocked in cases:
+        for depth in (2, 5, 10):
+            want = sandwich_values(big, 943, model, ACTIVITIES, depth, boundary,
+                                   blocked=blocked)
+            for hint in HINTS:
+                calls.clear()
+                got = sandwich_values(big, 943, model, ACTIVITIES, depth, boundary,
+                                      blocked=blocked, expected_nodes=hint)
+                assert got == want
+                if hint is not None and hint > recurrence._CAP:
+                    assert calls == ["blocks"] * 3
+                elif want[1] <= recurrence._CAP:
+                    assert calls == ["dfs"] * 3
+            for budget in (want[1] - 1, recurrence._CAP, 100):
+                if not 1 <= budget < want[1]:
+                    continue
+                for hint in HINTS:
+                    calls.clear()
+                    with pytest.raises(NodeBudgetError) as err:
+                        sandwich_values(big, 943, model, [1.0], depth, boundary, budget,
+                                        blocked, expected_nodes=hint)
+                    assert err.value.nodes_expanded == budget + 1
+                    if budget <= recurrence._CAP:
+                        assert calls == ["dfs"]  # the budget leaves no room for blocks
+
+
+def test_expected_nodes_hint_keeps_shallow_and_deep_trees_depth_first(monkeypatch):
+    # depths 0 and 1 and truncations deeper than _BLOCK_DEPTH never reach
+    # the block walker, whatever the hint
+    calls = []
+    blocks = recurrence._sandwich_blocks
+    monkeypatch.setattr(recurrence, "_sandwich_blocks",
+                        lambda *args: calls.append(args[4]) or blocks(*args))
+    n = 6001
+    hub = graph_from_edges(n, [(0, i) for i in range(1, n)]
+                           + [(i, i + 1) for i in range(1, n - 1)])
+    path = graph_from_edges(5000, [(i, i + 1) for i in range(4999)])
+    for hint in HINTS:
+        for model in (HARDCORE, MONOMERDIMER):
+            for depth in (0, 1):
+                assert (sandwich_values(hub, 0, model, [0.5], depth, expected_nodes=hint)
+                        == sandwich_values(hub, 0, model, [0.5], depth))
+            for depth in (recurrence._BLOCK_DEPTH + 1, 5000):
+                got = sandwich_values(path, 0, model, [1.0], depth, expected_nodes=hint)
+                assert got == sandwich_values(path, 0, model, [1.0], depth)
+    assert calls == []
+
+
+def test_expected_nodes_extrapolates_the_last_two_passes():
+    st = recurrence._Deepening()
+    assert st.expected_nodes(3) is None
+    st.passes = [(2, 0.5, 40)]
+    assert st.expected_nodes(6) == 40  # one pass: its count, a lower bound
+    st.passes = [(2, 0.5, 40), (4, 0.1, 360)]
+    assert st.expected_nodes(4) == 360
+    assert st.expected_nodes(6) == pytest.approx(3240, rel=1e-12)  # x3 per level
+    assert st.expected_nodes(5) == pytest.approx(1080, rel=1e-12)
+    st.passes = [(2, 0.5, 40), (4, 0.1, 40)]
+    assert st.expected_nodes(8) == 40  # no growth: the last count
 
 
 def test_sandwich_needs_an_activity():
