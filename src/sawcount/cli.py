@@ -86,7 +86,8 @@ _SCHEMAS = {
     "md-marginal": {"value": float, "lo": float, "hi": float, "tol": float,
                     "depth": int, "nodes": int, "converged": bool},
     "decay-table": {"rows": list},
-    "conn-const": {"rows": list, "complete": bool, "roots": list},
+    "conn-const": {"rows": list, "complete": bool, "roots": list, "walks": int,
+                   "walked": list},
     "z2-branching": {"eigenvalue": float, "states": int, "states_raw": int,
                      "ssm_bound": float},
     "lattice-bounds": {"rows": list},
@@ -306,6 +307,8 @@ def _cmd_conn_const(args, out):
         "rows": rows,
         "complete": prof.complete,
         "roots": prof.roots,
+        "walks": prof.walks,
+        "walked": prof.walked,
     }
     _emit(record, args.format, out)
     return 0 if prof.complete else 1

@@ -3,11 +3,18 @@
 Two tools:
 
 1. conn_profile: exact SAW counts N(v, l) on a finite graph, reported as
-   cumulative growth estimates (sum_{i<=l} N(v,i))**(1/l).  Evidence of
-   the growth rate, not a certificate.  The counts come from
-   sawtree.saw_counts, which extends blocks of up to _BLOCK walks of one
-   length at a time with numpy array operations, so its memory stays
-   within O(l_max**2 * _BLOCK * max degree) entries.
+   cumulative growth estimates (sum_{i<=l} N(v,i))**(1/l) of the worst
+   root.  Evidence of the growth rate, not a certificate.  The counts come
+   from sawtree.saw_counts, which extends blocks of up to _BLOCK walks of
+   one length at a time with numpy array operations, so its memory stays
+   within O(l_max**2 * _BLOCK * max degree) entries.  Most roots need no
+   walk: every SAW is non-backtracking, so a root's cumulative
+   non-backtracking counts (sawtree.nonbacktracking_totals, one pass over
+   the half-edges for all vertices) bound its cumulative SAW counts, and
+   a root is walked only up to the last length at which that bound still
+   exceeds the worst root found so far.  Roots are visited in descending
+   order of their bound at l_max, so the heavy ones raise the profile
+   early and the rest are covered by their bound.
 
 2. z2_branching_matrix / spectral_bound: a rigorous upper bound on the
    growth rate of the (optionally pin-pruned) SAW tree of the square
@@ -63,13 +70,13 @@ Two tools:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decay import lambda_c
 from .graph import Graph
-from .sawtree import NodeBudgetError, saw_counts
+from .sawtree import NodeBudgetError, nonbacktracking_totals, saw_counts
 
 RELATIVE = "relative"
 UNIFORM = "uniform"
@@ -104,13 +111,17 @@ class PowerIterationError(RuntimeError):
 @dataclass
 class ConnProfile:
     """Cumulative SAW-growth evidence: at each length l, the worst root's
-    sum_{i<=l} N(v, i) and the implied estimate (sum)**(1/l)."""
+    sum_{i<=l} N(v, i) and the implied estimate (sum)**(1/l).  `roots`
+    are the roots covered, `walked` those of them that were walked, and
+    `walks` the walks counted."""
 
     lengths: list
     cumulative: list
     estimates: list
     roots: list
     complete: bool
+    walks: int = 0
+    walked: list = field(default_factory=list)
 
 
 def sample_roots(g: Graph, m: int, seed: int = 0) -> list:
@@ -122,36 +133,56 @@ def sample_roots(g: Graph, m: int, seed: int = 0) -> list:
 
 
 def conn_profile(g: Graph, l_max: int, roots="all", budget: int = 10**8) -> ConnProfile:
-    """SAW-growth profile over the chosen roots ("all" or a vertex list).
+    """SAW-growth profile over the chosen roots ("all" or a vertex list):
+    `cumulative[l - 1]`, best[l - 1] below, is the largest
+    sum_{i<=l} N(v, i) over the roots v.
 
-    On budget exhaustion the profile covers the roots finished so far and
-    is flagged incomplete.
+    Roots are visited in descending order of their non-backtracking bound
+    at l_max (`nonbacktracking_totals`), ties by id.  Root v is walked
+    with saw_counts up to the last length d at which its bound exceeds
+    best, and raises best[:d]; with no such length it is covered without
+    a walk.  The result is the exact maximum: at a length past d, v's
+    cumulative count is at most its bound, which is at most best, and
+    best only grows.
+
+    `roots` lists the covered roots, walked or bounded, in ascending
+    order.  `budget` caps the walks counted; a bounded root spends none.
+    When it runs out the profile is flagged incomplete and covers the
+    roots handled before.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
     root_list = list(range(g.n)) if roots == "all" else sorted(set(roots))
     if not root_list:
         raise ValueError("no roots to profile")
+    if not (0 <= root_list[0] and root_list[-1] < g.n):
+        raise ValueError("root out of range")
+    bound = nonbacktracking_totals(g, l_max)
     best = [0] * l_max
     used = 0
     done = []
+    walked = []
     complete = True
-    for v in root_list:
-        try:
-            counts = saw_counts(g, v, l_max, budget=budget - used)
-        except NodeBudgetError as exc:
-            used += exc.nodes_expanded
-            complete = False
-            break
-        used += sum(counts)
+    for v in sorted(root_list, key=lambda v: (-bound[v, -1], v)):
+        row = bound[v].tolist()
+        depth = max((l for l in range(1, l_max + 1) if row[l - 1] > best[l - 1]), default=0)
+        if depth:
+            try:
+                counts = saw_counts(g, v, depth, budget=budget - used)
+            except NodeBudgetError as exc:
+                used += exc.nodes_expanded
+                complete = False
+                break
+            used += sum(counts)
+            walked.append(v)
+            cum = 0
+            for i, c in enumerate(counts):
+                cum += c
+                best[i] = max(best[i], cum)
         done.append(v)
-        cum = 0
-        for i, c in enumerate(counts):
-            cum += c
-            best[i] = max(best[i], cum)
     lengths = list(range(1, l_max + 1))
     estimates = [b ** (1.0 / l) if b > 0 else 0.0 for l, b in zip(lengths, best)]
-    return ConnProfile(lengths, best, estimates, done, complete)
+    return ConnProfile(lengths, best, estimates, sorted(done), complete, used, sorted(walked))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ within O(l_max**2 * _BLOCK * max degree) entries.  It lists a block's
 steps from the graph's CSR adjacency (`Graph.csr`, `Csr.steps`): every
 neighbour but the arrival half-edge, so the step back to the parent is
 never listed.  The block walker of `recurrence` shares these steps.
+`nonbacktracking_totals` bounds those counts from above for every vertex
+at once, by counting non-backtracking walks on the CSR's half-edges.
 """
 
 from __future__ import annotations
@@ -286,3 +288,38 @@ def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
         for lo in range(0, found, _BLOCK):
             stack.append(([col[lo:lo + _BLOCK] for col in children], arrive[lo:lo + _BLOCK]))
     return counts[1:]
+
+
+def nonbacktracking_totals(g: Graph, l_max: int) -> np.ndarray:
+    """Cumulative non-backtracking walk counts of every vertex, as float64:
+    entry [v, l - 1] is the number of non-backtracking walks of 1..l steps
+    from v, for l <= l_max.
+
+    Every self-avoiding walk is non-backtracking, so row v bounds the
+    running sums of saw_counts(g, v, l_max) from above.  The count runs on
+    half-edges in O(l_max * m): the walks of k steps that start along
+    f = u -> w number W_1[f] = 1 and W_k[f] = S_{k-1}[w] - W_{k-1}[back[f]],
+    where S_k[w] sums W_k over the half-edges out of w, and v has S_k[v]
+    walks of k steps.  Sums of nonnegative integers are exact in float64
+    below 2**53; an entry that reaches it, or depends on one that did, is
+    inf, which still bounds the count.
+    """
+    if l_max < 1:
+        raise ValueError("l_max must be >= 1")
+    exact = 2.0**53  # float64 holds every integer below this
+    csr = g.csr
+    src = np.repeat(np.arange(g.n), csr.deg)
+    walks = np.ones(len(csr.nbrs))
+    totals = np.empty((g.n, l_max))
+    total = np.zeros(g.n)
+    for k in range(l_max):
+        if k:
+            walks = out_sums.take(csr.nbrs) - walks.take(csr.back)
+            walks[~(walks < exact)] = np.inf  # inf - inf is nan: inf too
+        # astype: with no half-edges bincount returns ints
+        out_sums = np.bincount(src, weights=walks, minlength=g.n).astype(float, copy=False)
+        out_sums[out_sums >= exact] = np.inf
+        total += out_sums
+        total[total >= exact] = np.inf
+        totals[:, k] = total
+    return totals

@@ -165,6 +165,21 @@ def test_conn_const(capsys, tmp_path):
     rec = json.loads(out)
     validate_record(rec)
     assert [r["cumulative"] for r in rec["rows"]] == [7, 20, 46, 93, 175, 358]
+    # 14 of the 30 roots are walked; the others are covered by their
+    # non-backtracking bound
+    assert rec["roots"] == list(range(30))
+    assert rec["walked"] == [0, 1, 3, 6, 7, 10, 11, 12, 13, 18, 22, 23, 24, 25]
+    assert rec["walks"] == 4279
+    # a profile that runs out of budget still emits a valid record
+    code, out, _ = run_cli(
+        capsys, "conn-const", "--graph", str(path), "--lmax", "6",
+        "--budget", "300", "--format", "json",
+    )
+    assert code == 1
+    rec = json.loads(out)
+    validate_record(rec)
+    assert rec["complete"] is False
+    assert rec["roots"] == [] and rec["walked"] == [] and rec["walks"] == 301
 
 
 def test_oracle_command(capsys, c4_path):

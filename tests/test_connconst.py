@@ -16,6 +16,7 @@ from sawcount.connconst import (
     z2_branching_matrix,
 )
 from sawcount.graph import gen_graph, graph_from_edges
+from sawcount.sawtree import saw_counts
 
 
 # -- finite-graph profiles ---------------------------------------------------
@@ -61,14 +62,86 @@ def test_conn_profile_budget_flag():
 
 
 def test_conn_profile_budget_spent_exactly():
-    # root 0 has 2 walks (0-1, 0-1-2), root 3 has 1 (3-4): once the budget
-    # of 2 is spent, root 3 must not count its walk
-    g = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    # root 0 has 2 walks (0-1, 0-1-2); root 3, the centre of a two-leaf
+    # star, has 2 walks of one step, and its bound [2, 2] exceeds best
+    # [1, 2] at length 1: once the budget of 2 is spent, root 3 must not
+    # count its walks
+    g = graph_from_edges(6, [(0, 1), (1, 2), (3, 4), (3, 5)])
     prof = conn_profile(g, 2, roots=[0, 3], budget=2)
     assert not prof.complete
     assert prof.roots == [0] and prof.cumulative == [1, 2]
-    prof = conn_profile(g, 2, roots=[0, 3], budget=3)
+    prof = conn_profile(g, 2, roots=[0, 3], budget=4)
     assert prof.complete and prof.roots == [0, 3]
+    assert prof.cumulative == [2, 2] and prof.walks == 4
+
+
+def unbounded_profile(g, l_max, roots):
+    """Reference: saw_counts on every root, running sums maximised by hand."""
+    best = [0] * l_max
+    for v in roots:
+        cum = itertools.accumulate(saw_counts(g, v, l_max))
+        best = [max(b, c) for b, c in zip(best, cum)]
+    return best
+
+
+def test_conn_profile_matches_unbounded_reference(catalog6):
+    graphs = list(catalog6[::5])
+    graphs += [gen_graph("gnp", n=n, d=d, seed=s)
+               for n, d in ((60, 3.0), (30, 5.0)) for s in range(3)]
+    graphs += [gen_graph("grid", width=5, height=5), gen_graph("complete", n=7),
+               gen_graph("dary_tree", d=3, depth=4)]
+    for g in graphs:
+        for roots in ("all", sample_roots(g, 4, seed=1)):
+            root_list = list(range(g.n)) if roots == "all" else roots
+            for l_max in range(1, 8):
+                prof = conn_profile(g, l_max, roots=roots)
+                assert prof.cumulative == unbounded_profile(g, l_max, root_list)
+                assert prof.complete and prof.roots == root_list
+                assert set(prof.walked) <= set(prof.roots)
+
+
+def test_conn_profile_rejects_roots_out_of_range():
+    # a root that the bound alone would cover must be rejected too
+    g = graph_from_edges(4, [(0, 1), (0, 2), (2, 3)])
+    for roots in ([-1], [0, 4]):
+        with pytest.raises(ValueError):
+            conn_profile(g, 2, roots=roots)
+
+
+class CountingWalks:
+    """Stands in for connconst.saw_counts and records (root, l_max) of
+    every call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, g, v, l_max, budget=10**8):
+        self.calls.append((v, l_max))
+        return saw_counts(g, v, l_max, budget=budget)
+
+
+def test_conn_profile_skips_dominated_root(monkeypatch):
+    # the star centre 0 has bound [3, 3]; the edge 4-5 has [1, 1] from 4,
+    # below best [3, 3], so root 4 is covered without a walk
+    g = graph_from_edges(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
+    walks = CountingWalks()
+    monkeypatch.setattr(connconst, "saw_counts", walks)
+    prof = conn_profile(g, 2, roots=[0, 4])
+    assert walks.calls == [(0, 2)]
+    assert prof.roots == [0, 4] and prof.walked == [0]
+    assert prof.cumulative == [3, 3] and prof.walks == 3 and prof.complete
+
+
+def test_conn_profile_walks_only_to_last_raising_length(monkeypatch):
+    # the path 0-1-2-3 from 0 has bound [1, 2, 3] and is walked first; the
+    # star centre 4 has bound [2, 2, 2], above best only at length 1
+    g = graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5), (4, 6)])
+    walks = CountingWalks()
+    monkeypatch.setattr(connconst, "saw_counts", walks)
+    prof = conn_profile(g, 3, roots=[0, 4])
+    assert walks.calls == [(0, 3), (4, 1)]
+    assert prof.cumulative == [2, 2, 3]
+    assert prof.walked == [0, 4] and prof.walks == 5
 
 
 def test_sample_roots_deterministic():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from sawcount.sawtree import (
     BoundaryCondition,
     NodeBudgetError,
     expand_saw_tree,
+    nonbacktracking_totals,
     saw_counts,
 )
 
@@ -189,6 +192,54 @@ def test_saw_counts_int32_ids(sparse40k):
     # above 32767 vertices the CSR keeps vertex ids as int32
     assert sparse40k.csr.nbrs.dtype == np.int32
     assert saw_counts(sparse40k, 32774, 7) == dfs_saw_counts(sparse40k, 32774, 7)
+
+
+def brute_nonbacktracking(g, v, l_max):
+    """Reference: non-backtracking walks of 1..l_max steps from v, listed
+    one by one, as running sums."""
+    counts = [0] * (l_max + 1)
+
+    def rec(prev, u, depth):
+        counts[depth] += 1
+        if depth < l_max:
+            for w in g.adjacency[u]:
+                if w != prev:
+                    rec(u, w, depth + 1)
+
+    rec(-1, v, 0)
+    return list(itertools.accumulate(counts[1:]))
+
+
+def test_nonbacktracking_totals_match_brute_force(catalog6):
+    graphs = list(catalog6)
+    graphs += [gen_graph("gnp", n=12, d=3.0, seed=s) for s in range(3)]
+    graphs += [gen_graph("complete", n=5), gen_graph("cycle", n=5),
+               gen_graph("grid", width=3, height=3), graph_from_edges(4, [(0, 1)])]
+    for g in graphs:
+        for l_max in (1, 2, 5):
+            totals = nonbacktracking_totals(g, l_max)
+            assert totals.shape == (g.n, l_max)
+            for v in range(g.n):
+                assert totals[v].tolist() == brute_nonbacktracking(g, v, l_max)
+
+
+def test_nonbacktracking_totals_bound_saw_counts(catalog6):
+    for g in catalog6[::7]:
+        totals = nonbacktracking_totals(g, 6)
+        for v in range(g.n):
+            cum = itertools.accumulate(saw_counts(g, v, 6))
+            assert all(c <= b for c, b in zip(cum, totals[v]))
+
+
+def test_nonbacktracking_totals_inf_at_2_53():
+    # K40: 39 * 38**(k - 1) walks of k steps; the running sums pass 2**53
+    # between 10 and 11 steps
+    totals = nonbacktracking_totals(gen_graph("complete", n=40), 12)
+    want = list(itertools.accumulate(39 * 38 ** (k - 1) for k in range(1, 13)))
+    assert want[9] < 2**53 <= want[10]
+    assert (totals[:, :10] == np.array(want[:10], dtype=float)).all()
+    assert want[:10] == [int(x) for x in totals[0, :10]]
+    assert np.isinf(totals[:, 10:]).all()
 
 
 def test_boundary_validation():
