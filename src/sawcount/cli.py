@@ -31,7 +31,7 @@ from .connconst import (
     truncate3,
     z2_branching_matrix,
 )
-from .counting import oracle_Z, oracle_marginal, partition_hc, partition_md
+from .counting import _trivial_bracket, oracle_Z, oracle_marginal, partition_hc, partition_md
 from .decay import decay_factor_hc, decay_factor_md, lambda_c
 from .graph import GNP_GENERATOR, gen_graph, graph_from_edge_list, graph_to_edge_list
 from .recurrence import (
@@ -96,7 +96,8 @@ _SCHEMAS = {
 }
 
 # fields a record may omit, type-checked when present
-_OPTIONAL = {"hc-count": _COUNT_OPTIONAL, "md-count": _COUNT_OPTIONAL}
+_OPTIONAL = {"hc-count": _COUNT_OPTIONAL, "md-count": _COUNT_OPTIONAL,
+             "conn-const": {"failed_root": int}}
 
 
 def _check_field(key, val, typ):
@@ -222,10 +223,15 @@ def _cmd_marginal(args, out):
     )
     converged = True
     if args.depth is not None:
-        pairs, nodes, _ = sandwich_values(
-            g, args.vertex, model, [act], args.depth, budget=args.budget
-        )
-        (lo, hi), depth = pairs[0], args.depth
+        try:
+            pairs, nodes, _ = sandwich_values(
+                g, args.vertex, model, [act], args.depth, budget=args.budget
+            )
+            (lo, hi), depth = pairs[0], args.depth
+        except NodeBudgetError as exc:
+            # no pass completed: the a-priori bracket, which needs no tree
+            (lo, hi), depth = _trivial_bracket(params, g, args.vertex), 0
+            nodes, converged = exc.nodes_expanded, False
         value = 0.5 * (lo + hi)
     else:
         try:
@@ -310,6 +316,8 @@ def _cmd_conn_const(args, out):
         "walks": prof.walks,
         "walked": prof.walked,
     }
+    if not prof.complete:
+        record["failed_root"] = prof.failed_root
     _emit(record, args.format, out)
     return 0 if prof.complete else 1
 

@@ -113,7 +113,8 @@ class ConnProfile:
     """Cumulative SAW-growth evidence: at each length l, the worst root's
     sum_{i<=l} N(v, i) and the implied estimate (sum)**(1/l).  `roots`
     are the roots covered, `walked` those of them that were walked, and
-    `walks` the walks counted."""
+    `walks` the walks counted.  An incomplete profile names in
+    `failed_root` the root whose walk ran out of budget."""
 
     lengths: list
     cumulative: list
@@ -122,6 +123,7 @@ class ConnProfile:
     complete: bool
     walks: int = 0
     walked: list = field(default_factory=list)
+    failed_root: int | None = None
 
 
 def sample_roots(g: Graph, m: int, seed: int = 0) -> list:
@@ -147,8 +149,8 @@ def conn_profile(g: Graph, l_max: int, roots="all", budget: int = 10**8) -> Conn
 
     `roots` lists the covered roots, walked or bounded, in ascending
     order.  `budget` caps the walks counted; a bounded root spends none.
-    When it runs out the profile is flagged incomplete and covers the
-    roots handled before.
+    When it runs out the profile is flagged incomplete, covers the roots
+    handled before and names the root it stopped at in `failed_root`.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -162,7 +164,7 @@ def conn_profile(g: Graph, l_max: int, roots="all", budget: int = 10**8) -> Conn
     used = 0
     done = []
     walked = []
-    complete = True
+    failed = None
     for v in sorted(root_list, key=lambda v: (-bound[v, -1], v)):
         row = bound[v].tolist()
         depth = max((l for l in range(1, l_max + 1) if row[l - 1] > best[l - 1]), default=0)
@@ -171,7 +173,7 @@ def conn_profile(g: Graph, l_max: int, roots="all", budget: int = 10**8) -> Conn
                 counts = saw_counts(g, v, depth, budget=budget - used)
             except NodeBudgetError as exc:
                 used += exc.nodes_expanded
-                complete = False
+                failed = v
                 break
             used += sum(counts)
             walked.append(v)
@@ -182,7 +184,8 @@ def conn_profile(g: Graph, l_max: int, roots="all", budget: int = 10**8) -> Conn
         done.append(v)
     lengths = list(range(1, l_max + 1))
     estimates = [b ** (1.0 / l) if b > 0 else 0.0 for l, b in zip(lengths, best)]
-    return ConnProfile(lengths, best, estimates, sorted(done), complete, used, sorted(walked))
+    return ConnProfile(lengths, best, estimates, sorted(done), failed is None, used,
+                       sorted(walked), failed)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ bit-for-bit across runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -99,12 +99,6 @@ class Graph:
 
     n: int
     adjacency: tuple[tuple[int, ...], ...]
-    _adj_sets: tuple[frozenset, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_adj_sets", tuple(frozenset(a) for a in self.adjacency)
-        )
 
     @cached_property
     def csr(self) -> Csr:

@@ -22,10 +22,11 @@ evaluations of one activity value in a single pass.  Per model it
 differs only in its loop copies (hard-core pins the path vertices it
 meets, which are no nodes in either model), its leaf and frontier
 values and its fold: a product of 1/(1 + R_i) for hard-core, a sum of
-p_i closed by 1/(1 + gamma*sum) for monomer-dimer.  The last tree level, about two
-thirds of a truncated tree's nodes, is counted in bulk: a node one level
-above the frontier is never pushed; its children are counted as exact
-leaves or truncated frontier nodes, and its pair is read off one linear
+p_i closed by 1/(1 + gamma*sum) for monomer-dimer; one rule finds the
+exact leaves of both.  The last tree level, about two thirds of a
+truncated tree's nodes, is counted in bulk: a node one level above the
+frontier is never pushed; its children are counted as exact leaves or
+truncated frontier nodes, and its pair is read off one linear
 table by those two counts (`_leaf_table`), bit for bit what folding them
 one by one gives.  The walkers return the root's pair as walked, and
 `sandwich_values` orders it into (lo, hi).  The materialized trees of
@@ -181,7 +182,8 @@ def sandwich_values(
     marginal is that of g minus blocked.  Blocked = deleted, in both
     models: no walker steps onto a blocked vertex, which for hard-core
     gives the value of pinning it unoccupied.  The root must not be
-    blocked.
+    blocked or pinned; a root that an occupied pin forces unoccupied gets
+    (0.0, 0.0) per activity at 1 node, without a walk.
 
     A loop copy carries no walk, so it is no node: unoccupied it
     multiplies its parent by exactly 1, and occupied it zeroes its parent,
@@ -232,6 +234,9 @@ def sandwich_values(
         if v in boundary.assignments:
             raise ValueError("boundary must not pin the root vertex")
         blocked = boundary.blocked(g) | blocked
+        if v in blocked:
+            # an occupied neighbor forces the root unoccupied: R_v = 0
+            return [(0.0, 0.0)] * len(acts), 1, False
     hc = model == HARDCORE
     size = int(g.csr.deg.max()) + 1
     table = _leaf_table(hc, acts[0], size)
@@ -276,8 +281,8 @@ def _leaf_table(hc, a, size):
 
 
 def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
-    """The depth-first walker behind sandwich_values, for one activity a
-    and its `_leaf_table`; returns ((x0, x1), nodes).
+    """The depth-first walker behind sandwich_values, for one activity a,
+    its `_leaf_table` and an unblocked root; returns ((x0, x1), nodes).
 
     Each tree node carries two values: its evaluation with the frontier
     pinned to 0 (x0) and the one with the frontier pinned to the maximum
@@ -304,56 +309,44 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
 
     `blocked` = deleted, in both models: a blocked neighbor is skipped in
     the test that skips the parent (for hard-core, the value of pinning it
-    unoccupied, a factor of 1).  A hard-core frontier child whose only
-    other neighbors are blocked is an exact leaf; monomer-dimer counts a
-    blocked neighbor as on the path in the extension test.  Pins need no
-    test of their own in a scan: an expanded vertex is never blocked, so
-    no neighbor of it is pinned occupied, and the only occupied
-    neighbors are loop copies.
+    unoccupied, a factor of 1).  A frontier child is an exact leaf when
+    no neighbor but its parent is free: not blocked, and for monomer-dimer
+    not on the path (a hard-core path vertex is a loop copy, left
+    unevaluated at the frontier).  Pins need no test of their own in a
+    scan: an expanded vertex is never blocked, so no neighbor of it is
+    pinned occupied, and the only occupied neighbors are loop copies.
     """
     adj = g.adjacency
-    adj_sets = g._adj_sets
     hc = model == HARDCORE
     top = a if hc else 1.0
-    if root in blocked:
-        return (0.0, 0.0), 1
     if max_depth == 0:
-        if adj_sets[root] <= blocked:
+        if all(w in blocked for w in adj[root]):
             return (top, top), 1
         return (0.0, top), 1
 
     start = a if hc else 0.0
     path = [root]
     path_pos = {root: 0}
-    on_path = path_pos.keys()
 
     def last_level(u, parent):
         # (x0, x1, children visited) of a node u one level above the
         # frontier; like a pushed node, u stops at its first occupied loop
         # copy and the siblings after it are not visited
         exact = cut = 0
-        if hc:
-            for w in adj[u]:
-                if w == parent or w in blocked:
-                    continue
-                pos = path_pos.get(w)
-                if pos is not None:
-                    if loop_copy_occupied(path, pos, u):
-                        return 0.0, 0.0, exact + cut
-                elif len(adj[w]) == 1 or blocked and len(adj_sets[w] - blocked) == 1:
-                    exact += 1  # no neighbor but u outside blocked
-                else:
-                    cut += 1
-        else:
-            path_pos[u] = len(path)
-            for w in adj[u]:
-                if w not in path_pos and w not in blocked:
-                    # extended unless every neighbor is on the path or blocked
-                    if on_path >= adj_sets[w] or blocked and on_path >= adj_sets[w] - blocked:
-                        exact += 1
-                    else:
-                        cut += 1
-            del path_pos[u]
+        for w in adj[u]:
+            if w == parent or w in blocked:
+                continue
+            pos = path_pos.get(w)
+            if pos is not None:
+                if hc and loop_copy_occupied(path, pos, u):
+                    return 0.0, 0.0, exact + cut
+                continue
+            for x in adj[w]:
+                if x != u and x not in blocked and (hc or x not in path_pos):
+                    cut += 1  # a free neighbor: w is extended
+                    break
+            else:
+                exact += 1
         return table[exact], table[exact + cut], exact + cut
 
     # a budget error reports the first node over budget, budget + 1

@@ -151,6 +151,7 @@ def test_conn_const(capsys, tmp_path):
     validate_record(rec)
     assert rec["rows"][-1]["cumulative"] == 10
     assert rec["complete"] is True
+    assert "failed_root" not in rec
     # a gnp graph's counts come from the blocked enumeration and must
     # serialize as plain ints
     path = tmp_path / "gnp.edges"
@@ -180,6 +181,10 @@ def test_conn_const(capsys, tmp_path):
     validate_record(rec)
     assert rec["complete"] is False
     assert rec["roots"] == [] and rec["walked"] == [] and rec["walks"] == 301
+    assert rec["failed_root"] == 7  # the root with the largest bound
+    rec["failed_root"] = "7"
+    with pytest.raises(ValueError):
+        validate_record(rec)
 
 
 def test_oracle_command(capsys, c4_path):
@@ -231,6 +236,16 @@ def test_budget_failure_emits_partial(capsys, c4_path):
     assert rec["converged"] is False
     assert rec["failed_vertex"] == 0
     assert rec["lo"] <= 7.0 <= rec["hi"]
+    # a fixed-depth marginal that runs out keeps the a-priori bracket
+    code, out, _ = run_cli(
+        capsys, "hc-marginal", "--graph", c4_path, "--lam", "1",
+        "--depth", "3", "--budget", "2",
+    )
+    assert code == 1
+    rec = json.loads(out)
+    validate_record(rec)
+    assert rec["converged"] is False
+    assert (rec["lo"], rec["hi"], rec["depth"], rec["nodes"]) == (0.0, 1.0, 0, 3)
 
 
 def test_output_deterministic(capsys, c4_path):

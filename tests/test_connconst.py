@@ -54,10 +54,11 @@ def test_conn_profile_budget_flag():
     prof = conn_profile(g, 7, budget=100)
     assert not prof.complete
     assert prof.roots == [] and prof.cumulative == [0] * 7
+    assert prof.failed_root == 0  # the first root visited, ties by id
     # each root of K8 has 13699 walks: two fit in 30000, the third does not
     prof = conn_profile(g, 7, budget=30000)
     assert not prof.complete
-    assert prof.roots == [0, 1]
+    assert prof.roots == [0, 1] and prof.failed_root == 2
     assert prof.cumulative == [7, 49, 259, 1099, 3619, 8659, 13699]
 
 
@@ -70,8 +71,9 @@ def test_conn_profile_budget_spent_exactly():
     prof = conn_profile(g, 2, roots=[0, 3], budget=2)
     assert not prof.complete
     assert prof.roots == [0] and prof.cumulative == [1, 2]
+    assert prof.failed_root == 3
     prof = conn_profile(g, 2, roots=[0, 3], budget=4)
-    assert prof.complete and prof.roots == [0, 3]
+    assert prof.complete and prof.roots == [0, 3] and prof.failed_root is None
     assert prof.cumulative == [2, 2] and prof.walks == 4
 
 

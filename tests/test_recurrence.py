@@ -434,6 +434,16 @@ def test_expected_nodes_hint_changes_no_output(monkeypatch):
                     assert err.value.nodes_expanded == budget + 1
                     if budget <= recurrence._CAP:
                         assert calls == ["dfs"]  # the budget leaves no room for blocks
+    # a boundary that pins a neighbor of the root occupied forces the root
+    # unoccupied: R = 0 at one node, settled before either walker runs
+    grid = gen_graph("grid", width=4, height=4)
+    pinned = BoundaryCondition({1: OCCUPIED})
+    for depth in (0, 1, 5):
+        for hint in HINTS:
+            calls.clear()
+            assert sandwich_values(grid, 0, HARDCORE, ACTIVITIES, depth, pinned,
+                                   expected_nodes=hint) == ([(0.0, 0.0)] * 3, 1, False)
+            assert calls == []
 
 
 def test_expected_nodes_hint_keeps_shallow_and_deep_trees_depth_first(monkeypatch):
