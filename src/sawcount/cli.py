@@ -240,7 +240,9 @@ def _cmd_marginal(args, out):
             lo, hi, value = res.lo, res.hi, res.value
             depth, nodes = res.depth_max_used, res.nodes_expanded
         except AdaptiveBudgetError as exc:
-            lo, hi = exc.lo, exc.hi
+            # the last pass's interval, narrowed by the a-priori bracket
+            # (a shallow monomer-dimer pass ends below its lower bound)
+            lo, hi = _trivial_bracket(params, g, args.vertex, exc.lo, exc.hi)
             value, depth, nodes = 0.5 * (lo + hi), exc.depth, exc.nodes_expanded
             converged = False
     record = {
@@ -409,8 +411,13 @@ def _cmd_gen(args, out):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {g.n} vertices, {g.num_edges} edges to {args.out}",
-              file=out)
+        if args.format == "json":
+            cfg = _base_config(kind=args.kind, seed=args.seed, out=args.out, **params)
+            _emit({"command": "gen", "config": cfg, "n": g.n, "edges": g.num_edges},
+                  "json", out)
+        else:
+            print(f"wrote {g.n} vertices, {g.num_edges} edges to {args.out}",
+                  file=out)
     else:
         out.write(text)
     return 0

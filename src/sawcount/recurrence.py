@@ -430,30 +430,40 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
     at a time, with numpy array operations.  A block keeps the root paths
     of its nodes column-major, one int array per path position, and the
     half-edge each node arrived by, as `saw_counts` does.  `step` lists
-    the children of every node of a block from the CSR adjacency of g
+    the steps out of every node of a block from the CSR adjacency of g
     minus blocked, every neighbour but the arrival half-edge (`Csr.steps`),
-    in the depth-first walker's order, and applies its other rules with
-    one path filter for both models: a path vertex is never a child, and
-    for hard-core the ones it drops are the loop copies, whose Weitz pin
-    stops a node at its first occupied copy.  Children one level above
-    the frontier are scanned in bulk (`scan`): their values are looked up
-    in `_leaf_table` by their numbers of exact-leaf and truncated
-    children.  A monomer-dimer
-    frontier child is exact when no neighbour of it is off the path;
-    `step` tests its first neighbour other than its parent on the same
-    path columns that filter the child, and only the few whose first
-    neighbour is on the path are tested on all neighbours.  Deeper
-    children are cut into blocks and pushed on a LIFO stack above their
-    parent block, which waits there under a marker.  When the marker
-    pops, every child block has been folded in, so the parent's values
-    are closed and folded into its own parent.
+    in the depth-first walker's order, and masks its children with one
+    path filter for both models: a path vertex is never a child, and for
+    hard-core the ones it drops are the loop copies, whose Weitz pin stops
+    a node at its first occupied copy, which the same mask applies.
+
+    Only the levels above the last two copy path columns.  A block whose
+    children sit deeper than one level above the frontier gathers its
+    columns under its children, cuts them into blocks and pushes those on
+    a LIFO stack above itself, where it waits under a marker.  A block
+    whose children sit one level above the frontier scans them in place
+    (`scan`): their paths are the block's columns read through their
+    parents' rows, and their values are looked up in `_leaf_table` by
+    their numbers of exact-leaf and truncated children, counted under the
+    mask without compacting the frontier steps.  Two arrays over the
+    half-edges u -> w of the CSR, built once per call in O(m), serve the
+    exact-leaf test: whether u is w's only neighbour, which settles a
+    hard-core frontier child, and for monomer-dimer the first neighbour of
+    w other than u.  A monomer-dimer frontier child is also exact when its
+    other neighbours are all on the path; `step` tests the first one on
+    the path columns that filter the child.  That settles every child of
+    degree 2 and every child whose first other neighbour is off the path;
+    only the few others are tested on all neighbours.  When a marker pops,
+    every child block has been folded in, so the block's values are closed
+    and folded into its own parent.
 
     Folds keep the depth-first walker's arithmetic: child blocks fold in
     order, and within one block `np.multiply.at` and `np.add.at` fold the
     children sequentially in ascending-id order.  The stack holds at most
-    one block's children per depth, so memory stays within
-    O(max_depth**2 * _BLOCK * max degree) entries, plus the temporaries of
-    one scan, O(_BLOCK * max degree**2) entries.
+    one block's children per depth, each with its path, so memory stays
+    within O(max_depth**2 * _BLOCK * max degree) entries.  A scan in place
+    adds no path copies, only its temporaries, a few arrays of one entry
+    per frontier step, O(_BLOCK * max degree**2) entries.
     """
     hc = model == HARDCORE
     csr = g.csr
@@ -462,30 +472,36 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
         is_blocked[np.fromiter(blocked, dtype=np.intp, count=len(blocked))] = True
         # blocked = deleted, in both models: no walk steps onto one
         csr = csr.without(is_blocked)
+    # lone[f]: whether u is the only neighbour of w, for the half-edge f = u -> w
+    lone = csr.deg.take(csr.nbrs) == 1
+    if not hc:
+        # first[f]: the first neighbour of w other than u for the half-edge
+        # f = u -> w, in O(m).  Where u is w's only neighbour the entry is
+        # unused (w is an exact leaf), and clip keeps its index in range
+        start = csr.indptr.take(csr.nbrs)
+        first = csr.nbrs.take(start + (csr.back == start), mode="clip")
     table = np.array(table)
     nodes = 1
 
-    def step(cols, arrive, near=False):
-        # (rows, cand, flat, dead, on): the children to expand of the nodes
-        # ending the rows of cols, child cand[k] under row rows[k] by the
-        # half-edge flat[k], and the hard-core rows that an occupied loop
-        # copy zeroes; counts every child visited.  With near (monomer-dimer),
-        # on[k] says whether the first neighbor of cand[k] other than its
-        # parent is on the path, tested on the columns that filter cand.
+    def step(cols, end, arrive, via=None, near=False):
+        # (rows, up, cand, flat, kid, dead, on): every step flat[k] out of
+        # the node end[rows[k]] but its arrival, to cand[k]; the node's path
+        # before it is cols at row up[k] (via[rows[k]], or rows[k] when via
+        # is None).  kid masks the children, counted here; dead marks the
+        # hard-core nodes an occupied loop copy zeroes.  With near
+        # (monomer-dimer), on[k] says whether the first neighbour of cand[k]
+        # other than its parent is on the path.
         nonlocal nodes
-        rows, flat = csr.steps(cols[-1], arrive)
+        rows, flat = csr.steps(end, arrive)
         cand = csr.nbrs.take(flat)
+        up = rows if via is None else via.take(rows)
         kid = np.ones(len(cand), dtype=bool)
         dead = on = None
         if near:
-            i = csr.indptr.take(cand)
-            i += csr.back.take(flat) == i
-            # i runs one past the list of a cand with no other neighbor
-            # (exact, so its on is unused); clip keeps it in range
-            other = csr.nbrs.take(i, mode="clip")
-            on = other == cols[-2].take(rows)
-        for col in cols[:-2]:
-            at = col.take(rows)
+            other = first.take(flat)
+            on = other == cols[-1].take(up)
+        for col in cols[:-1]:  # cols[-1], the parent, is the arrival
+            at = col.take(up)
             kid &= cand != at  # never a path vertex
             if near:
                 on |= other == at
@@ -494,47 +510,49 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
             # loop_copy_occupied: occupied when the path vertex after the
             # copied one has a smaller id than the node
             at = np.flatnonzero(~kid)
-            r, w = rows[at], cand[at]
+            r, w = up[at], cand[at]
             after = np.empty_like(w)
-            for col, nxt in zip(cols[:-2], cols[1:-1]):
+            for col, nxt in zip(cols[:-1], cols[1:]):
                 hit = w == col[r]
                 after[hit] = nxt[r][hit]
-            at = at[after < cols[-1][r]]
+            at = at[after < end[rows[at]]]
             if len(at):
                 # a node stops at its first occupied copy
-                stop = np.full(len(cols[-1]), len(cand))
+                stop = np.full(len(end), len(cand))
                 np.minimum.at(stop, rows[at], at)
                 dead = stop < len(cand)
-                keep = np.arange(len(cand)) <= stop[rows]
-                rows, cand, flat, kid = rows[keep], cand[keep], flat[keep], kid[keep]
+                kid &= np.arange(len(cand)) < stop.take(rows)
         nodes += int(np.count_nonzero(kid))
         if nodes > budget:
             raise NodeBudgetError(budget + 1)
-        if near:
-            on = on[kid]
-        return rows[kid], cand[kid], flat[kid], dead, on
+        return rows, up, cand, flat, kid, dead, on
 
-    def scan(cols, arrive):
-        # (y0, y1) of the nodes ending the rows of cols, one level above the frontier
-        rows, cand, flat, dead, on = step(cols, arrive, near=not hc)
-        exact = csr.deg.take(cand) == 1  # no neighbor but its parent outside blocked
+    def scan(cols, end, arrive, via):
+        # (y0, y1) of the nodes end, one level above the frontier, whose
+        # paths are cols at the rows via
+        rows, up, cand, flat, kid, dead, on = step(cols, end, arrive, via, near=not hc)
+        exact = lone.take(flat)  # no neighbour but its parent outside blocked
         if not hc:
-            # a child is exact when every neighbor is on the path (or
-            # blocked).  One neighbor other than the parent, off the path,
-            # settles nearly every child; the rest are tested on all neighbors
-            test = np.flatnonzero(on & ~exact)
+            # a child is also exact when every other neighbour is on the
+            # path.  Its first neighbour other than the parent settles it
+            # unless that one is on the path and the child has more
+            # neighbours; those few are tested on all of them
+            maybe = np.flatnonzero(on & kid)
+            deg = csr.deg.take(cand.take(maybe))
+            exact[maybe[deg == 2]] = True
+            test = maybe[deg > 2]
             for lo in range(0, len(test), _BLOCK):
                 part = test[lo:lo + _BLOCK]
                 sub, nxt = csr.steps(cand[part], csr.back.take(flat[part]))
                 nxt = csr.nbrs.take(nxt)
                 ext = np.ones(len(nxt), dtype=bool)
-                at = rows[part].take(sub)
-                for col in cols[:-1]:
+                at = up[part].take(sub)
+                for col in cols:
                     ext &= nxt != col.take(at)
                 exact[part] = np.bincount(sub[ext], minlength=len(part)) == 0
-        width = len(cols[-1])
-        y0 = table.take(np.bincount(rows[exact], minlength=width))
-        y1 = table.take(np.bincount(rows, minlength=width))
+        width = len(end)
+        y0 = table.take(np.bincount(rows[kid & exact], minlength=width))
+        y1 = table.take(np.bincount(rows[kid], minlength=width))
         if dead is not None:
             y0[dead] = y1[dead] = 0.0
         return y0, y1
@@ -560,17 +578,19 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
         blk, closed = stack.pop()
         if not closed:
             cols = blk[0]
-            rows, cand, flat, blk[4], _ = step(cols, blk[1])
-            kids = [col.take(rows) for col in cols]
-            kids.append(cand)
-            arrive = csr.back.take(flat)
+            rows, _, cand, flat, kid, blk[4], _ = step(cols[:-1], cols[-1], blk[1])
+            rows, cand = rows[kid], cand[kid]
+            arrive = csr.back.take(flat[kid])
             if len(cols) < last:
+                kids = [col.take(rows) for col in cols]
+                kids.append(cand)
                 stack.append((blk, True))
                 for lo in reversed(range(0, len(cand), _BLOCK)):
                     hi = lo + _BLOCK
                     stack.append((block([col[lo:hi] for col in kids], arrive[lo:hi], blk, rows[lo:hi]), False))
                 continue
-            fold(blk, rows, *scan(kids, arrive))
+            # the children sit one level above the frontier: scanned in place
+            fold(blk, rows, *scan(cols, cand, arrive, rows))
         x0, x1 = blk[2], blk[3]
         if not hc:
             x0 = 1.0 / (1.0 + a * x0)

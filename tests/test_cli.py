@@ -248,6 +248,32 @@ def test_budget_failure_emits_partial(capsys, c4_path):
     assert (rec["lo"], rec["hi"], rec["depth"], rec["nodes"]) == (0.0, 1.0, 0, 3)
 
 
+def test_adaptive_budget_failure_keeps_the_a_priori_bracket(capsys, c4_path):
+    # an adaptive marginal that runs out after its depth-0 pass reports
+    # that pass's pins narrowed by the a-priori bracket, as a fixed-depth
+    # one that completes no pass does: a monomer probability at a vertex
+    # of degree 2 is at least 1/(1 + gamma*2)
+    for extra in ((), ("--depth", "3")):
+        code, out, _ = run_cli(
+            capsys, "md-marginal", "--graph", c4_path, "--gamma", "1",
+            "--vertex", "0", "--budget", "1", "--format", "json", *extra,
+        )
+        assert code == 1
+        rec = json.loads(out)
+        validate_record(rec)
+        assert rec["converged"] is False
+        assert (rec["lo"], rec["hi"], rec["depth"]) == (0.333333333333, 1.0, 0)
+    # the hard-core a-priori bracket is the pins' own (0, lambda)
+    code, out, _ = run_cli(
+        capsys, "hc-marginal", "--graph", c4_path, "--lam", "1",
+        "--vertex", "0", "--budget", "1", "--format", "json",
+    )
+    assert code == 1
+    rec = json.loads(out)
+    validate_record(rec)
+    assert (rec["lo"], rec["hi"], rec["depth"], rec["nodes"]) == (0.0, 1.0, 0, 1)
+
+
 def test_output_deterministic(capsys, c4_path):
     args = ("hc-count", "--graph", c4_path, "--lam", "0.5", "--eps", "0.05")
     _, out1, _ = run_cli(capsys, *args)

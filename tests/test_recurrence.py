@@ -392,6 +392,59 @@ def test_sandwich_values_above_the_cap(monkeypatch):
     assert calls == [10] * 10
 
 
+def test_block_walker_budget_edge(monkeypatch):
+    # the last nodes a block walk counts are the frontier children of the
+    # nodes scanned in place: a budget equal to the node count completes,
+    # one less raises at the first node over it
+    calls = []
+    blocks = recurrence._sandwich_blocks
+    monkeypatch.setattr(recurrence, "_sandwich_blocks",
+                        lambda *args: calls.append(args[4]) or blocks(*args))
+    big = gen_graph("gnp", n=2000, d=3.0, seed=1)
+    drop = frozenset(random.Random(5).sample(range(big.n), 200)) - {943, 1019}
+    for root in (943, 1019):
+        for model in (HARDCORE, MONOMERDIMER):
+            for blocked in (frozenset(), drop):
+                def run(budget):
+                    return sandwich_values(big, root, model, [1.0], 10, budget=budget,
+                                           blocked=blocked, expected_nodes=10**6)
+                pairs, nodes, _ = run(10**7)
+                assert nodes > recurrence._CAP
+                assert run(nodes) == (pairs, nodes, True)
+                with pytest.raises(NodeBudgetError) as err:
+                    run(nodes - 1)
+                assert err.value.nodes_expanded == nodes
+    assert calls == [10] * 24
+
+
+def test_block_walker_scans_the_root_block_in_place(monkeypatch):
+    # with one row per block, depth 2 scans the root's children in place
+    # from the root block, and depth 3 scans the grandchildren from each
+    # one-node block of a child; pair, node count and budget error bit for
+    # bit those of the depth-first walker.  The triangle with a pendant
+    # vertex and the denser graphs hold frontier children of degree 3 or
+    # more whose first neighbour other than the parent is on the path
+    monkeypatch.setattr(recurrence, "_BLOCK", 1)
+    rng = random.Random(11)
+    graphs = [graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])]
+    graphs += [gen_graph("gnp", n=n, d=d, seed=seed)
+               for n in (8, 20, 40) for d in (3.0, 6.0) for seed in range(2)]
+    big = gen_graph("gnp", n=2000, d=3.0, seed=1)
+    cases = [(g, v) for g in graphs for v in range(0, g.n, 3)] + [(big, v) for v in (7, 943, 1019)]
+    for g, root in cases:
+        for model in (HARDCORE, MONOMERDIMER):
+            for depth in (2, 3):
+                for blocked in (frozenset(), frozenset(rng.sample(range(g.n), g.n // 4)) - {root}):
+                    args = (g, root, model, rng.choice(ACTIVITIES), depth, blocked)
+                    table = _table(g, model, args[3])
+                    want = recurrence._sandwich(*args, 10**7, table)
+                    assert recurrence._sandwich_blocks(*args, 10**7, table) == want
+                    for budget in (want[1], want[1] - 1):
+                        if budget:
+                            assert (_walk(recurrence._sandwich_blocks, *args, budget, table)
+                                    == _walk(recurrence._sandwich, *args, budget, table))
+
+
 HINTS = (None, 0, recurrence._CAP + 1, 10**9)
 
 
