@@ -60,11 +60,13 @@ Two tools:
    sentinel bit, 3 bits for the arrival move).  The closure runs one
    breadth-first level at a time on numpy arrays: the level is decoded
    into int8 moves and int16 positions, laid out position by state, all
-   four moves of every state are tested at once, and new keys are
-   numbered by first discovery in (parent, move) order.  Each refinement
-   round folds a state's signature (its class plus the sorted classes of
-   its at most 4 successors) into int64 keys and groups equal keys with
-   argsort.
+   four moves of every state are tested at once, successor keys are built
+   from their parent keys by 2-bit-lane arithmetic, and new keys are
+   numbered by first discovery in (parent, move) order.  Refinement
+   starts from the classes of a hash of each state's walk counts, and
+   each round folds a state's signature (its class plus the sorted
+   classes of its at most 4 successors) into int64 keys and groups equal
+   keys with argsort.
 """
 
 from __future__ import annotations
@@ -149,8 +151,10 @@ def conn_profile(g: Graph, l_max: int, roots="all", budget: int = 10**8) -> Conn
 
     `roots` lists the covered roots, walked or bounded, in ascending
     order.  `budget` caps the walks counted; a bounded root spends none.
-    When it runs out the profile is flagged incomplete, covers the roots
-    handled before and names the root it stopped at in `failed_root`.
+    When it runs out the profile is flagged incomplete and names the root
+    it stopped at in `failed_root`.  It covers the roots handled before,
+    and every root not yet handled whose bound is at most best at every
+    length: best only grows, so such a root would need no walk.
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
@@ -165,7 +169,8 @@ def conn_profile(g: Graph, l_max: int, roots="all", budget: int = 10**8) -> Conn
     done = []
     walked = []
     failed = None
-    for v in sorted(root_list, key=lambda v: (-bound[v, -1], v)):
+    order = sorted(root_list, key=lambda v: (-bound[v, -1], v))
+    for at, v in enumerate(order):
         row = bound[v].tolist()
         depth = max((l for l in range(1, l_max + 1) if row[l - 1] > best[l - 1]), default=0)
         if depth:
@@ -174,6 +179,7 @@ def conn_profile(g: Graph, l_max: int, roots="all", budget: int = 10**8) -> Conn
             except NodeBudgetError as exc:
                 used += exc.nodes_expanded
                 failed = v
+                done += [u for u in order[at + 1:] if (bound[u] <= best).all()]
                 break
             used += sum(counts)
             walked.append(v)
@@ -265,6 +271,15 @@ _RELATIVE_PINS = np.array(
     dtype=np.uint8,
 )
 _FAR = 1000  # a parked position: farther than any memory from every step
+# 2-bit lanes of a key body: the low and the high bit of every lane
+_LOW = np.uint64(0x5555555555555555)
+_HIGH = np.uint64(0xAAAAAAAAAAAAAAAA)
+# The walk-count start of the refinement: the steps folded into the hash
+# (the fewest that reach the fewest rounds at memories 18 and 20, in a
+# sweep of 8-20 steps; BENCH_refine.json), and its multiplier (odd, so
+# h -> h * C is a bijection of uint32)
+_WALK_STEPS = 14
+_WALK_HASH = np.uint32(0x9E3779B1)
 
 
 def _unpack(keys: np.ndarray, L: int):
@@ -282,22 +297,14 @@ def _unpack(keys: np.ndarray, L: int):
     return moves, length, pre
 
 
-def _pack(moves: np.ndarray, length: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    """Inverse of _unpack: the first `length` rows of each column of
-    `moves` are kept."""
-    digits = np.zeros(len(length), dtype=np.uint64)
-    for j in range(len(moves) - 1, -1, -1):
-        digits <<= np.uint64(2)
-        digits |= moves[j].astype(np.uint64)
-    sentinel = np.uint64(1) << (2 * length).astype(np.uint64)
-    body = sentinel | (digits & (sentinel - np.uint64(1)))
-    return (body << np.uint64(3)) | (pre + 1).astype(np.uint64)
-
-
 def _successors(keys, L, ordering, pruning):
     """(n, 4) table of the canonical successor keys of each state, by move;
     0 where the move is illegal.  The state arrays are laid out position by
-    state, so every reduction over positions runs along the long axis."""
+    state, so every reduction over positions runs along the long axis.
+    The moves are decoded only for the legality and reach tests: each
+    successor key is built from its parent key (`_child_keys`), by
+    shifting in the new move, cutting to the kept lanes and rotating every
+    lane at once."""
     n = len(keys)
     cols = np.arange(n)
     moves, length, pre = _unpack(keys, L)
@@ -344,16 +351,39 @@ def _successors(keys, L, ordering, pruning):
             # the step from q to w
             pinned = (pin >> ((code + int(_CODE[delta])) & 7)) & (dist == 1)
             legal &= ~((pinned != 0) & (t < smax)).any(axis=0)
-        new_moves = np.empty((L - 1, np.count_nonzero(legal)), dtype=np.int8)
-        new_moves[0] = delta
-        new_moves[1:] = moves[: L - 2, legal]
-        new_pre = new_pre[legal]
-        if rotate:  # canonical frame: the last move points north
-            new_moves -= delta
-            new_moves &= 3
-            new_pre = np.where(new_pre >= 0, (new_pre - delta) & 3, -1)
-        out[legal, delta] = _pack(new_moves, smax[legal], new_pre)
+        out[legal, delta] = _child_keys(keys[legal], delta, smax[legal], new_pre[legal], rotate)
     return out
+
+
+def _child_keys(keys, delta, length, pre, rotate):
+    """Keys of the states that the move delta reaches from the states
+    `keys`: delta, then the parent's moves, the first `length` of them
+    kept, with the arrival move pre (-1 for None).  When rotate, the child
+    is turned by -delta into the canonical frame, where the last move
+    points north.  The key is built on the parent key's 2-bit lanes."""
+    # the parent's moves behind their sentinel, one lane up, and delta in
+    # lane 0
+    lanes = keys >> np.uint64(3)
+    lanes <<= np.uint64(2)
+    lanes |= np.uint64(delta)
+    if rotate and delta:
+        # add -delta mod 4 to every lane (SWAR): the sum of the low bits
+        # carries at most into its lane's high bit, and the high bits are
+        # added without carry, by xor
+        turn = _LOW * np.uint64(-delta & 3)  # -delta mod 4 in every lane
+        high = lanes ^ turn
+        high &= _HIGH
+        lanes &= _LOW
+        lanes += turn & _LOW
+        lanes ^= high
+        pre = np.where(pre >= 0, (pre - delta) & 3, -1)
+    # keep `length` lanes behind a new sentinel
+    sentinel = np.uint64(1) << (2 * length).astype(np.uint64)
+    lanes &= sentinel - np.uint64(1)
+    lanes |= sentinel
+    lanes <<= np.uint64(3)
+    lanes |= (pre + 1).astype(np.uint64)
+    return lanes
 
 
 def z2_branching_matrix(
@@ -431,24 +461,70 @@ def _merge_isomorphic(table: np.ndarray):
     rows; preserves M^l applied to the all-ones vector, hence all walk
     counts and the growth rate.
 
-    table is the (k, 4) raw successor table (-1 for no successor).  A
-    state's signature is its class and the sorted classes of its
-    successors, repeats standing for multiplicities; classes are numbered
-    by first member.  Returns the class of each raw state and each
-    class's first member, in class order.
+    table is the (k, 4) raw successor table (-1 for no successor).
+    Returns the class of each raw state, classes numbered by first member,
+    and each class's first member, in class order.
 
-    Each round sorts the 4 successor classes with a 5-comparator network
-    on int32 columns and folds the 5 signature fields, b bits each (b the
-    bit width of the class count), into int64 keys of as many fields as
-    fit in 63 bits.  A key that is full is replaced by its dense rank
-    (one argsort) before the next field is shifted in, and the last key's
-    argsort groups the states.
+    The rounds (`_refine`) start from the classes of a hash of each
+    state's walk counts rather than from one class: y_0 = 1, y_{t+1}[s]
+    sums y_t over s's successor slots (a missing slot reads 0), and h =
+    h * _WALK_HASH + y_t folds in y_1 .. y_{_WALK_STEPS} in wraparound
+    uint32.  The result cannot move.  States in one class of the coarsest
+    stable partition Q have equal multisets of successor classes, so by
+    induction on t equal y_t and equal h: the start is coarser than or
+    equal to Q.  Moore rounds keep every partition coarser than or equal
+    to Q (states of one class of Q have equal signatures under it) and
+    stop at a stable one, which refines Q: so they end at Q.  A hash
+    collision only coarsens the start and costs a round.
+    """
+    return _refine(table, _walk_count_classes(table))
+
+
+def _walk_count_classes(table: np.ndarray) -> np.ndarray:
+    """The states grouped by the hash of their walk counts that
+    `_merge_isomorphic` starts from, numbered by first member (int32)."""
+    k = len(table)
+    # y[k] = 0 is the missing slot: take's "wrap" reads it for table's -1
+    # and writes straight into out
+    y = np.ones(k + 1, dtype=np.uint32)
+    y[k] = 0
+    nxt = np.zeros_like(y)
+    buf = np.empty(k, dtype=np.uint32)
+    h = np.zeros(k, dtype=np.uint32)
+    for _ in range(_WALK_STEPS):
+        np.take(y, table[:, 0], out=nxt[:k], mode="wrap")
+        for j in range(1, 4):
+            nxt[:k] += np.take(y, table[:, j], out=buf, mode="wrap")
+        y, nxt = nxt, y
+        h *= _WALK_HASH
+        h += y[:k]
+    del y, nxt, buf
+    order, head = _group(h)
+    del h
+    cls = np.empty(k, dtype=np.int32)
+    _number(cls, order, head, 0)
+    return cls
+
+
+def _refine(table: np.ndarray, cls: np.ndarray):
+    """Moore rounds from the start cls (int32, classes numbered by first
+    member) to the coarsest stable partition that refines it; returns
+    what `_merge_isomorphic` returns.
+
+    A state's signature is its class and the sorted classes of its
+    successors, repeats standing for multiplicities.  Each round sorts
+    the 4 successor classes with a 5-comparator network on int32 columns
+    and folds the 5 signature fields, b bits each (b the bit width of the
+    class count), into int64 keys of as many fields as fit in 63 bits.  A
+    key that is full is replaced by its dense rank (one argsort) before
+    the next field is shifted in, and the last key's argsort groups the
+    states.  The rounds stop when no class splits.
     """
     k = len(table)
     succ = [table[:, j] for j in range(4)]
-    cls = np.ones(k + 1, dtype=np.int32)  # class + 1; table's -1 reads 0
-    cls[k] = 0
-    nclasses = 1
+    nclasses = int(cls.max()) + 1
+    cls = np.append(cls, np.int32(-1))  # table's -1 reads the last slot
+    cls += 1  # class + 1; a missing successor reads 0
     while True:
         a, b, c, d = (cls[s] for s in succ)
         a, b = np.minimum(a, b), np.maximum(a, b)
@@ -467,14 +543,23 @@ def _merge_isomorphic(table: np.ndarray):
             key |= field
             width += bits
         order, head = _group(key)
-        starts = np.flatnonzero(head)
-        first = np.minimum.reduceat(order, starts)
-        if len(starts) == nclasses:  # no class split: the numbering stands
-            return cls[:k] - 1, np.sort(first)
-        nclasses = len(starts)
-        number = np.empty(nclasses, dtype=np.int32)
-        number[np.argsort(first)] = np.arange(1, nclasses + 1, dtype=np.int32)
-        cls[order] = np.repeat(number, np.diff(starts, append=k))
+        first = _number(cls, order, head, 1)
+        if len(first) == nclasses:  # no class split: the numbering stood
+            return cls[:k] - 1, first
+        nclasses = len(first)
+
+
+def _number(cls: np.ndarray, order: np.ndarray, head: np.ndarray, base: int):
+    """Number the groups of (order, head), from `_group`, by first member
+    from base on, writing each state's number to cls[order]; return the
+    first member of each group, in number order."""
+    starts = np.flatnonzero(head)
+    first = np.minimum.reduceat(order, starts)
+    by_first = np.argsort(first)
+    number = np.empty(len(starts), dtype=np.int32)
+    number[by_first] = np.arange(base, base + len(starts), dtype=np.int32)
+    cls[order] = np.repeat(number, np.diff(starts, append=len(order)))
+    return first[by_first]
 
 
 def _group(key: np.ndarray):

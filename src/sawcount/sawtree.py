@@ -239,12 +239,14 @@ def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
     every walk, every neighbour of its endpoint but the arrival half-edge
     (`Csr.steps`), and keeps the candidates that differ from every position
     older than the parent.  The survivors are counted at their length and,
-    below l_max, pushed as new blocks on a LIFO stack.  The last length is
-    counted without keeping anything: a candidate on the walk equals
-    exactly one position older than its parent, so it counts the
-    candidates less the hits on those positions.  The stack keeps at most
-    one extension's children per length pending, so memory stays within
-    O(l_max**2 * _BLOCK * max degree) entries.
+    below l_max - 1, pushed as new blocks on a LIFO stack.  Children of
+    length l_max - 1 are not pushed: their steps are listed in chunks of
+    `_BLOCK` children and counted in place, their paths read as the
+    block's columns through the children's rows.  A grandchild on the
+    walk equals exactly one position older than its parent, so a chunk
+    counts the grandchildren less the hits on those positions.  The stack
+    keeps at most one extension's children per length pending, so memory
+    stays within O(l_max**2 * _BLOCK * max degree) entries.
 
     `budget` caps the number of walks counted: NodeBudgetError(budget + 1)
     is raised as soon as the running total exceeds it, the same condition
@@ -257,30 +259,40 @@ def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
     csr = g.csr
     counts = [0] * (l_max + 1)
     total = 0
+
+    def count(length, found):
+        nonlocal total
+        counts[length] += found
+        total += found
+        if total > budget:
+            raise NodeBudgetError(max(budget, 0) + 1)
+
     stack = [([np.array([v], dtype=csr.nbrs.dtype)], None)]
     while stack:
         cols, arrive = stack.pop()
         length = len(cols)  # of the walks this block extends to
         rows, flat = csr.steps(cols[-1], arrive)
         cand = csr.nbrs.take(flat)
-        if length == l_max:
-            # count only: a candidate on the walk equals exactly one
-            # position older than its parent
-            found = len(cand) - sum(
-                int(np.count_nonzero(cand == col.take(rows))) for col in cols[:-2]
-            )
-        else:
-            if length > 2:
-                keep = cand != cols[0].take(rows)
-                for col in cols[1:-2]:
-                    keep &= cand != col.take(rows)
-                rows, flat, cand = rows[keep], flat[keep], cand[keep]
-            found = len(cand)
-        counts[length] += found
-        total += found
-        if total > budget:
-            raise NodeBudgetError(max(budget, 0) + 1)
+        if length > 2:
+            keep = cand != cols[0].take(rows)
+            for col in cols[1:-2]:
+                keep &= cand != col.take(rows)
+            rows, flat, cand = rows[keep], flat[keep], cand[keep]
+        found = len(cand)
+        count(length, found)
         if length == l_max or not found:
+            continue
+        if length == l_max - 1:
+            # the last length, in place: a grandchild on the walk equals
+            # exactly one position older than its parent
+            for lo in range(0, found, _BLOCK):
+                part = slice(lo, lo + _BLOCK)
+                sub, nxt = csr.steps(cand[part], csr.back.take(flat[part]))
+                grand = csr.nbrs.take(nxt)
+                up = rows[part].take(sub)
+                count(l_max, len(grand) - sum(
+                    int(np.count_nonzero(grand == col.take(up))) for col in cols[:-1]
+                ))
             continue
         children = [col.take(rows) for col in cols]
         children.append(cand)

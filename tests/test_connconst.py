@@ -77,6 +77,20 @@ def test_conn_profile_budget_spent_exactly():
     assert prof.cumulative == [2, 2] and prof.walks == 4
 
 
+def test_partial_profile_lists_roots_its_bound_covers():
+    # roots visit in the order 0, 3, 6, 9 (every bound reaches 2 at length
+    # 2, ties by id).  Root 0 spends the budget of 2 and sets best [1, 2];
+    # root 3, a two-leaf star centre with bound [2, 2], runs out.  Root 6,
+    # the end of a path like root 0, has bound [1, 2] <= best and needs no
+    # walk; root 9 is another star centre and stays uncovered
+    g = graph_from_edges(12, [(0, 1), (1, 2), (3, 4), (3, 5), (6, 7), (7, 8),
+                              (9, 10), (9, 11)])
+    prof = conn_profile(g, 2, roots=[0, 3, 6, 9], budget=2)
+    assert not prof.complete and prof.failed_root == 3
+    assert prof.roots == [0, 6] and prof.walked == [0]
+    assert prof.cumulative == [1, 2]
+
+
 def unbounded_profile(g, l_max, roots):
     """Reference: saw_counts on every root, running sums maximised by hand."""
     best = [0] * l_max
@@ -304,19 +318,97 @@ def test_invalid_memory_rejected():
         z2_branching_matrix(4, pruning="aggressive")
 
 
+def _pack(moves, length, pre):
+    """Reference key of each state (inverse of connconst._unpack): the
+    first `length` rows of each column of `moves`, as 2-bit digits behind
+    a sentinel bit, then 3 bits holding pre + 1."""
+    digits = np.zeros(len(length), dtype=np.uint64)
+    for j in range(len(moves) - 1, -1, -1):
+        digits <<= np.uint64(2)
+        digits |= moves[j].astype(np.uint64)
+    sentinel = np.uint64(1) << (2 * length).astype(np.uint64)
+    body = sentinel | (digits & (sentinel - np.uint64(1)))
+    return (body << np.uint64(3)) | (pre + 1).astype(np.uint64)
+
+
+def _random_states(n, L, seed):
+    """(moves, length, pre) of n random states of memory L, lengths 0 and
+    L - 1 included; moves are laid out position by state."""
+    rng = np.random.default_rng(seed)
+    moves = rng.integers(0, 4, size=(n, L), dtype=np.int8).T
+    length = rng.integers(0, L, size=n).astype(np.int16)
+    length[:2] = (0, L - 1)
+    pre = rng.integers(-1, 4, size=n).astype(np.int8)
+    return moves, length, pre
+
+
 def test_state_keys_round_trip_at_memory_30():
     # the longest state of memory 30 keeps 29 moves: 62 bits of key
     # (moves are laid out position by state: one column per key)
-    rng = np.random.default_rng(3)
-    moves = rng.integers(0, 4, size=(200, 30), dtype=np.int8).T
-    length = rng.integers(0, 30, size=200).astype(np.int16)
-    length[:2] = (0, 29)
-    pre = rng.integers(-1, 4, size=200).astype(np.int8)
-    keys = connconst._pack(moves[:29], length, pre)
+    moves, length, pre = _random_states(200, 30, seed=3)
+    keys = _pack(moves[:29], length, pre)
     got_moves, got_length, got_pre = connconst._unpack(keys, 30)
     assert np.array_equal(got_length, length) and np.array_equal(got_pre, pre)
     held = np.arange(30)[:, None] < length
     assert np.array_equal(np.where(held, got_moves, 0), np.where(held, moves, 0))
+
+
+def _closure_keys(L, ordering, pruning):
+    """Every state key that the closure from the zero-length walk reaches."""
+    seen = level = np.array([connconst._START_KEY])
+    while len(level):
+        succ = connconst._successors(level, L, ordering, pruning)
+        level = np.setdiff1d(succ[succ != 0], seen)
+        seen = np.union1d(seen, level)
+    return seen
+
+
+def _assert_successor_keys_match_packing(keys, L, ordering, pruning):
+    """Each successor key of `_successors`, built on the parent key's
+    lanes, equals `_pack` of the parent's moves behind the new one, turned
+    into the canonical frame, with the kept length the successor reports
+    and the arrival move of its oldest position."""
+    succ = connconst._successors(keys, L, ordering, pruning)
+    moves, length, pre = connconst._unpack(keys, L)
+    rotate = not (pruning == "weitz" and ordering == "uniform")
+    track_pre = pruning == "weitz" and ordering == "relative"
+    checked = 0
+    for delta in range(4):
+        live = np.flatnonzero(succ[:, delta])
+        got = succ[live, delta]
+        kept = connconst._unpack(got, L)[1]
+        want_moves = np.empty((L - 1, len(live)), dtype=np.int8)
+        want_moves[0] = delta
+        want_moves[1:] = moves[: L - 2, live]
+        # the oldest kept position, kept - 1 back from the parent, arrived
+        # by the parent's move there, or by pre at the parent's oldest
+        oldest = kept - 1
+        want_pre = np.where(oldest < length[live], moves[oldest, live], pre[live])
+        if not track_pre:
+            want_pre[:] = -1
+        if rotate:
+            want_moves = (want_moves - delta) & 3
+            want_pre = np.where(want_pre >= 0, (want_pre - delta) & 3, -1)
+        assert np.array_equal(got, _pack(want_moves, kept, want_pre.astype(np.int8)))
+        checked += len(live)
+    return checked
+
+
+@pytest.mark.parametrize(
+    "L,ordering,pruning",
+    list(itertools.product((4, 8, 12), ("relative", "uniform"), ("none", "weitz"))),
+)
+def test_successor_keys_match_packing(L, ordering, pruning):
+    keys = _closure_keys(L, ordering, pruning)
+    assert _assert_successor_keys_match_packing(keys, L, ordering, pruning) >= len(keys)
+
+
+def test_successor_keys_match_packing_at_memory_30():
+    # random states, legal walks or not, reach the key's top lanes
+    moves, length, pre = _random_states(2000, 30, seed=5)
+    keys = _pack(moves[:29], length, pre)
+    for ordering, pruning in itertools.product(("relative", "uniform"), ("none", "weitz")):
+        assert _assert_successor_keys_match_packing(keys, 30, ordering, pruning) > 0
 
 
 def test_state_cap():
@@ -441,6 +533,8 @@ _FROZEN_AUTOMATA = {
     (12, "uniform", "weitz", False): (6158, 6158, 0, "792b0313a558dbaa", 2.5456870247388212),
     (14, "relative", "weitz", True): (14817, 3909, 0, "49b66ca2d0b57400", 2.459183527176301),
     (14, "relative", "weitz", False): (14817, 14817, 0, "b1e98e05dc8c4d46", 2.459183527176301),
+    (16, "relative", "weitz", True): (66073, 16659, 0, "4c3067e27b46e68e", 2.4521322967460875),
+    (18, "relative", "weitz", True): (305221, 74308, 0, "e61d1f6b7d1c442b", 2.446625668014057),
 }
 
 
@@ -484,12 +578,32 @@ def lexsort_merge(table):
         nclasses = len(reps)
 
 
+def _by_first_member(labels):
+    """labels renumbered 0, 1, ... by the first member of each label."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
+    return rank[inverse.ravel()]
+
+
 def _assert_merge_matches_reference(table):
-    cls, reps = connconst._merge_isomorphic(table)
+    """`_merge_isomorphic`, and `_refine` from one class, from the
+    walk-count classes and from those with two classes merged, all equal
+    the lexsort reference; the walk-count classes are coarser than or
+    equal to its classes."""
     want_cls, want_reps = lexsort_merge(table)
-    assert cls.dtype == want_cls.dtype and np.array_equal(cls, want_cls)
-    assert np.array_equal(reps, want_reps)
-    return len(reps)
+    walk = connconst._walk_count_classes(table)
+    assert walk.dtype == np.int32
+    assert np.array_equal(walk, _by_first_member(walk))
+    assert np.array_equal(walk, walk[want_reps][want_cls])
+    coarse = _by_first_member(np.where(walk == walk.max(), 0, walk))
+    starts = [np.zeros(len(table), dtype=np.int32), walk, coarse]
+    for cls, reps in [connconst._merge_isomorphic(table)] + [
+        connconst._refine(table, start) for start in starts
+    ]:
+        assert cls.dtype == want_cls.dtype and np.array_equal(cls, want_cls)
+        assert np.array_equal(reps, want_reps)
+    return len(want_reps)
 
 
 @pytest.mark.parametrize(

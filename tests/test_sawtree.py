@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sawcount import sawtree
 from sawcount.graph import gen_graph, graph_from_edges
 from sawcount.sawtree import (
     OCCUPIED,
@@ -178,6 +179,20 @@ def test_saw_counts_matches_dfs(catalog6):
                 assert _outcome(saw_counts, g, 0, l_max, budget) == want
                 cases += 1
     assert cases == 5520
+
+
+def test_saw_counts_small_blocks_match_dfs(monkeypatch):
+    # blocks and last-length chunks of 1 and 3 rows: every split of the
+    # children, and the budget hit inside a chunk of the last length
+    graphs = [gen_graph("gnp", n=20, d=3.0, seed=s) for s in range(2)]
+    graphs += [gen_graph("complete", n=6), gen_graph("grid", width=4, height=4)]
+    for block in (1, 3):
+        monkeypatch.setattr(sawtree, "_BLOCK", block)
+        for g in graphs:
+            for l_max in (1, 2, 3, 6):
+                for budget in (1, 7, 60, 10**8):
+                    want = _outcome(dfs_saw_counts, g, 0, l_max, budget)
+                    assert _outcome(saw_counts, g, 0, l_max, budget) == want
 
 
 def test_saw_counts_frozen_growth_root():
