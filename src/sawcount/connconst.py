@@ -601,7 +601,8 @@ def spectral_bound(m, tol: float = 1e-10, max_iter: int = 200_000) -> float:
     (Collatz-Wielandt), and hi never increases along x <- Ax.  The
     iteration stops at the first step where hi falls by at most tol and
     returns hi - 1 padded for roundoff.  After max_iter steps it raises
-    PowerIterationError with the last ratio bracket [lo - 1, hi - 1].
+    PowerIterationError with the last ratio bracket [lo - 1, hi - 1].  A
+    negative (or NaN) tol could never stop it, so it raises ValueError.
 
     Pad (u = 2^-53, eps = 2u, w = longest row: stored entries of a
     BranchingMatrix, columns of a dense matrix): each (Ax)_i sums w + 1
@@ -616,6 +617,8 @@ def spectral_bound(m, tol: float = 1e-10, max_iter: int = 200_000) -> float:
     counts that holds while min x >= 2^-1022 (min x falls by at most a
     factor hi per step).
     """
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     if isinstance(m, BranchingMatrix):
         matvec = m.matvec
         k = m.k

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from .decay import decay_factor_hc, delta_c
 from .graph import Graph, degree_stats
 from .recurrence import (
     HARDCORE,
@@ -480,8 +481,6 @@ def partition_hc(
     out = _telescope(g, ModelParams(HARDCORE, lam), eps, budget)
     maxdeg = degree_stats(g)[0]
     if maxdeg >= 3:
-        from .decay import decay_factor_hc, delta_c
-
         # the report's own supercritical test, alpha*delta >= 1 - 1e-9 with
         # alpha = 1/delta_c(lam), decides first: building the report costs
         # about as much as a whole telescope on a small graph

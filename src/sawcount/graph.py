@@ -262,6 +262,16 @@ def _gen_gnp(n: int, d: float, seed: int) -> Graph:
     return graph_from_edges(n, edges)
 
 
+def _integral(name: str, value) -> int:
+    """A size parameter as an int: 2 and 2.0 give 2, anything else raises."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def gen_graph(kind: str, seed: int = 0, **params) -> Graph:
     """Generate a graph of the given kind.
 
@@ -272,15 +282,18 @@ def gen_graph(kind: str, seed: int = 0, **params) -> Graph:
       dary_tree: d >= 1, depth >= 0
       gnp:       n >= 1, d > 0; each pair kept with probability min(d/n, 1)
 
-    Only gnp consumes the seed; the other kinds ignore it.  gnp output is
-    deterministic for a fixed seed (see GNP_GENERATOR).
+    n, width, height, depth and the d of dary_tree take an integral value
+    (2 or 2.0); gnp's d is real.  Only gnp consumes the seed; the other
+    kinds ignore it.  gnp output is deterministic for a fixed seed (see
+    GNP_GENERATOR).
     """
+    size = lambda name: _integral(name, params[name])
     kinds = {
-        "cycle": lambda: _gen_cycle(params["n"]),
-        "complete": lambda: _gen_complete(params["n"]),
-        "grid": lambda: _gen_grid(params["width"], params["height"]),
-        "dary_tree": lambda: _gen_dary_tree(params["d"], params["depth"]),
-        "gnp": lambda: _gen_gnp(params["n"], params["d"], seed),
+        "cycle": lambda: _gen_cycle(size("n")),
+        "complete": lambda: _gen_complete(size("n")),
+        "grid": lambda: _gen_grid(size("width"), size("height")),
+        "dary_tree": lambda: _gen_dary_tree(size("d"), size("depth")),
+        "gnp": lambda: _gen_gnp(size("n"), params["d"], seed),
     }
     if kind not in kinds:
         raise ValueError(f"unknown graph kind {kind!r}")

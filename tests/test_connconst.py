@@ -448,6 +448,11 @@ def test_spectral_bound_validation():
         spectral_bound(np.array([[1.0, -1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         spectral_bound(np.zeros((2, 3)))
+    # a negative or NaN tol never stops the iteration: a usage error, not
+    # a run to max_iter
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            spectral_bound(np.eye(2), tol=tol, max_iter=5)
 
 
 def test_spectral_bound_iteration_cap():

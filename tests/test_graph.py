@@ -96,6 +96,25 @@ def test_gen_unknown_kind():
         gen_graph("hypercube", n=4)
 
 
+def test_gen_sizes_must_be_integral():
+    # an integral float is the integer; any other size names its parameter
+    assert gen_graph("dary_tree", d=2.0, depth=2.0) == gen_graph("dary_tree", d=2, depth=2)
+    assert gen_graph("gnp", n=10.0, d=2, seed=3) == gen_graph("gnp", n=10, d=2, seed=3)
+    for kind, params, name in (
+        ("dary_tree", {"d": 2.5, "depth": 2}, "d"),
+        ("dary_tree", {"d": 2, "depth": 1.5}, "depth"),
+        ("grid", {"width": 2.5, "height": 2}, "width"),
+        ("grid", {"width": 2, "height": float("inf")}, "height"),
+        ("gnp", {"n": 10.5, "d": 2}, "n"),
+        ("cycle", {"n": float("nan")}, "n"),
+        ("complete", {"n": "4"}, "n"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            gen_graph(kind, **params)
+    # gnp's mean degree stays real
+    assert gen_graph("gnp", n=30, d=2.5, seed=7).n == 30
+
+
 def test_gnp_frozen_regression():
     # exact edge count recorded once for the documented generator
     g = gen_graph("gnp", n=2000, d=3.0, seed=1)
