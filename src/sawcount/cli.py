@@ -3,13 +3,20 @@
 Subcommands: hc-count, md-count, hc-marginal, md-marginal, decay-table,
 conn-const, z2-branching, lattice-bounds, gen, oracle.
 
-Every run echoes its fully resolved configuration (including seeds) in
-the output header: as a "config" object in JSON mode, as leading
-'# key = value' lines in text mode.  Numbers are serialized with 12
-significant digits, the ends of a certified interval (and the proven
-eigenvalue bound) rounded outward.  Exit codes: 0 success, 2 usage error, 1
-computational failure (budget or convergence), with partial certified
-results still emitted.
+Each subcommand's handler `_cmd_*(args)` returns `(record, ok)`; one
+that runs out of budget returns its partial certified record with ok
+false.  The record is None where the command wrote its own output: `gen`
+without `--format json` (its edge list or a confirmation line) and a
+failed `z2-branching` (one line on stderr).  `main` emits the record,
+the one call of `_emit`, and exits 0 if ok, else 1.  A ValueError or
+OSError is a usage error (a bad flag value, a missing or malformed graph
+file): it exits 2 with its message on stderr.
+
+Every record echoes its fully resolved configuration (including seeds):
+as a "config" object in JSON mode, as leading '# key = value' lines in
+text mode.  Numbers are serialized with 12 significant digits, the ends
+of a certified interval (and the proven eigenvalue bound) rounded
+outward.
 """
 
 from __future__ import annotations
@@ -77,14 +84,14 @@ _COMMON_FIELDS = {"command": str, "config": dict}
 _COUNT_SCHEMA = {"log_value": float, "log_lo": float, "log_hi": float,
                  "eps": float, "depth": int, "nodes": int, "converged": bool}
 _COUNT_OPTIONAL = {"value": float, "lo": float, "hi": float, "failed_vertex": int}
+_MARGINAL_SCHEMA = {"value": float, "lo": float, "hi": float, "tol": float,
+                    "depth": int, "nodes": int, "converged": bool}
 
 _SCHEMAS = {
     "hc-count": _COUNT_SCHEMA,
     "md-count": _COUNT_SCHEMA,
-    "hc-marginal": {"value": float, "lo": float, "hi": float, "tol": float,
-                    "depth": int, "nodes": int, "converged": bool},
-    "md-marginal": {"value": float, "lo": float, "hi": float, "tol": float,
-                    "depth": int, "nodes": int, "converged": bool},
+    "hc-marginal": _MARGINAL_SCHEMA,
+    "md-marginal": _MARGINAL_SCHEMA,
     "decay-table": {"rows": list},
     "conn-const": {"rows": list, "complete": bool, "roots": list, "walks": int,
                    "walked": list},
@@ -127,35 +134,26 @@ def validate_record(record) -> None:
             _check_field(key, record[key], typ)
 
 
-def _emit(record, fmt, out):
+def _emit(record, fmt):
+    """Print a record: as JSON (validated against its schema), or as text,
+    its config as '# key = value' lines, then each other field as
+    'key value' and the rows under a '# columns:' header."""
     if fmt == "json":
         text = json.dumps(record, indent=2, sort_keys=True)
         validate_record(json.loads(text))
-        print(text, file=out)
+        print(text)
         return
     for key, val in sorted(record["config"].items()):
-        print(f"# {key} = {val}", file=out)
-    _emit_text_body(record, out)
-
-
-def _emit_text_body(record, out):
-    skip = {"command", "config"}
-    rows = record.get("rows")
-    for key in sorted(record):
-        if key in skip or key == "rows":
-            continue
+        print(f"# {key} = {val}")
+    for key in sorted(record.keys() - {"command", "config", "rows"}):
         val = record[key]
-        if isinstance(val, float):
-            val = _FLOAT_FMT % val
-        print(f"{key} {val}", file=out)
-    if rows is not None:
-        if rows:
-            print("# columns: " + "  ".join(rows[0]), file=out)
-        for row in rows:
-            print("  ".join(
-                _FLOAT_FMT % v if isinstance(v, float) else str(v)
-                for v in row.values()
-            ), file=out)
+        print(f"{key} {_FLOAT_FMT % val if isinstance(val, float) else val}")
+    rows = record.get("rows", [])
+    if rows:
+        print("# columns: " + "  ".join(rows[0]))
+    for row in rows:
+        print("  ".join(_FLOAT_FMT % v if isinstance(v, float) else str(v)
+                        for v in row.values()))
 
 
 def _read_graph(path):
@@ -168,23 +166,31 @@ def _base_config(**extra):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns (record, ok)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_count(args, out):
+def _params(args):
+    """(model, activity) of a run: the model from the command's hc-/md-
+    prefix or from --model, the activity from --lam or --gamma."""
+    model = {"hc-": HARDCORE, "md-": MONOMERDIMER}.get(args.cmd[:3]) or args.model
+    flag = "lam" if model == HARDCORE else "gamma"
+    act = getattr(args, flag)
+    if act is None:
+        raise ValueError(f"--{flag} is required for the {model} model")
+    return model, act
+
+
+def _cmd_count(args):
+    model, act = _params(args)
     g = _read_graph(args.graph)
-    model = HARDCORE if args.cmd == "hc-count" else MONOMERDIMER
-    act = args.lam if model == HARDCORE else args.gamma
     budget = args.budget if args.budget is not None else 10**7 * g.n
     cfg = _base_config(
         graph=args.graph, model=model, activity=act,
         eps=args.eps, budget=budget,
     )
-    if model == HARDCORE:
-        res = partition_hc(g, act, args.eps, budget=budget)
-    else:
-        res = partition_md(g, act, args.eps, budget=budget)
+    partition = partition_hc if model == HARDCORE else partition_md
+    res = partition(g, act, args.eps, budget=budget)
     record = {
         "command": args.cmd,
         "config": cfg,
@@ -208,14 +214,12 @@ def _cmd_count(args, out):
             f"activity {act} is above the critical value for max degree; "
             f"decay factor bound {_FLOAT_FMT % res.advisory.alpha_delta} >= 1"
         )
-    _emit(record, args.format, out)
-    return 0 if res.converged else 1
+    return record, res.converged
 
 
-def _cmd_marginal(args, out):
+def _cmd_marginal(args):
+    model, act = _params(args)
     g = _read_graph(args.graph)
-    model = HARDCORE if args.cmd == "hc-marginal" else MONOMERDIMER
-    act = args.lam if model == HARDCORE else args.gamma
     params = ModelParams(model, act)
     cfg = _base_config(
         graph=args.graph, model=model, activity=act, vertex=args.vertex,
@@ -256,45 +260,34 @@ def _cmd_marginal(args, out):
         "nodes": nodes,
         "converged": converged,
     }
-    _emit(record, args.format, out)
-    return 0 if converged else 1
+    return record, converged
 
 
-def _cmd_decay_table(args, out):
+# each model's decay factor and its table columns: (column, DecayReport field)
+_DECAY_COLUMNS = {
+    HARDCORE: (decay_factor_hc, (("q", "q"), ("a", "a"), ("delta_c", "delta_c"))),
+    MONOMERDIMER: (decay_factor_md, (("q", "q"), ("r", "r"), ("D", "big_d"))),
+}
+_DECAY_SHARED = (("alpha", "alpha"), ("alpha_delta", "alpha_delta"),
+                 ("ssm_rate", "ssm_rate"))
+
+
+def _cmd_decay_table(args):
+    model, act = _params(args)
+    decay_factor, columns = _DECAY_COLUMNS[model]
     rows = []
     for delta in args.delta:
-        if args.model == HARDCORE:
-            rep = decay_factor_hc(args.lam, delta)
-            rows.append({
-                "delta": delta,
-                "q": _fnum(rep.q),
-                "a": _fnum(rep.a),
-                "delta_c": _fnum(rep.delta_c),
-                "alpha": _fnum(rep.alpha),
-                "alpha_delta": _fnum(rep.alpha_delta),
-                "ssm_rate": _fnum(rep.ssm_rate),
-                "supercritical": rep.supercritical,
-            })
-        else:
-            rep = decay_factor_md(args.gamma, delta)
-            rows.append({
-                "delta": delta,
-                "q": _fnum(rep.q),
-                "r": _fnum(rep.r),
-                "D": _fnum(rep.big_d),
-                "alpha": _fnum(rep.alpha),
-                "alpha_delta": _fnum(rep.alpha_delta),
-                "ssm_rate": _fnum(rep.ssm_rate),
-                "supercritical": rep.supercritical,
-            })
-    act = args.lam if args.model == HARDCORE else args.gamma
-    cfg = _base_config(model=args.model, activity=act, delta=args.delta)
-    record = {"command": "decay-table", "config": cfg, "rows": rows}
-    _emit(record, args.format, out)
-    return 0
+        rep = decay_factor(act, delta)
+        rows.append({
+            "delta": delta,
+            **{col: _fnum(getattr(rep, field)) for col, field in columns + _DECAY_SHARED},
+            "supercritical": rep.supercritical,
+        })
+    cfg = _base_config(model=model, activity=act, delta=args.delta)
+    return {"command": "decay-table", "config": cfg, "rows": rows}, True
 
 
-def _cmd_conn_const(args, out):
+def _cmd_conn_const(args):
     g = _read_graph(args.graph)
     if args.roots == "all":
         roots = "all"
@@ -320,11 +313,10 @@ def _cmd_conn_const(args, out):
     }
     if not prof.complete:
         record["failed_root"] = prof.failed_root
-    _emit(record, args.format, out)
-    return 0 if prof.complete else 1
+    return record, prof.complete
 
 
-def _cmd_z2(args, out):
+def _cmd_z2(args):
     cfg = _base_config(
         L=args.L, ordering=args.ordering, pruning=args.pruning,
         tol=args.tol, state_cap=args.state_cap, merge=not args.no_merge,
@@ -337,7 +329,7 @@ def _cmd_z2(args, out):
         ev = spectral_bound(bm, tol=args.tol)
     except (StateCapError, PowerIterationError) as exc:
         print(f"z2-branching failed: {exc}", file=sys.stderr)
-        return 1
+        return None, False
     ev = _fup(ev)  # a proven upper bound, printed as one
     record = {
         "command": "z2-branching",
@@ -347,11 +339,10 @@ def _cmd_z2(args, out):
         "states_raw": bm.states_raw,
         "ssm_bound": _fnum(truncate3(lambda_c(ev))),
     }
-    _emit(record, args.format, out)
-    return 0
+    return record, True
 
 
-def _cmd_lattice_bounds(args, out):
+def _cmd_lattice_bounds(args):
     rows = [
         {
             "lattice": b.lattice,
@@ -361,44 +352,27 @@ def _cmd_lattice_bounds(args, out):
         }
         for b in lattice_bounds_table()
     ]
-    cfg = _base_config()
-    record = {"command": "lattice-bounds", "config": cfg, "rows": rows}
-    if args.format == "json":
-        _emit(record, "json", out)
-        return 0
-    for key, val in sorted(cfg.items()):
-        print(f"# {key} = {val}", file=out)
-    print(f"{'lattice':40s} {'degree':>6s} {'conn-const':>11s} {'ssm-bound':>9s}",
-          file=out)
-    for r in rows:
-        print(
-            f"{r['lattice']:40s} {r['max_degree']:6d} "
-            f"{r['connective_constant']:11.6f} {r['ssm_bound']:9.3f}",
-            file=out,
-        )
-    return 0
+    return {"command": "lattice-bounds", "config": _base_config(), "rows": rows}, True
 
 
-def _cmd_gen(args, out):
+# each kind's parameters, in groups that are required together
+_GEN_PARAMS = {
+    "cycle": (("n",),),
+    "complete": (("n",),),
+    "grid": (("width", "height"),),
+    "dary_tree": (("d", "depth"),),
+    "gnp": (("n",), ("d",)),
+}
+
+
+def _cmd_gen(args):
     params = {}
-    if args.kind in ("cycle", "complete", "gnp"):
-        if args.n is None:
-            raise ValueError(f"--n is required for kind {args.kind}")
-        params["n"] = args.n
-    if args.kind == "gnp":
-        if args.d is None:
-            raise ValueError("--d is required for kind gnp")
-        params["d"] = args.d
-    if args.kind == "dary_tree":
-        if args.d is None or args.depth is None:
-            raise ValueError("--d and --depth are required for kind dary_tree")
-        params["d"] = int(args.d)
-        params["depth"] = args.depth
-    if args.kind == "grid":
-        if args.width is None or args.height is None:
-            raise ValueError("--width and --height are required for kind grid")
-        params["width"] = args.width
-        params["height"] = args.height
+    for group in _GEN_PARAMS[args.kind]:
+        if any(getattr(args, p) is None for p in group):
+            verb = "is" if len(group) == 1 else "are"
+            flags = " and ".join("--" + p for p in group)
+            raise ValueError(f"{flags} {verb} required for kind {args.kind}")
+        params.update((p, getattr(args, p)) for p in group)
     g = gen_graph(args.kind, seed=args.seed, **params)
     header = [
         f"# kind = {args.kind}",
@@ -406,42 +380,34 @@ def _cmd_gen(args, out):
         f"# seed = {args.seed}",
         f"# generator = {GNP_GENERATOR}",
     ]
-    body = graph_to_edge_list(g)
-    text = "\n".join(header) + "\n" + body
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if args.format == "json":
-            cfg = _base_config(kind=args.kind, seed=args.seed, out=args.out, **params)
-            _emit({"command": "gen", "config": cfg, "n": g.n, "edges": g.num_edges},
-                  "json", out)
-        else:
-            print(f"wrote {g.n} vertices, {g.num_edges} edges to {args.out}",
-                  file=out)
-    else:
-        out.write(text)
-    return 0
+    text = "\n".join(header) + "\n" + graph_to_edge_list(g)
+    if not args.out:
+        sys.stdout.write(text)
+        return None, True
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    if args.format == "json":
+        cfg = _base_config(kind=args.kind, seed=args.seed, out=args.out, **params)
+        return {"command": "gen", "config": cfg, "n": g.n, "edges": g.num_edges}, True
+    print(f"wrote {g.n} vertices, {g.num_edges} edges to {args.out}")
+    return None, True
 
 
-def _cmd_oracle(args, out):
+def _cmd_oracle(args):
+    model, act = _params(args)
     g = _read_graph(args.graph)
-    act = args.lam if args.model == HARDCORE else args.gamma
-    params = ModelParams(args.model, act)
-    cfg = _base_config(
-        graph=args.graph, model=args.model, activity=act,
-        vertex=args.vertex,
-    )
+    params = ModelParams(model, act)
+    cfg = _base_config(graph=args.graph, model=model, activity=act, vertex=args.vertex)
     record = {"command": "oracle", "config": cfg}
     if args.vertex is None:
         record["value"] = _fnum(oracle_Z(g, params))
-    elif args.model == HARDCORE:
+    elif model == HARDCORE:
         p, ratio = oracle_marginal(g, args.vertex, params)
         record["value"] = _fnum(p)
         record["ratio"] = _fnum(ratio)
     else:
         record["value"] = _fnum(oracle_marginal(g, args.vertex, params))
-    _emit(record, args.format, out)
-    return 0
+    return record, True
 
 
 # ---------------------------------------------------------------------------
@@ -547,14 +513,6 @@ _HANDLERS = {
 }
 
 
-def _check_activity(args):
-    if args.cmd in ("decay-table", "oracle"):
-        if args.model == HARDCORE and args.lam is None:
-            raise ValueError("--lam is required for the hardcore model")
-        if args.model == MONOMERDIMER and args.gamma is None:
-            raise ValueError("--gamma is required for the monomerdimer model")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -562,8 +520,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        _check_activity(args)
-        return _HANDLERS[args.cmd](args, sys.stdout)
+        record, ok = _HANDLERS[args.cmd](args)
+        if record is not None:
+            _emit(record, args.format)
+        return 0 if ok else 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,9 +15,11 @@ the children of a walk are its one-step extensions.  Two modes:
             unoccupied.  With these pins the occupation ratio at the root
             of the tree equals the ratio in the graph.  The neighbor
             ordering is fixed to ascending vertex id everywhere, so trees
-            are reproducible.  `loop_copy_occupied` is the one definition
-            of this pin, shared by `expand_saw_tree` and the fused
-            evaluator in `recurrence`.
+            are reproducible.  `loop_copy_occupied` defines this pin
+            for `expand_saw_tree` and the depth-first walker of
+            `recurrence`; the block walker (`recurrence._sandwich_blocks`,
+            in `step`) applies it on whole arrays as `after < end[...]`,
+            and `test_block_walker_matches_dfs` keeps the two equal.
 
 Stepping back to the walk's immediate predecessor is never a child in
 either mode (a length-2 closed walk is not a cycle of a simple graph).

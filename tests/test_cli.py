@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from sawcount.cli import main, validate_record
+from sawcount.cli import _HANDLERS, _OPTIONAL, _SCHEMAS, build_parser, main, validate_record
 from sawcount.connconst import spectral_bound, truncate3, z2_branching_matrix
 from sawcount.counting import partition_hc, partition_md
 from sawcount.decay import lambda_c
@@ -217,6 +218,33 @@ def test_usage_errors(capsys, c4_path):
                    "--vertex", "0", "--depth", "3")[0] == 2
     assert run_cli(capsys, "decay-table", "--model", "hardcore", "--lam", "inf",
                    "--delta", "2")[0] == 2
+
+
+def test_non_integral_sizes_exit_2(capsys):
+    # --d is a float option, for gnp; a dary tree's arity must be integral
+    code, out, err = run_cli(capsys, "gen", "--kind", "dary_tree", "--d", "2.5",
+                             "--depth", "2")
+    assert (code, out) == (2, "")
+    assert "d must be an integer" in err
+    code, out, _ = run_cli(capsys, "gen", "--kind", "dary_tree", "--d", "2",
+                           "--depth", "2")
+    assert code == 0 and "# n 7" in out
+
+
+def test_negative_tol_is_a_usage_error(capsys):
+    # a negative tol would run the power iteration to its cap
+    code, out, err = run_cli(capsys, "z2-branching", "--L", "4", "--tol", "-1")
+    assert (code, out) == (2, "")
+    assert "tol must be nonnegative" in err
+
+
+def test_command_tables_agree():
+    # a subcommand has a parser, a handler and a record schema, and every
+    # optional-field entry names a command
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(_HANDLERS) == set(_SCHEMAS)
+    assert set(_OPTIONAL) <= set(_HANDLERS)
 
 
 def test_malformed_graph_exits_2(capsys, tmp_path):
