@@ -38,7 +38,7 @@ from .connconst import (
     truncate3,
     z2_branching_matrix,
 )
-from .counting import _trivial_bracket, oracle_Z, oracle_marginal, partition_hc, partition_md
+from .counting import oracle_Z, oracle_marginal, partition_hc, partition_md
 from .decay import decay_factor_hc, decay_factor_md, lambda_c
 from .graph import GNP_GENERATOR, gen_graph, graph_from_edge_list, graph_to_edge_list
 from .recurrence import (
@@ -46,6 +46,7 @@ from .recurrence import (
     MONOMERDIMER,
     AdaptiveBudgetError,
     ModelParams,
+    apriori_interval,
     marginal_adaptive,
     sandwich_values,
 )
@@ -233,8 +234,8 @@ def _cmd_marginal(args):
             )
             (lo, hi), depth = pairs[0], args.depth
         except NodeBudgetError as exc:
-            # no pass completed: the a-priori bracket, which needs no tree
-            (lo, hi), depth = _trivial_bracket(params, g, args.vertex), 0
+            # no pass completed: the a-priori interval, which needs no tree
+            (lo, hi), depth = apriori_interval(params, g, args.vertex), 0
             nodes, converged = exc.nodes_expanded, False
         value = 0.5 * (lo + hi)
     else:
@@ -244,9 +245,7 @@ def _cmd_marginal(args):
             lo, hi, value = res.lo, res.hi, res.value
             depth, nodes = res.depth_max_used, res.nodes_expanded
         except AdaptiveBudgetError as exc:
-            # the last pass's interval, narrowed by the a-priori bracket
-            # (a shallow monomer-dimer pass ends below its lower bound)
-            lo, hi = _trivial_bracket(params, g, args.vertex, exc.lo, exc.hi)
+            lo, hi = exc.lo, exc.hi
             value, depth, nodes = 0.5 * (lo + hi), exc.depth, exc.nodes_expanded
             converged = False
     record = {
@@ -527,9 +526,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NodeBudgetError, AdaptiveBudgetError) as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

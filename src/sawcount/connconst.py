@@ -158,6 +158,8 @@ def conn_profile(g: Graph, l_max: int, roots="all", budget: int = 10**8) -> Conn
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
+    if budget <= 0:
+        raise ValueError("budget must be positive")
     root_list = list(range(g.n)) if roots == "all" else sorted(set(roots))
     if not root_list:
         raise ValueError("no roots to profile")

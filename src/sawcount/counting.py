@@ -38,6 +38,7 @@ from .recurrence import (
     ModelParams,
     _adaptive,
     _Deepening,
+    apriori_interval,
 )
 from .sawtree import UNOCCUPIED, BoundaryCondition
 
@@ -205,8 +206,8 @@ def _telescope(g, params, eps, budget):
     The budget defaults to 10**7 nodes per vertex, handed out as each
     factor starts: (budget - nodes spent) // (vertices left).  On budget
     exhaustion the failed vertex is reported and each feedback factor
-    keeps the bracket of its last pass (narrowed to its a-priori bounds, or
-    those bounds if it has none); the forest factors stay exact.
+    keeps its loop's interval, which starts at its `apriori_interval`;
+    the forest factors stay exact.
 
     Only the first k factors, of the feedback vertices, lie on cycles and
     are truncated, each by an `_adaptive` loop run in two stages:
@@ -235,6 +236,8 @@ def _telescope(g, params, eps, budget):
     """
     if not (0 < eps <= 1):
         raise ValueError("eps must be in (0, 1]")
+    if budget is not None and budget <= 0:
+        raise ValueError("budget must be positive")
     n = g.n
     if n == 0:
         return ApproxResult(1.0, 1.0, 1.0, eps, 0, 0, log_value=0.0, log_lo=0.0, log_hi=0.0)
@@ -250,7 +253,7 @@ def _telescope(g, params, eps, budget):
 
     order, k = _cycle_cutting_order(g)
     blocked = [frozenset(order[:i]) for i in range(k)]
-    loops = [_Deepening() for _ in range(k)]
+    loops = [_Deepening(apriori_interval(params, g, v)) for v in order[:k]]
     nodes = 0
     failed = None
 
@@ -288,13 +291,11 @@ def _telescope(g, params, eps, budget):
 
     log_lo = 0.0
     log_hi = 0.0
-    depth_max = 0
-    for v, loop in zip(order, loops):
-        lo, hi, depth = (*loop.last, loop.passes[-1][0]) if loop.passes else (None, None, 0)
-        depth_max = max(depth_max, depth)
-        flo, fhi = _log_factor(model, *_trivial_bracket(params, g, v, lo, hi))
+    for loop in loops:
+        flo, fhi = _log_factor(model, *loop.last)
         log_lo += flo
         log_hi += fhi
+    depth_max = max([0] + [loop.passes[-1][0] for loop in loops if loop.passes])
     log_z = _forest_log_z(g, params, order[:k])
     log_lo += log_z
     log_hi += log_z
@@ -450,17 +451,6 @@ def _log_factor(model, lo, hi):
     if model == HARDCORE:
         return math.log1p(lo), math.log1p(hi)
     return -math.log(hi), -math.log(lo) if lo > 0 else math.inf
-
-
-def _trivial_bracket(params, g, v, lo=None, hi=None):
-    """A marginal bracket at v that needs no tree: the model's a-priori
-    range, narrowed by a partial bracket where one is given.  A monomer
-    probability is at least 1/(1 + gamma*deg(v)), as every neighbor's is
-    at most 1."""
-    if params.model == HARDCORE:
-        return (0.0 if lo is None else lo), (params.activity if hi is None else hi)
-    p_min = 1.0 / (1.0 + params.activity * len(g.adjacency[v]))
-    return (p_min if lo is None else max(lo, p_min)), (1.0 if hi is None else hi)
 
 
 def partition_hc(

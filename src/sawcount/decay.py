@@ -91,15 +91,17 @@ def delta_c(lam: float) -> float:
 
     lambda_c decreases strictly from +inf (t -> 1+) to 0 (t -> inf), so a
     bracket always exists; converges to |lambda_c(t) - lam| <= 1e-12*lam.
+    Above lam of about 1e31 the root lies below the smallest float above
+    1, math.nextafter(1.0, 2.0), which is returned as an upper bound on it.
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError("lambda must be positive and finite")
     target = math.log(lam)
     lo = 1.0 + 1e-9
     while _log_lambda_c(lo) < target:
+        if lo == math.nextafter(1.0, 2.0):
+            return lo  # lambda_c(lo) < lam: an upper bound on the root
         lo = 1.0 + (lo - 1.0) / 2.0
-        if lo - 1.0 < 1e-300:
-            raise ArithmeticError("bracket collapse near t=1")
     hi = 2.0
     while _log_lambda_c(hi) > target:
         hi *= 2.0

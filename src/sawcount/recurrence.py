@@ -11,14 +11,17 @@ Monomer probabilities satisfy
     p = 1 / (1 + gamma * sum_i p_i)
 
 with leaf value 1.  Both recurrences are monotone decreasing in every
-argument, so pinning all truncated-frontier nodes to the two extreme
-values (0 and lambda, resp. 0 and 1) yields two evaluations that bracket
-the exact tree value regardless of the truncation parity.  That sandwich
-is the sole soundness certificate used here: no decay assumption enters.
+argument, so a node whose children lie in the intervals [lo_i, hi_i]
+lies in [f(hi_1, ...), f(lo_1, ...)]: each child's upper end folds into
+its parent's lower end and its lower end into the upper end.  A
+truncated frontier node lies in its a-priori interval [0, lambda] (resp.
+[0, 1]), so folding intervals from the frontier up brackets the exact
+tree value.  That sandwich is the sole soundness certificate used here:
+no decay assumption enters.
 
 One depth-first walker serves both models.  It fuses tree expansion
-with evaluation (no nodes are materialized) and computes both extreme
-evaluations of one activity value in a single pass.  Per model it
+with evaluation (no nodes are materialized) and carries each node's
+interval (lo, hi) for one activity value in a single pass.  Per model it
 differs only in its loop copies (hard-core pins the path vertices it
 meets, which are no nodes in either model), its leaf and frontier
 values and its fold: a product of 1/(1 + R_i) for hard-core, a sum of
@@ -26,10 +29,10 @@ p_i closed by 1/(1 + gamma*sum) for monomer-dimer; one rule finds the
 exact leaves of both.  The last tree level, about two thirds of a
 truncated tree's nodes, is counted in bulk: a node one level above the
 frontier is never pushed; its children are counted as exact leaves or
-truncated frontier nodes, and its pair is read off one linear
+truncated frontier nodes, and its interval is read off one linear
 table by those two counts (`_leaf_table`), bit for bit what folding them
-one by one gives.  The walkers return the root's pair as walked, and
-`sandwich_values` orders it into (lo, hi).  The materialized trees of
+one by one gives.  The walkers return the root's interval.  The
+materialized trees of
 `expand_saw_tree` with `eval_hc`/`eval_md` are the reference
 implementation the walker is tested against.
 
@@ -135,9 +138,10 @@ class ApproxResult:
 class AdaptiveBudgetError(RuntimeError):
     """Adaptive evaluation ran out of node budget before reaching tolerance.
 
-    Carries the certified interval of the last pass that completed (the
-    a-priori range when none did): sandwich intervals nest as the depth
-    grows, so it is the narrowest one found.
+    Carries the certified interval of the last pass that completed,
+    narrowed by the a-priori interval (that interval when none did):
+    sandwich intervals nest as the depth grows, so it is the narrowest one
+    found.
     """
 
     def __init__(self, lo: float, hi: float, depth: int, nodes: int):
@@ -168,7 +172,8 @@ def sandwich_values(
     *,
     expected_nodes: float | None = None,
 ):
-    """Evaluate the truncated recurrence under both extreme frontier pins.
+    """Evaluate the truncated recurrence on intervals, the frontier pinned
+    to its a-priori interval.
 
     Returns (pairs, nodes, truncated) where pairs[i] = (lo, hi) brackets
     the exact marginal for activities[i] (ratio R_v for hard-core, monomer
@@ -209,8 +214,7 @@ def sandwich_values(
     Both walkers combine children in ascending-id order with the same
     float operations, so results are bit-reproducible and do not depend
     on the walker.  Each walker reads the activity's `_leaf_table`, built
-    here once, and returns the root's (x0, x1) as walked, ordered here,
-    and the node count.
+    here once, and returns the root's (lo, hi) and the node count.
     """
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
@@ -253,8 +257,6 @@ def sandwich_values(
         first = walk(g, v, model, acts[0], depth, blocked, budget, table)
     pairs = [first[0]] + [walk(g, v, model, a, depth, blocked, budget, _leaf_table(hc, a, size))[0]
                           for a in acts[1:]]
-    # x0 and x1 swap the roles of lower and upper bound with depth parity
-    pairs = [(x0, x1) if x0 <= x1 else (x1, x0) for x0, x1 in pairs]
     return pairs, first[1], any(lo != hi for lo, hi in pairs)
 
 
@@ -264,12 +266,12 @@ def _leaf_table(hc, a, size):
     hard-core, 1/(1 + gamma*i) for monomer-dimer.
 
     A node one level above the frontier with `exact` exact-leaf and `cut`
-    truncated children has the pair (table[exact], table[exact + cut]),
+    truncated children has the interval (table[exact + cut], table[exact]),
     bit for bit what folding those children one at a time gives, in any
-    order: an exact leaf folds lambda (resp. 1) into both values, a
-    frontier child folds its pin, 0 into the first and lambda (resp. 1)
-    into the second, and a hard-core pin of 0 multiplies by exactly 1.0,
-    a monomer-dimer one adds exactly 0.0 to an integer sum.
+    order: an exact leaf folds lambda (resp. 1) into both ends, a
+    frontier child [0, lambda] (resp. [0, 1]) folds its upper end into the
+    lower end and 0 into the upper end, and a hard-core 0 multiplies by
+    exactly 1.0, a monomer-dimer one adds exactly 0.0 to an integer sum.
     """
     if not hc:
         return [1.0 / (1.0 + a * i) for i in range(size)]
@@ -282,20 +284,19 @@ def _leaf_table(hc, a, size):
 
 def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
     """The depth-first walker behind sandwich_values, for one activity a,
-    its `_leaf_table` and an unblocked root; returns ((x0, x1), nodes).
+    its `_leaf_table` and an unblocked root; returns ((lo, hi), nodes).
 
-    Each tree node carries two values: its evaluation with the frontier
-    pinned to 0 (x0) and the one with the frontier pinned to the maximum
-    (x1).  Which is the lower bound alternates with depth, so
-    sandwich_values orders the root's pair.  The models differ in three
-    places only:
+    Each tree node carries its interval (lo, hi).  A child's upper end
+    folds into its parent's lower end and its lower end into the upper
+    end, as both recurrences decrease in every child.  The models differ
+    in three places only:
 
       loop copies -- no path vertex is a child or a node in either
           model, but in the weitz tree a path vertex other than the
           parent is a loop copy pinned by `loop_copy_occupied`: occupied,
           it zeroes the node and ends its scan.
       leaf and frontier values -- an exact leaf is lambda (resp. 1) and a
-          truncated frontier node is pinned to (0, lambda) (resp. (0, 1)).
+          truncated frontier node lies in [0, lambda] (resp. [0, 1]).
       fold -- hard-core starts a node at lambda and multiplies in
           1/(1 + R) per child; monomer-dimer sums the child values and
           takes 1/(1 + gamma*sum) when the node is popped.
@@ -304,7 +305,7 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
     so that level is counted in bulk: a node one level above the frontier
     (the root when max_depth is 1) is never pushed.  `last_level` scans
     its neighbors, counts its exact-leaf and truncated children, and
-    looks up its values by those two counts in `_leaf_table`.  A pushed
+    looks up its interval by those two counts in `_leaf_table`.  A pushed
     child without extensions pops with exactly its leaf value.
 
     `blocked` = deleted, in both models: a blocked neighbor is skipped in
@@ -329,7 +330,7 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
     path_pos = {root: 0}
 
     def last_level(u, parent):
-        # (x0, x1, children visited) of a node u one level above the
+        # (lo, hi, children visited) of a node u one level above the
         # frontier; like a pushed node, u stops at its first occupied loop
         # copy and the siblings after it are not visited
         exact = cut = 0
@@ -347,23 +348,23 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
                     break
             else:
                 exact += 1
-        return table[exact], table[exact + cut], exact + cut
+        return table[exact + cut], table[exact], exact + cut
 
     # a budget error reports the first node over budget, budget + 1
     last = max_depth - 1  # the depth of the nodes that last_level scans
     if last == 0:
-        x0, x1, seen = last_level(root, -1)
+        lo, hi, seen = last_level(root, -1)
         nodes = 1 + seen
         if nodes > budget:
             raise NodeBudgetError(budget + 1)
-        return (x0, x1), nodes
+        return (lo, hi), nodes
 
     nodes = 1
-    # frame: [vertex, parent, depth, x0, x1, neighbor tuple, next index]
+    # frame: [vertex, parent, depth, lo, hi, neighbor tuple, next index]
     stack = [[root, -1, 0, start, start, adj[root], 0]]
     while True:
         fr = stack[-1]
-        vtx, parent, dep, x0, x1, nbrs, i = fr
+        vtx, parent, dep, lo, hi, nbrs, i = fr
         dead = False
         while i < len(nbrs):
             w = nbrs[i]
@@ -383,42 +384,42 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
             if nodes > budget:
                 raise NodeBudgetError(budget + 1)
             if dep + 1 < last:
-                fr[3], fr[4], fr[6] = x0, x1, i
+                fr[3], fr[4], fr[6] = lo, hi, i
                 stack.append([w, vtx, dep + 1, start, start, adj[w], 0])
                 path_pos[w] = len(path)
                 path.append(w)
                 break
-            y0, y1, seen = last_level(w, vtx)
+            y_lo, y_hi, seen = last_level(w, vtx)
             nodes += seen
             if nodes > budget:
                 raise NodeBudgetError(budget + 1)
             if hc:
-                x0 *= 1.0 / (1.0 + y0)
-                x1 *= 1.0 / (1.0 + y1)
+                lo *= 1.0 / (1.0 + y_hi)
+                hi *= 1.0 / (1.0 + y_lo)
             else:
-                x0 += y0
-                x1 += y1
+                lo += y_hi
+                hi += y_lo
         if stack[-1] is not fr:
             continue  # descended into a child
         stack.pop()
         if dead:
-            x0 = x1 = 0.0
+            lo = hi = 0.0
         elif not hc:
-            x0 = 1.0 / (1.0 + a * x0)
-            x1 = 1.0 / (1.0 + a * x1)
+            lo = 1.0 / (1.0 + a * lo)
+            hi = 1.0 / (1.0 + a * hi)
         if not stack:
             break
         path.pop()
         del path_pos[vtx]
         fr = stack[-1]
         if hc:
-            fr[3] *= 1.0 / (1.0 + x0)
-            fr[4] *= 1.0 / (1.0 + x1)
+            fr[3] *= 1.0 / (1.0 + hi)
+            fr[4] *= 1.0 / (1.0 + lo)
         else:
-            fr[3] += x0
-            fr[4] += x1
+            fr[3] += hi
+            fr[4] += lo
 
-    return (x0, x1), nodes
+    return (lo, hi), nodes
 
 
 def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
@@ -528,7 +529,7 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
         return rows, up, cand, flat, kid, dead, on
 
     def scan(cols, end, arrive, via):
-        # (y0, y1) of the nodes end, one level above the frontier, whose
+        # (lo, hi) of the nodes end, one level above the frontier, whose
         # paths are cols at the rows via
         rows, up, cand, flat, kid, dead, on = step(cols, end, arrive, via, near=not hc)
         exact = lone.take(flat)  # no neighbour but its parent outside blocked
@@ -551,25 +552,26 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
                     ext &= nxt != col.take(at)
                 exact[part] = np.bincount(sub[ext], minlength=len(part)) == 0
         width = len(end)
-        y0 = table.take(np.bincount(rows[kid & exact], minlength=width))
-        y1 = table.take(np.bincount(rows[kid], minlength=width))
+        y_lo = table.take(np.bincount(rows[kid], minlength=width))
+        y_hi = table.take(np.bincount(rows[kid & exact], minlength=width))
         if dead is not None:
-            y0[dead] = y1[dead] = 0.0
-        return y0, y1
+            y_lo[dead] = y_hi[dead] = 0.0
+        return y_lo, y_hi
 
-    def fold(blk, rows, y0, y1):
+    def fold(blk, rows, y_lo, y_hi):
+        # a child's upper end folds into its parent's lower end
         if hc:
-            np.multiply.at(blk[2], rows, 1.0 / (1.0 + y0))
-            np.multiply.at(blk[3], rows, 1.0 / (1.0 + y1))
+            np.multiply.at(blk[2], rows, 1.0 / (1.0 + y_hi))
+            np.multiply.at(blk[3], rows, 1.0 / (1.0 + y_lo))
         else:
-            np.add.at(blk[2], rows, y0)
-            np.add.at(blk[3], rows, y1)
+            np.add.at(blk[2], rows, y_hi)
+            np.add.at(blk[3], rows, y_lo)
 
     last = max_depth - 1  # the depth of the nodes that scan reads off
     start = a if hc else 0.0
 
     def block(cols, arrive, parent, prow):
-        # [cols, arrive, x0, x1, dead rows, parent block, parent row of each row]
+        # [cols, arrive, lo, hi, dead rows, parent block, parent row of each row]
         width = len(cols[-1])
         return [cols, arrive, np.full(width, start), np.full(width, start), None, parent, prow]
 
@@ -585,22 +587,22 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
                 kids = [col.take(rows) for col in cols]
                 kids.append(cand)
                 stack.append((blk, True))
-                for lo in reversed(range(0, len(cand), _BLOCK)):
-                    hi = lo + _BLOCK
-                    stack.append((block([col[lo:hi] for col in kids], arrive[lo:hi], blk, rows[lo:hi]), False))
+                for at in reversed(range(0, len(cand), _BLOCK)):
+                    part = slice(at, at + _BLOCK)
+                    stack.append((block([col[part] for col in kids], arrive[part], blk, rows[part]), False))
                 continue
             # the children sit one level above the frontier: scanned in place
             fold(blk, rows, *scan(cols, cand, arrive, rows))
-        x0, x1 = blk[2], blk[3]
+        lo, hi = blk[2], blk[3]
         if not hc:
-            x0 = 1.0 / (1.0 + a * x0)
-            x1 = 1.0 / (1.0 + a * x1)
+            lo = 1.0 / (1.0 + a * lo)
+            hi = 1.0 / (1.0 + a * hi)
         elif blk[4] is not None:
-            x0[blk[4]] = x1[blk[4]] = 0.0
+            lo[blk[4]] = hi[blk[4]] = 0.0
         if blk[5] is None:
             break
-        fold(blk[5], blk[6], x0, x1)
-    return (float(x0[0]), float(x1[0])), nodes
+        fold(blk[5], blk[6], lo, hi)
+    return (float(lo[0]), float(hi[0])), nodes
 
 
 # ---------------------------------------------------------------------------
@@ -670,37 +672,52 @@ def eval_md(tree: SawTree, gamma: float, init: str = ALL_MAX) -> float:
 
 
 def dary_md_gaps(d: int, gamma: float, max_depth: int) -> list:
-    """Sandwich gaps |F(0_l) - F(1_l)| at the root of the full d-ary tree.
+    """Sandwich widths hi - lo at the root of the full d-ary tree.
 
     On the d-ary tree the monomer recurrence collapses by symmetry to the
-    scalar iteration x -> 1/(1 + gamma*d*x), so the depth-l gap is
-    computable without materializing the d**l nodes.  Entry l of the
-    returned list is the gap for truncation depth l (entry 0 is 1, the
-    width of the trivial pin).  Cross-checked against the full evaluator
+    scalar map f(x) = 1/(1 + gamma*d*x), which takes the interval [lo, hi]
+    of the children to [f(hi), f(lo)], so the depth-l width is computable
+    without materializing the d**l nodes.  Entry l of the returned list is
+    the width for truncation depth l (entry 0 is 1, the width of the
+    a-priori interval [0, 1]).  Cross-checked against the full evaluator
     on small trees in the test suite.
     """
     if d < 1 or max_depth < 0 or not (math.isfinite(gamma) and gamma > 0):
         raise ValueError("need d >= 1, max_depth >= 0, finite gamma > 0")
-    a, b = 0.0, 1.0
+    lo, hi = 0.0, 1.0
     gaps = [1.0]
     for _ in range(max_depth):
-        a, b = 1.0 / (1.0 + gamma * d * a), 1.0 / (1.0 + gamma * d * b)
-        gaps.append(abs(a - b))
+        lo, hi = 1.0 / (1.0 + gamma * d * hi), 1.0 / (1.0 + gamma * d * lo)
+        gaps.append(hi - lo)
     return gaps
 
 
 def dary_md_depth_for_tol(d: int, gamma: float, tol: float, depth_cap: int = 10**5) -> int:
-    """Smallest truncation depth with d-ary-tree sandwich gap <= 2*tol."""
+    """Smallest truncation depth with d-ary-tree sandwich width <= 2*tol.
+
+    d and gamma are checked as `dary_md_gaps` checks them."""
+    dary_md_gaps(d, gamma, 0)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    a, b = 0.0, 1.0
+    lo, hi = 0.0, 1.0
     depth = 0
-    while abs(a - b) > 2.0 * tol:
-        a, b = 1.0 / (1.0 + gamma * d * a), 1.0 / (1.0 + gamma * d * b)
+    while hi - lo > 2.0 * tol:
+        lo, hi = 1.0 / (1.0 + gamma * d * hi), 1.0 / (1.0 + gamma * d * lo)
         depth += 1
         if depth > depth_cap:
             raise ArithmeticError("gap did not reach tolerance")
     return depth
+
+
+def apriori_interval(params: ModelParams, g: Graph, v: int, lo=None, hi=None):
+    """The interval of the marginal at v that needs no tree, narrowed by
+    the ends lo and hi where they are given: [0, lambda] for the
+    hard-core ratio, [1/(1 + gamma*deg(v)), 1] for the monomer
+    probability, as every neighbor's is at most 1."""
+    if params.model == HARDCORE:
+        return (0.0 if lo is None else lo), (params.activity if hi is None else hi)
+    p_min = 1.0 / (1.0 + params.activity * len(g.adjacency[v]))
+    return (p_min if lo is None else max(lo, p_min)), (1.0 if hi is None else hi)
 
 
 def marginal_interval(
@@ -715,8 +732,7 @@ def marginal_interval(
 
     For hard-core the bracketed quantity is the occupation ratio R_v; for
     monomer-dimer it is the monomer probability p_v.  The bracket is the
-    (min, max) of the two extreme-initial-condition evaluations, sound for
-    either truncation parity.
+    sandwich interval of `sandwich_values`.
     """
     pairs, _, _ = sandwich_values(
         g, v, params.model, [params.activity], depth, boundary, budget
@@ -736,12 +752,15 @@ def marginal_adaptive(
 
     Deepens the truncation along the predicted depth schedule of
     `_adaptive` until the sandwich width is at most 2*tol or the pair is
-    exact, then returns the interval midpoint.  The certificate
-    is the sandwich property alone.  Raises AdaptiveBudgetError (carrying
-    the interval of the last pass) if the node budget runs out first.
+    exact, then returns the midpoint of that interval narrowed by
+    `apriori_interval`.  The certificate is the sandwich property alone.
+    Raises AdaptiveBudgetError (carrying the interval of the last pass) if
+    the node budget runs out first.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if budget <= 0:
+        raise ValueError("budget must be positive")
     lo, hi, depth, nodes = _adaptive(
         g, v, params, lambda a, b: b - a, 2.0 * tol, boundary, budget
     )
@@ -758,15 +777,17 @@ def marginal_adaptive(
 @dataclass
 class _Deepening:
     """Where one `_adaptive` loop stands between calls, so that a caller
-    can run it in stages: the last two passes as (depth, measure, nodes),
-    oldest first, the interval of the last pass, and the nodes of all
-    passes.  Sandwich intervals nest as the depth grows, so the last
-    interval is the narrowest, and an exact one measures 0.  The node
-    growth per level of the last two passes both cuts the next depth
-    step to the budget and predicts the next pass's node count."""
+    can run it in stages: its certified interval, the last two passes as
+    (depth, measure, nodes), oldest first, and the nodes of all passes.
+    The interval starts at the root's `apriori_interval` and is then that
+    of the last pass, narrowed by it.  Sandwich intervals nest as the
+    depth grows, so the last interval is the narrowest, and an exact one
+    measures 0.  The node growth per level of the last two passes both
+    cuts the next depth step to the budget and predicts the next pass's
+    node count."""
 
+    last: tuple
     passes: list = field(default_factory=list)
-    last: tuple = (0.0, 0.0)
     total: int = 0
 
     def settled(self, target) -> bool:
@@ -818,7 +839,8 @@ def _adaptive(g, v, params, measure, target, boundary, budget, blocked=frozenset
     """Deepen the sandwich at v (of g minus `blocked`, see sandwich_values)
     until measure(lo, hi) <= target or the pair is exact (lo == hi, as
     when the tree is fully expanded); returns (lo, hi, depth, nodes
-    expanded in total) of the last pass.
+    expanded in total) of the last pass, its interval narrowed by
+    `apriori_interval`.  The measure reads the pass's own pair.
 
     After each truncated pass the per-level contraction of the measure is
     fitted from the last two passes, rate = (w / w_prev)**(1/depth step),
@@ -828,8 +850,9 @@ def _adaptive(g, v, params, measure, target, boundary, budget, blocked=frozenset
     cut so that the next pass, extrapolated from the node growth of the
     last two passes, fits in what is left of the budget.  Without a usable
     rate (a measure that is infinite or did not shrink) the depth steps
-    by 1.  Raises AdaptiveBudgetError with the interval of the last pass
-    (the a-priori range before the first) if the budget runs out first.
+    by 1.  Raises AdaptiveBudgetError with the loop's interval and the
+    depth of its last pass (0 before the first) if the budget runs out
+    first.
     Each pass hands `sandwich_values` its node count extrapolated by the
     same growth (`_Deepening.expected_nodes`), so a pass expected above
     `_CAP` nodes is walked on blocks once, not started depth-first and
@@ -842,7 +865,7 @@ def _adaptive(g, v, params, measure, target, boundary, budget, blocked=frozenset
     and with `budget` counting the nodes of the earlier calls as well.
     One call without either runs the passes that the stages would.
     """
-    st = _Deepening() if state is None else state
+    st = _Deepening(apriori_interval(params, g, v)) if state is None else state
     while True:
         if not st.passes:
             depth = 0
@@ -850,8 +873,7 @@ def _adaptive(g, v, params, measure, target, boundary, budget, blocked=frozenset
             return (*st.last, st.passes[-1][0], st.total)
         else:
             depth = st.next_depth(target, budget)
-        top = params.activity if params.model == HARDCORE else 1.0
-        last = (*st.last, st.passes[-1][0]) if st.passes else (0.0, top, 0)
+        last = (*st.last, st.passes[-1][0] if st.passes else 0)
         remaining = budget - st.total
         if remaining <= 0:
             raise AdaptiveBudgetError(*last, st.total)
@@ -863,5 +885,5 @@ def _adaptive(g, v, params, measure, target, boundary, budget, blocked=frozenset
         except NodeBudgetError as exc:
             raise AdaptiveBudgetError(*last, st.total + exc.nodes_expanded)
         st.total += nodes
-        st.last = pairs[0]
-        st.passes = [*st.passes[-1:], (depth, measure(*st.last), nodes)]
+        st.last = apriori_interval(params, g, v, *pairs[0])
+        st.passes = [*st.passes[-1:], (depth, measure(*pairs[0]), nodes)]

@@ -253,11 +253,15 @@ def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
     `budget` caps the number of walks counted: NodeBudgetError(budget + 1)
     is raised as soon as the running total exceeds it, the same condition
     and value as a depth-first count that stops at its (budget + 1)-th walk.
+    A budget of 0 is legal (`conn_profile` passes what it has left); a
+    negative one is not.
     """
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     csr = g.csr
     counts = [0] * (l_max + 1)
     total = 0
@@ -267,7 +271,7 @@ def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
         counts[length] += found
         total += found
         if total > budget:
-            raise NodeBudgetError(max(budget, 0) + 1)
+            raise NodeBudgetError(budget + 1)
 
     stack = [([np.array([v], dtype=csr.nbrs.dtype)], None)]
     while stack:

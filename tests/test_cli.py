@@ -4,10 +4,17 @@ import json
 import pytest
 
 from sawcount.cli import _HANDLERS, _OPTIONAL, _SCHEMAS, build_parser, main, validate_record
-from sawcount.connconst import spectral_bound, truncate3, z2_branching_matrix
+from sawcount.connconst import conn_profile, spectral_bound, truncate3, z2_branching_matrix
 from sawcount.counting import partition_hc, partition_md
 from sawcount.decay import lambda_c
 from sawcount.graph import gen_graph, graph_from_edges, graph_to_edge_list
+from sawcount.recurrence import (
+    HARDCORE,
+    hardcore,
+    marginal_adaptive,
+    monomerdimer,
+    sandwich_values,
+)
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +252,52 @@ def test_command_tables_agree():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) == set(_HANDLERS) == set(_SCHEMAS)
     assert set(_OPTIONAL) <= set(_HANDLERS)
+
+
+# every API that takes a node budget: a call on C4 at a given budget, and
+# the CLI command that hands its --budget to it
+_BUDGETED = {
+    "sandwich_values": (lambda g, b: sandwich_values(g, 0, HARDCORE, [1.0], 3, budget=b),
+                        ("hc-marginal", "--lam", "1", "--depth", "3")),
+    "marginal_adaptive hc": (lambda g, b: marginal_adaptive(g, 0, hardcore(1.0), budget=b),
+                             ("hc-marginal", "--lam", "1")),
+    "marginal_adaptive md": (lambda g, b: marginal_adaptive(g, 0, monomerdimer(1.0), budget=b),
+                             ("md-marginal", "--gamma", "1")),
+    "partition_hc": (lambda g, b: partition_hc(g, 1.0, 0.01, budget=b), ("hc-count", "--lam", "1")),
+    "partition_md": (lambda g, b: partition_md(g, 1.0, 0.01, budget=b), ("md-count", "--gamma", "1")),
+    "conn_profile": (lambda g, b: conn_profile(g, 3, budget=b), ("conn-const", "--lmax", "3")),
+}
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+@pytest.mark.parametrize("api", sorted(_BUDGETED))
+def test_budget_below_1_is_a_usage_error(capsys, c4_path, api, budget):
+    # a budget below 1 is a usage error, not a run out of budget
+    call, argv = _BUDGETED[api]
+    with pytest.raises(ValueError, match="budget must be positive"):
+        call(gen_graph("cycle", n=4), budget)
+    code, out, err = run_cli(capsys, *argv, "--graph", c4_path, "--budget", str(budget))
+    assert (code, out) == (2, "")
+    assert "budget must be positive" in err
+
+
+def test_huge_hard_core_activity_runs(capsys, tmp_path):
+    # at lambda 1e32 the root of lambda_c(t) = lambda lies below float
+    # resolution above 1; the count still completes, with its advisory
+    path = tmp_path / "g.edges"
+    path.write_text(graph_to_edge_list(graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])))
+    code, out, err = run_cli(capsys, "hc-count", "--graph", str(path), "--lam", "1e32")
+    assert (code, err) == (0, "")
+    rec = json.loads(out)
+    validate_record(rec)
+    assert rec["converged"] is True
+    assert "decay factor bound 2 >= 1" in rec["advisory"]
+    code, out, err = run_cli(capsys, "decay-table", "--model", "hardcore", "--lam", "1e32",
+                             "--delta", "3", "--format", "json")
+    assert (code, err) == (0, "")
+    rec = json.loads(out)
+    validate_record(rec)
+    assert rec["rows"][0]["supercritical"] is True
 
 
 def test_malformed_graph_exits_2(capsys, tmp_path):

@@ -49,6 +49,17 @@ def test_delta_c_extreme_activities():
     assert delta_c(1e-8) > 1e6
 
 
+def test_delta_c_above_float_resolution():
+    # above lambda of about 1e31 the root lies below the smallest float
+    # above 1, which delta_c returns as an upper bound on it
+    top = math.nextafter(1.0, 2.0)
+    for lam in (1e32, 1e100, 1e308):
+        assert delta_c(lam) == top
+        assert lambda_c(top) < lam
+        assert decay_factor_hc(lam, 3.0).supercritical
+    assert 1.0 < delta_c(1e30) < 1.0 + 1e-12
+
+
 def test_exponents_hc():
     q, a, dc = choose_exponents_hc(4.0)
     assert dc == pytest.approx(2.0, abs=1e-9)

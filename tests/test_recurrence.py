@@ -262,7 +262,10 @@ def test_block_walker_matches_dfs(monkeypatch):
                                 frozenset(blocked))
                         table = _table(g, model, args[3])
                         want = recurrence._sandwich(*args, 10**7, table)
-                        assert recurrence._sandwich_blocks(*args, 10**7, table) == want
+                        got = recurrence._sandwich_blocks(*args, 10**7, table)
+                        assert got == want
+                        # both walkers return the root's interval (lo, hi)
+                        assert want[0][0] <= want[0][1] and got[0][0] <= got[0][1]
                         budget = rng.randrange(1, want[1] + 1)
                         assert (_walk(recurrence._sandwich_blocks, *args, budget, table)
                                 == _walk(recurrence._sandwich, *args, budget, table))
@@ -522,7 +525,7 @@ def test_expected_nodes_hint_keeps_shallow_and_deep_trees_depth_first(monkeypatc
 
 
 def test_expected_nodes_extrapolates_the_last_two_passes():
-    st = recurrence._Deepening()
+    st = recurrence._Deepening((0.0, 1.0))
     assert st.expected_nodes(3) is None
     st.passes = [(2, 0.5, 40)]
     assert st.expected_nodes(6) == 40  # one pass: its count, a lower bound
@@ -835,12 +838,32 @@ def test_adaptive_in_stages_runs_the_same_passes():
         for params in (hardcore(0.5), monomerdimer(1.0)):
             for until in (0, 2, 4):
                 whole = recurrence._adaptive(g, v, params, width, 1e-3, None, 10**6)
-                state = recurrence._Deepening()
+                state = recurrence._Deepening(recurrence.apriori_interval(params, g, v))
                 first = recurrence._adaptive(g, v, params, width, 1e-3, None, 10**6,
                                              state=state, until=until)
                 assert first[2] >= until and first[3] == state.total
                 assert recurrence._adaptive(g, v, params, width, 1e-3, None, 10**6,
                                             state=state) == whole
+
+
+def test_monomer_dimer_adaptive_keeps_the_apriori_lower_end():
+    # the loop starts at the a-priori interval and narrows every pass by
+    # it, so neither a budget error nor a depth-0 answer carries a monomer
+    # probability below 1/(1 + gamma*deg(v))
+    for g in (gen_graph("cycle", n=6), gen_graph("grid", width=4, height=4)):
+        for gamma in (0.5, 2.0):
+            for v in range(g.n):
+                p_min = 1.0 / (1.0 + gamma * len(g.adjacency[v]))
+                for budget in (1, 2, 3, 5):
+                    with pytest.raises(AdaptiveBudgetError) as err:
+                        marginal_adaptive(g, v, monomerdimer(gamma), tol=1e-9, budget=budget)
+                    assert p_min <= err.value.lo <= err.value.hi <= 1.0
+    c6 = gen_graph("cycle", n=6)
+    with pytest.raises(AdaptiveBudgetError) as err:
+        marginal_adaptive(c6, 0, monomerdimer(1.0), budget=2)
+    assert (err.value.lo, err.value.hi, err.value.depth) == (1 / 3, 1.0, 0)
+    res = marginal_adaptive(c6, 0, monomerdimer(1.0), tol=0.5)
+    assert (res.lo, res.hi, res.depth_max_used) == (1 / 3, 1.0, 0)
 
 
 def test_adaptive_budget_error():
@@ -861,6 +884,17 @@ def test_dary_md_gaps_match_tree_evaluator():
         for ell in range(depth):
             lo, hi = marginal_interval(g, 0, monomerdimer(1.0), depth=ell)
             assert hi - lo == pytest.approx(gaps[ell], rel=1e-12, abs=1e-15)
+
+
+def test_dary_md_depth_for_tol_rejects_bad_input():
+    # the same check as dary_md_gaps: d >= 1 and finite gamma > 0
+    for d, gamma in ((0, 1.0), (-2, 1.0), (1, -1.0), (2, 0.0), (2, math.inf), (2, math.nan)):
+        with pytest.raises(ValueError, match="need d >= 1"):
+            dary_md_gaps(d, gamma, 3)
+        with pytest.raises(ValueError, match="need d >= 1"):
+            dary_md_depth_for_tol(d, gamma, 0.1)
+    with pytest.raises(ValueError, match="tol"):
+        dary_md_depth_for_tol(2, 1.0, 0.0)
 
 
 def test_dary_md_gaps_shape():

@@ -131,6 +131,17 @@ def test_saw_counts_budget():
     assert err.value.nodes_expanded == 51
 
 
+def test_saw_counts_rejects_a_negative_budget():
+    # budget 0 is legal, as conn_profile passes what it has left
+    g = gen_graph("complete", n=4)
+    with pytest.raises(ValueError, match="budget"):
+        saw_counts(g, 0, 3, budget=-1)
+    with pytest.raises(NodeBudgetError) as err:
+        saw_counts(g, 0, 3, budget=0)
+    assert err.value.nodes_expanded == 1
+    assert saw_counts(graph_from_edges(2, []), 0, 3, budget=0) == [0, 0, 0]
+
+
 def dfs_saw_counts(g, v, l_max, budget=10**8):
     """Reference: the recursive depth-first count that stops at its
     (budget + 1)-th walk."""
