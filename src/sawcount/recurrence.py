@@ -282,6 +282,26 @@ def _leaf_table(hc, a, size):
     return table
 
 
+def _pin_table(table):
+    """The lower ends of a truncated monomer-dimer node by its number k of
+    neighbours outside blocked but its parent: table[k] = 1/(1 + gamma*k)
+    rounded down to a multiple of 2**-bits.
+
+    A truncated node w has at most k children, each at most 1, so
+    table[k] is a lower end of its value, and rounding down keeps it one.
+    With bits = min(44, 52 - len(table).bit_length()), a sum of fewer than
+    len(table) pins and ones, a node's canonical sum, is exact in floating
+    point, whatever its order: the depth-first walker adds the pins of the
+    truncated children and the number of exact ones, the block walker
+    corrects a tabulated sum, and both get it bit for bit.  The grid is
+    the same for every graph of max degree below 255, so such a graph
+    minus blocked vertices and its induced subgraph give the same pins.
+    A pin loses less than 2**-bits to the rounding; entry 0 is 1.0, the
+    value of a lone child."""
+    scale = 2.0 ** min(44, 52 - len(table).bit_length())
+    return [math.floor(t * scale) / scale for t in table]
+
+
 def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
     """The depth-first walker behind sandwich_values, for one activity a,
     its `_leaf_table` and an unblocked root; returns ((lo, hi), nodes).
@@ -319,11 +339,18 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
     """
     adj = g.adjacency
     hc = model == HARDCORE
-    top = a if hc else 1.0
+    lost = {}  # monomer-dimer: the blocked neighbours of a vertex, where it has any
+    if not hc:
+        pin = _pin_table(table)
+        for b in blocked:
+            for x in adj[b]:
+                lost[x] = lost.get(x, 0) + 1
     if max_depth == 0:
+        if not hc:
+            return (table[len(adj[root]) - lost.get(root, 0)], 1.0), 1
         if all(w in blocked for w in adj[root]):
-            return (top, top), 1
-        return (0.0, top), 1
+            return (a, a), 1
+        return (0.0, a), 1
 
     start = a if hc else 0.0
     path = [root]
@@ -334,6 +361,7 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
         # frontier; like a pushed node, u stops at its first occupied loop
         # copy and the siblings after it are not visited
         exact = cut = 0
+        pins = 0.0  # monomer-dimer: the sum of the truncated children's lower ends
         for w in adj[u]:
             if w == parent or w in blocked:
                 continue
@@ -345,10 +373,14 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
             for x in adj[w]:
                 if x != u and x not in blocked and (hc or x not in path_pos):
                     cut += 1  # a free neighbor: w is extended
+                    if not hc:
+                        pins += pin[len(adj[w]) - 1 - lost.get(w, 0)]
                     break
             else:
                 exact += 1
-        return table[exact + cut], table[exact], exact + cut
+        if hc:
+            return table[exact + cut], table[exact], exact + cut
+        return table[exact + cut], 1.0 / (1.0 + a * (pins + exact)), exact + cut
 
     # a budget error reports the first node over budget, budget + 1
     last = max_depth - 1  # the depth of the nodes that last_level scans
@@ -473,15 +505,26 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
         is_blocked[np.fromiter(blocked, dtype=np.intp, count=len(blocked))] = True
         # blocked = deleted, in both models: no walk steps onto one
         csr = csr.without(is_blocked)
-    # lone[f]: whether u is the only neighbour of w, for the half-edge f = u -> w
-    lone = csr.deg.take(csr.nbrs) == 1
-    if not hc:
-        # first[f]: the first neighbour of w other than u for the half-edge
-        # f = u -> w, in O(m).  Where u is w's only neighbour the entry is
-        # unused (w is an exact leaf), and clip keeps its index in range
+    table = np.array(table)
+    if hc:
+        # lone[f]: whether u is the only neighbour of w, for the half-edge f = u -> w
+        lone = csr.deg.take(csr.nbrs) == 1
+    else:
+        # first[f] and second[f]: the first and second neighbours of w other
+        # than u for the half-edge f = u -> w, in O(m).  Where w has fewer
+        # the entries are unused, and clip keeps their indices in range
         start = csr.indptr.take(csr.nbrs)
         first = csr.nbrs.take(start + (csr.back == start), mode="clip")
-    table = np.array(table)
+        second = csr.nbrs.take(start + 1 + (csr.back <= start + 1), mode="clip")
+        # pin[w]: the lower end of a truncated child w (`_pin_table`), 1.0
+        # where w is lone.  For the arrival half-edge f = u -> p of a node u,
+        # sums[f] is the sum of pin over u's neighbours but p, the canonical
+        # sum of u when none of them is on the path and its exact children
+        # are lone.  Every such sum is exact, so its order does not matter
+        pin = np.array(_pin_table(table)).take(np.maximum(csr.deg - 1, 0))
+        src = csr.nbrs.take(csr.back)
+        to = pin.take(csr.nbrs)
+        sums = np.bincount(src, weights=to, minlength=len(csr.deg)).take(src) - to
     nodes = 1
 
     def step(cols, end, arrive, via=None, near=False):
@@ -532,31 +575,48 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
         # (lo, hi) of the nodes end, one level above the frontier, whose
         # paths are cols at the rows via
         rows, up, cand, flat, kid, dead, on = step(cols, end, arrive, via, near=not hc)
-        exact = lone.take(flat)  # no neighbour but its parent outside blocked
-        if not hc:
-            # a child is also exact when every other neighbour is on the
-            # path.  Its first neighbour other than the parent settles it
-            # unless that one is on the path and the child has more
-            # neighbours; those few are tested on all of them
-            maybe = np.flatnonzero(on & kid)
-            deg = csr.deg.take(cand.take(maybe))
-            exact[maybe[deg == 2]] = True
-            test = maybe[deg > 2]
-            for lo in range(0, len(test), _BLOCK):
-                part = test[lo:lo + _BLOCK]
-                sub, nxt = csr.steps(cand[part], csr.back.take(flat[part]))
-                nxt = csr.nbrs.take(nxt)
-                ext = np.ones(len(nxt), dtype=bool)
-                at = up[part].take(sub)
-                for col in cols:
-                    ext &= nxt != col.take(at)
-                exact[part] = np.bincount(sub[ext], minlength=len(part)) == 0
         width = len(end)
-        y_lo = table.take(np.bincount(rows[kid], minlength=width))
-        y_hi = table.take(np.bincount(rows[kid & exact], minlength=width))
-        if dead is not None:
-            y_lo[dead] = y_hi[dead] = 0.0
-        return y_lo, y_hi
+        kids = np.bincount(rows[kid], minlength=width)
+        y_lo = table.take(kids)
+        if hc:
+            exact = lone.take(flat)  # no neighbour but its parent outside blocked
+            y_hi = table.take(np.bincount(rows[kid & exact], minlength=width))
+            if dead is not None:
+                y_lo[dead] = y_hi[dead] = 0.0
+            return y_lo, y_hi
+        # a child with other neighbours is exact when they are all on the
+        # path.  Its first one settles it unless that one is on the path; of
+        # those few, a child of degree 2 is exact, and the others are tested
+        # on the rest: one of degree 3 on its second, the others on all
+        # their neighbours but the parent
+        maybe = np.flatnonzero(on & kid)
+        deg = csr.deg.take(cand.take(maybe))
+        exact = [maybe[deg == 2]]
+        test, deg = maybe[deg > 2], deg[deg > 2]
+        for lo in range(0, len(test), _BLOCK):
+            part, three = test[lo:lo + _BLOCK], deg[lo:lo + _BLOCK] == 3
+            sub, nxt = np.flatnonzero(three), second.take(flat.take(part[three]))
+            many = np.flatnonzero(~three)
+            if len(many):
+                at, more = csr.steps(cand.take(part.take(many)), csr.back.take(flat.take(part.take(many))))
+                sub = np.concatenate((sub, many.take(at)))
+                nxt = np.concatenate((nxt, csr.nbrs.take(more)))
+            ext = np.ones(len(nxt), dtype=bool)
+            at = up.take(part).take(sub)
+            for col in cols:
+                ext &= nxt != col.take(at)
+            exact.append(part[np.bincount(sub[ext], minlength=len(part)) == 0])
+        exact = np.concatenate(exact)
+        # a node's canonical sum is sums at its arrival, less the pins of the
+        # path vertices among its steps, plus 1 - pin for each exact child
+        # that is not lone
+        s = sums.take(arrive)
+        odd = np.flatnonzero(~kid)
+        np.subtract.at(s, rows.take(odd), pin.take(cand.take(odd)))
+        np.add.at(s, rows.take(exact), 1.0 - pin.take(cand.take(exact)))
+        s *= a
+        s += 1.0
+        return y_lo, np.divide(1.0, s, out=s)
 
     def fold(blk, rows, y_lo, y_hi):
         # a child's upper end folds into its parent's lower end
@@ -678,14 +738,15 @@ def dary_md_gaps(d: int, gamma: float, max_depth: int) -> list:
     scalar map f(x) = 1/(1 + gamma*d*x), which takes the interval [lo, hi]
     of the children to [f(hi), f(lo)], so the depth-l width is computable
     without materializing the d**l nodes.  Entry l of the returned list is
-    the width for truncation depth l (entry 0 is 1, the width of the
-    a-priori interval [0, 1]).  Cross-checked against the full evaluator
-    on small trees in the test suite.
+    the width for truncation depth l.  A frontier node with d children
+    lies in [f(1), 1], the interval the sandwich walkers pin it to, so
+    entry 0 is 1 - f(1).  Cross-checked against the full evaluator on
+    small trees in the test suite.
     """
     if d < 1 or max_depth < 0 or not (math.isfinite(gamma) and gamma > 0):
         raise ValueError("need d >= 1, max_depth >= 0, finite gamma > 0")
-    lo, hi = 0.0, 1.0
-    gaps = [1.0]
+    lo, hi = 1.0 / (1.0 + gamma * d), 1.0
+    gaps = [hi - lo]
     for _ in range(max_depth):
         lo, hi = 1.0 / (1.0 + gamma * d * hi), 1.0 / (1.0 + gamma * d * lo)
         gaps.append(hi - lo)
@@ -699,7 +760,7 @@ def dary_md_depth_for_tol(d: int, gamma: float, tol: float, depth_cap: int = 10*
     dary_md_gaps(d, gamma, 0)
     if not tol > 0:
         raise ValueError("tol must be positive")
-    lo, hi = 0.0, 1.0
+    lo, hi = 1.0 / (1.0 + gamma * d), 1.0
     depth = 0
     while hi - lo > 2.0 * tol:
         lo, hi = 1.0 / (1.0 + gamma * d * hi), 1.0 / (1.0 + gamma * d * lo)

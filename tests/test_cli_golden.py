@@ -48,6 +48,9 @@ CASES = {
     "md-marginal-text": "md-marginal --graph c4.edges --gamma 2 --format text",
     "md-marginal-budget": "md-marginal --graph c4.edges --gamma 1 --budget 1",
     "hc-marginal-depth-budget": "hc-marginal --graph c4.edges --lam 1 --depth 3 --budget 2",
+    # a depth-0 pass and a fixed depth with no pass completed: both [1/3, 1]
+    "md-marginal-depth0": "md-marginal --graph c4.edges --gamma 1 --depth 0",
+    "md-marginal-depth-budget": "md-marginal --graph c4.edges --gamma 1 --depth 3 --budget 1",
     # decay tables of both models
     "decay-hc-text": "decay-table --model hardcore --lam 1 --delta 3 --delta 6",
     "decay-hc-json": "decay-table --model hardcore --lam 1 --delta 3 --delta 6 --format json",

@@ -334,8 +334,8 @@ def test_partition_walks_no_pass_twice(monkeypatch):
                 res.nodes_expanded), len(discarded), len(blocks)
 
     # graphs with the monomer-dimer passes thrown away without the hint
-    cases = ((gen_graph("grid", width=6, height=6), 5),
-             (gen_graph("gnp", n=50, d=3.0, seed=3), 4))
+    cases = ((gen_graph("grid", width=6, height=6), 4),
+             (gen_graph("gnp", n=50, d=3.0, seed=3), 2))
     for g, without_hint in cases:
         for partition, act in ((partition_md, 1.0), (partition_hc, 0.5)):
             out, n_discarded, n_blocks = run(g, partition, act)

@@ -101,25 +101,93 @@ def test_eval_mode_mismatch():
         eval_md(weitz, 1.0)
 
 
+def _eval_md_pinned(tree, g, gamma):
+    # (lo, hi) at the root of a materialized plain-mode tree with every
+    # truncated node w in [1/(1 + gamma*(deg(w) - 1)), 1] (deg(w) for the
+    # root): its children exclude its parent, and each is at most 1.  An
+    # independent statement of the walkers' monomer-dimer frontier pin,
+    # whose lower end below the root is rounded down to a multiple of
+    # 2**-44 (the graphs here have small degrees)
+    bits = 44
+
+    def val(node):
+        if node.is_frontier:
+            d = len(g.adjacency[node.graph_vertex]) - (node.depth > 0)
+            p = 1.0 / (1.0 + gamma * d)
+            if node.depth > 0:
+                p = math.ldexp(math.floor(math.ldexp(p, bits)), -bits)
+            return p, 1.0
+        s_lo = s_hi = 0.0
+        for child in node.children:
+            c_lo, c_hi = val(child)
+            s_lo += c_hi
+            s_hi += c_lo
+        return 1.0 / (1.0 + gamma * s_lo), 1.0 / (1.0 + gamma * s_hi)
+
+    return val(tree.root)
+
+
 def test_eval_matches_fused_sandwich(catalog6):
     # the materialized evaluators and the fused pass are two independent
-    # implementations of the same recurrence, pinned trees included
+    # implementations of the same recurrence, pinned trees included: the
+    # hard-core frontier pinned to [0, lambda], the monomer-dimer one to
+    # its degree bound
     for g in catalog6[::9]:
-        cases = [(HARDCORE, "weitz", eval_hc, None),
-                 (MONOMERDIMER, "plain", eval_md, None)]
+        cases = [(HARDCORE, None)]
         if g.n > 1:
-            cases += [(HARDCORE, "weitz", eval_hc,
-                       BoundaryCondition({g.n - 1: state}))
+            cases += [(HARDCORE, BoundaryCondition({g.n - 1: state}))
                       for state in (OCCUPIED, UNOCCUPIED)]
         depth = max(1, g.n // 2)
-        for model, mode, ev, bc in cases:
-            t = expand_saw_tree(g, 0, depth, mode=mode, boundary=bc)
+        for model, bc in cases:
+            t = expand_saw_tree(g, 0, depth, mode="weitz", boundary=bc)
             for act in ACTIVITIES:
-                a = ev(t, act, ALL_ZERO)
-                b = ev(t, act, ALL_MAX)
+                a = eval_hc(t, act, ALL_ZERO)
+                b = eval_hc(t, act, ALL_MAX)
                 pair = sandwich_values(g, 0, model, [act], depth, bc)[0][0]
                 assert min(a, b) == pytest.approx(pair[0], rel=1e-13, abs=1e-15)
                 assert max(a, b) == pytest.approx(pair[1], rel=1e-13, abs=1e-15)
+        t = expand_saw_tree(g, 0, depth, mode="plain")
+        for act in ACTIVITIES:
+            pair = sandwich_values(g, 0, MONOMERDIMER, [act], depth)[0][0]
+            assert pair == _eval_md_pinned(t, g, act)
+
+
+def test_monomer_dimer_pins_are_sound(catalog6, monkeypatch):
+    # every pinned monomer-dimer pair, depth-first and (with the cap at one
+    # node) on blocks, with and without blocked vertices, at every depth:
+    # it contains the exact marginal, lies inside the unpinned pair of the
+    # materialized tree of g minus blocked (eval_md with the frontier at 0
+    # and at 1, in either order by depth parity), and is exact (lo == hi)
+    # once the tree is fully expanded
+    graphs = catalog6[::4] + [gen_graph("gnp", n=n, d=d, seed=s)
+                              for n in (8, 10) for d in (3.0, 5.0) for s in (1, 2)]
+    rng = random.Random(24)
+    checked = 0
+    for cap in (recurrence._CAP, 1):
+        monkeypatch.setattr(recurrence, "_CAP", cap)
+        for g in graphs:
+            drop = frozenset(rng.sample(range(1, g.n), rng.randrange(g.n // 3 + 1)))
+            for blocked in (frozenset(), drop):
+                keep = [v for v in range(g.n) if v not in blocked]
+                index = {v: i for i, v in enumerate(keep)}
+                h = graph_from_edges(len(keep), [(index[u], index[v]) for u, v in g.edges()
+                                                 if u in index and v in index])
+                exact = [oracle_marginal(h, 0, monomerdimer(act)) for act in ACTIVITIES]
+                for depth in range(g.n + 1):
+                    pairs, _, truncated = sandwich_values(g, 0, MONOMERDIMER, ACTIVITIES, depth,
+                                                          blocked=blocked)
+                    tree = expand_saw_tree(h, 0, depth, mode="plain")
+                    for act, p, (lo, hi) in zip(ACTIVITIES, exact, pairs):
+                        ends = eval_md(tree, act, ALL_MAX), eval_md(tree, act, ALL_ZERO)
+                        assert min(ends) <= lo <= hi <= max(ends)
+                        assert lo - 1e-12 <= p <= hi + 1e-12
+                        if not tree.truncated_frontier:
+                            assert lo == hi
+                        checked += 1
+                    assert truncated == any(lo != hi for lo, hi in pairs)
+                    if depth >= h.n:
+                        assert not truncated
+    assert checked > 2000
 
 
 def test_sandwich_outputs_frozen():
@@ -134,9 +202,9 @@ def test_sandwich_outputs_frozen():
          (0.28870868230531177, 0.31665049744145796),
          (0.33979986740420864, 0.4702666686200684)], 64, True)
     assert sandwich_values(g, 0, MONOMERDIMER, ACTIVITIES, 5) == (
-        [(0.5010813483680187, 0.5054889301107047),
-         (0.37962961465673983, 0.3944031294446818),
-         (0.27684730560739296, 0.31250611499716957)], 76, True)
+        [(0.5010813483680187, 0.5029494083089583),
+         (0.37962961465673983, 0.3876906287412137),
+         (0.27684730560739296, 0.29995791365436125)], 76, True)
     occupied = BoundaryCondition({1: OCCUPIED})
     assert sandwich_values(g, 0, HARDCORE, [1.0], 5, occupied) == (
         [(0.29836829836829837, 0.30303030303030304)], 16, True)
@@ -145,7 +213,7 @@ def test_sandwich_outputs_frozen():
         [(0.28999675823816223, 0.3147605083088954)], 49, True)
     edge = graph_from_edges(2, [(0, 1)])  # degree-1 root at depth 0
     assert sandwich_values(edge, 0, HARDCORE, [1.5], 0) == ([(0.0, 1.5)], 1, True)
-    assert sandwich_values(edge, 0, MONOMERDIMER, [1.5], 0) == ([(0.0, 1.0)], 1, True)
+    assert sandwich_values(edge, 0, MONOMERDIMER, [1.5], 0) == ([(0.4, 1.0)], 1, True)
     c5 = gen_graph("cycle", n=5)  # fully expanded
     assert sandwich_values(c5, 0, HARDCORE, [1.0], 5) == (
         [(0.37500000000000006, 0.37500000000000006)], 9, False)
@@ -159,20 +227,22 @@ def test_sandwich_outputs_frozen():
     # the root's children at depth 2; vertex 9 pinned occupied blocks the
     # root child 8 and the grandchild 11, vertex 4 is a root child.  So at
     # depth 1 the root child 7, whose only other neighbor is 11, is an
-    # exact leaf (R = 1/3)
+    # exact leaf (R = 1/3).  A truncated monomer-dimer child w lies in
+    # [1/(1 + gamma*(deg(w) - 1)), 1]
     assert sandwich_values(g, 0, HARDCORE, ACTIVITIES, 1) == (
         [(0.14814814814814814, 0.5), (0.125, 1.0),
          (0.07407407407407407, 2.0)], 4, True)
     assert sandwich_values(g, 0, MONOMERDIMER, ACTIVITIES, 1) == (
-        [(0.4, 1.0), (0.25, 1.0), (0.14285714285714285, 1.0)], 4, True)
+        [(0.4, 0.5357142857142998), (0.25, 0.4444444444444444),
+         (0.14285714285714285, 0.3818181818182023)], 4, True)
     assert sandwich_values(g, 0, HARDCORE, ACTIVITIES, 2) == (
         [(0.16666666666666666, 0.24495967741935484),
          (0.16666666666666666, 0.3950617283950617),
          (0.13333333333333333, 0.6703448275862072)], 9, True)
     assert sandwich_values(g, 0, MONOMERDIMER, ACTIVITIES, 2) == (
-        [(0.4285714285714286, 0.5357142857142857),
-         (0.2857142857142857, 0.4444444444444444),
-         (0.17647058823529413, 0.38181818181818183)], 9, True)
+        [(0.48956931359353867, 0.5357142857142857),
+         (0.355777223607645, 0.4444444444444444),
+         (0.2413423845491863, 0.38181818181818183)], 9, True)
     occupied9 = BoundaryCondition({9: OCCUPIED})
     unoccupied4 = BoundaryCondition({4: UNOCCUPIED})
     assert sandwich_values(g, 0, HARDCORE, [1.0], 1, occupied9) == (
@@ -197,9 +267,9 @@ def test_sandwich_outputs_frozen():
          (0.41540424078124716, 0.42616225319966006),
          (0.5200203596837023, 0.6033398500302531)], 8197, True)
     assert sandwich_values(big, 943, MONOMERDIMER, ACTIVITIES, 9) == (
-        [(0.6060784267850263, 0.6062289340967085),
-         (0.47972474058583, 0.48092063631200443),
-         (0.35935226018673055, 0.36464389465657004)], 8204, True)
+        [(0.6060784267850263, 0.6061416653667078),
+         (0.47972474058583, 0.4803485456054086),
+         (0.35935226018673055, 0.3625913078670734)], 8204, True)
     # an isolated root is its own exact leaf at every depth, and a root
     # whose neighbor is pinned occupied is forced unoccupied
     isolated = graph_from_edges(3, [(1, 2)])
@@ -314,13 +384,14 @@ def test_shallow_trees_stay_depth_first(monkeypatch):
     n = 6001
     hub = graph_from_edges(n, [(0, i) for i in range(1, n)]
                            + [(i, i + 1) for i in range(1, n - 1)])
-    for model, top in ((HARDCORE, 0.5), (MONOMERDIMER, 1.0)):
-        assert sandwich_values(hub, 0, model, [0.5], 0) == ([(0.0, top)], 1, True)
+    assert sandwich_values(hub, 0, HARDCORE, [0.5], 0) == ([(0.0, 0.5)], 1, True)
+    assert sandwich_values(hub, 0, MONOMERDIMER, [0.5], 0) == (
+        [(0.0003332222592469177, 1.0)], 1, True)
     # 0.5 * (2/3)**6000 underflows, and round-to-nearest keeps the product
     # at the smallest subnormal
     assert sandwich_values(hub, 0, HARDCORE, [0.5], 1) == ([(5e-324, 0.5)], 6001, True)
     assert sandwich_values(hub, 0, MONOMERDIMER, [0.5], 1) == (
-        [(0.0003332222592469177, 1.0)], 6001, True)
+        [(0.0003332222592469177, 0.0006661485511269016)], 6001, True)
     for model in (HARDCORE, MONOMERDIMER):
         with pytest.raises(NodeBudgetError) as err:
             sandwich_values(hub, 0, model, [0.5], 1, budget=6000)
@@ -332,7 +403,7 @@ def test_shallow_trees_stay_depth_first(monkeypatch):
     assert calls == []
     # from depth 2 a tree of more than _CAP nodes goes to the block walker
     assert sandwich_values(hub, 0, MONOMERDIMER, [0.5], 2) == (
-        [(0.00033325927571650743, 0.0006661485511269014)], 17999, True)
+        [(0.0004997406108258533, 0.0006661485511269014)], 17999, True)
     assert calls == [2]
 
 
@@ -369,14 +440,14 @@ def test_sandwich_values_above_the_cap(monkeypatch):
          (0.4158222243406578, 0.42298366929764664),
          (0.5223720318148909, 0.58825795398411)], 24427, True)
     assert sandwich_values(big, 943, MONOMERDIMER, ACTIVITIES, 10) == (
-        [(0.6060829097074611, 0.6061415710709686),
-         (0.47976881109830816, 0.48034793761990735),
-         (0.35956760230978835, 0.36258947935685143)], 24485, True)
+        [(0.6061168420570735, 0.6061415710709686),
+         (0.48004448249052, 0.48034793761990735),
+         (0.3607278695896902, 0.36258947935685143)], 24485, True)
     pins = BoundaryCondition({1317: OCCUPIED, 501: UNOCCUPIED})
     assert sandwich_values(big, 943, HARDCORE, [1.0], 10, pins) == (
         [(0.6763237535335309, 0.6825987386345193)], 4693, True)
     assert sandwich_values(big, 943, MONOMERDIMER, [1.0], 10, blocked={894}) == (
-        [(0.4395583735395785, 0.4400892568141723)], 23322, True)
+        [(0.43981269094469916, 0.4400892568141723)], 23322, True)
     # a budget above the cap and below both node counts runs out in the
     # block walker, one at or below the cap in the depth-first pass; both
     # report the first node over budget
@@ -446,6 +517,55 @@ def test_block_walker_scans_the_root_block_in_place(monkeypatch):
                         if budget:
                             assert (_walk(recurrence._sandwich_blocks, *args, budget, table)
                                     == _walk(recurrence._sandwich, *args, budget, table))
+
+
+def test_block_walker_sums_pins_of_dense_graphs_and_hubs(monkeypatch):
+    # the block walker's monomer-dimer sums take each node's tabulated sum
+    # and correct it for path vertices and exact children that are not
+    # lone; on dense graphs and at the centre of a 100-leaf fan whose
+    # leaves are joined by a path many rows need it.  Pair, node count and
+    # budget error bit for bit those of the depth-first walker
+    monkeypatch.setattr(recurrence, "_BLOCK", 3)
+    rng = random.Random(12)
+    fan = graph_from_edges(101, [(0, i) for i in range(1, 101)]
+                           + [(i, i + 1) for i in range(1, 100)])
+    graphs = [gen_graph("gnp", n=n, d=6.0, seed=seed) for n in (10, 20) for seed in range(2)]
+    for g in graphs + [fan]:
+        for root in (0, 1, 5):
+            for depth in (2, 3, 4):
+                for blocked in (frozenset(), frozenset(rng.sample(range(2, g.n), g.n // 5))):
+                    blocked -= {root}
+                    args = (g, root, MONOMERDIMER, rng.choice(ACTIVITIES), depth, blocked)
+                    table = _table(g, MONOMERDIMER, args[3])
+                    want = recurrence._sandwich(*args, 10**7, table)
+                    assert recurrence._sandwich_blocks(*args, 10**7, table) == want
+                    budget = rng.randrange(1, want[1] + 1)
+                    assert (_walk(recurrence._sandwich_blocks, *args, budget, table)
+                            == _walk(recurrence._sandwich, *args, budget, table))
+
+
+def test_pin_table_sums_exactly():
+    # pins lie on a grid on which every sum of fewer than len(table) pins
+    # and ones is exact: two orders give the same sum as exact rationals,
+    # and each pin is at most its 1/(1 + gamma*k), 1.0 for k = 0
+    from fractions import Fraction
+
+    rng = random.Random(7)
+    for size in (2, 4, 12, 101, 6001):
+        for a in ACTIVITIES:
+            table = recurrence._leaf_table(False, a, size)
+            pins = recurrence._pin_table(table)
+            assert pins[0] == 1.0
+            bits = min(44, 52 - size.bit_length())
+            assert all(0.0 < p <= t and t - p < 2.0 ** -bits for p, t in zip(pins, table))
+            for _ in range(20):
+                terms = [rng.choice(pins + [1.0]) for _ in range(rng.randrange(1, size))]
+                forward = backward = 0.0
+                for x in terms:
+                    forward += x
+                for x in reversed(terms):
+                    backward += x
+                assert forward == backward == sum(map(Fraction, terms))
 
 
 HINTS = (None, 0, recurrence._CAP + 1, 10**9)
@@ -653,9 +773,12 @@ def test_marginal_interval_c4_md():
     c4 = gen_graph("cycle", n=4)
     lo, hi = marginal_interval(c4, 0, monomerdimer(1.0), depth=4)
     assert lo == hi == pytest.approx(3.0 / 7.0, rel=1e-14)
+    # at depth 2 the frontier vertex 2 has one child, 3, so its pin [1/2, 1]
+    # is exact and so is the lower end, 3/7 up to roundoff (it rounds one
+    # ulp above 3/7 until the walkers round outward)
     lo2, hi2 = marginal_interval(c4, 0, monomerdimer(1.0), depth=2)
-    assert lo2 == pytest.approx(1.0 / 3.0) and hi2 == pytest.approx(0.5)
-    assert lo2 < 3.0 / 7.0 < hi2
+    assert lo2 == pytest.approx(3.0 / 7.0, rel=1e-15) and hi2 == pytest.approx(0.5)
+    assert 3.0 / 7.0 < hi2
 
 
 def test_sandwich_soundness(catalog6):
@@ -899,5 +1022,5 @@ def test_dary_md_depth_for_tol_rejects_bad_input():
 
 def test_dary_md_gaps_shape():
     gaps = dary_md_gaps(2, 1.0, 30)
-    assert gaps[0] == 1.0
+    assert gaps[0] == 1.0 - 1.0 / 3.0  # a frontier node with 2 children: [1/3, 1]
     assert all(b <= a for a, b in zip(gaps, gaps[1:]))
