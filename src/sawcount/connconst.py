@@ -622,9 +622,15 @@ def spectral_bound(m, tol: float = 1e-10, max_iter: int = 200_000) -> float:
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     if isinstance(m, BranchingMatrix):
-        matvec = m.matvec
         k = m.k
         width = int(np.bincount(m.rows, minlength=1).max())
+        terms = np.empty(len(m.cols))
+
+        def matvec(x):
+            # m.matvec(x) with its products in a buffer kept across steps
+            np.take(x, m.cols, out=terms, mode="clip")  # in range; "raise" would buffer
+            np.multiply(terms, m.vals, out=terms)
+            return np.bincount(m.rows, weights=terms, minlength=k)
     else:
         dense = np.asarray(m, dtype=float)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
@@ -635,15 +641,18 @@ def spectral_bound(m, tol: float = 1e-10, max_iter: int = 200_000) -> float:
         k = width = dense.shape[0]
     if k < 1:
         raise ValueError("matrix must be nonempty")
+    # one fresh array per step, the product; x and the ratios are reused
     x = np.ones(k)
+    ratios = np.empty(k)
     lo, hi = math.nan, math.inf
     for _ in range(max_iter):
-        y = matvec(x) + x
-        ratios = y / x
+        y = matvec(x)
+        y += x
+        np.divide(y, x, out=ratios)
         prev_hi, lo, hi = hi, float(ratios.min()), float(ratios.max())
         if prev_hi - hi <= tol:
             return hi - 1.0 + hi * ((width + 3) * _EPS)
-        x = y / float(y.max())
+        np.divide(y, float(y.max()), out=x)
     raise PowerIterationError(lo - 1.0, hi - 1.0)
 
 
