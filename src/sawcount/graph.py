@@ -65,6 +65,11 @@ class Csr:
         moved = np.cumsum(keep) - 1
         return Csr(deg, indptr, self.nbrs[keep], moved.take(self.back[keep]))
 
+    @cached_property
+    def max_degree(self) -> int:
+        """The largest degree, 0 for no vertices; computed once."""
+        return int(self.deg.max(initial=0))
+
     def steps(self, end, arrive=None):
         """(rows, flat): every half-edge flat[k] out of every vertex
         end[rows[k]] but the one the row arrived by, grouped by row in

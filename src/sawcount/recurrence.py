@@ -60,6 +60,7 @@ calling thread.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -242,7 +243,7 @@ def sandwich_values(
             # an occupied neighbor forces the root unoccupied: R_v = 0
             return [(0.0, 0.0)] * len(acts), 1, False
     hc = model == HARDCORE
-    size = int(g.csr.deg.max()) + 1
+    size = g.csr.max_degree + 1
     table = _leaf_table(hc, acts[0], size)
     cap = budget if depth <= 1 or depth > _BLOCK_DEPTH else min(budget, _CAP)
     walk = _sandwich
@@ -260,6 +261,7 @@ def sandwich_values(
     return pairs, first[1], any(lo != hi for lo, hi in pairs)
 
 
+@functools.lru_cache(maxsize=64)
 def _leaf_table(hc, a, size):
     """The values of a node whose i children are all at their maximum,
     for i < size: lambda times 1/(1 + lambda), i times in sequence, for
@@ -274,14 +276,15 @@ def _leaf_table(hc, a, size):
     exactly 1.0, a monomer-dimer one adds exactly 0.0 to an integer sum.
     """
     if not hc:
-        return [1.0 / (1.0 + a * i) for i in range(size)]
+        return tuple(1.0 / (1.0 + a * i) for i in range(size))
     factor = 1.0 / (1.0 + a)
     table = [a]
     for _ in range(size - 1):
         table.append(table[-1] * factor)
-    return table
+    return tuple(table)
 
 
+@functools.lru_cache(maxsize=64)
 def _pin_table(table):
     """The lower ends of a truncated monomer-dimer node by its number k of
     neighbours outside blocked but its parent: table[k] = 1/(1 + gamma*k)
@@ -299,7 +302,7 @@ def _pin_table(table):
     A pin loses less than 2**-bits to the rounding; entry 0 is 1.0, the
     value of a lone child."""
     scale = 2.0 ** min(44, 52 - len(table).bit_length())
-    return [math.floor(t * scale) / scale for t in table]
+    return tuple(math.floor(t * scale) / scale for t in table)
 
 
 def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
@@ -505,6 +508,7 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
         is_blocked[np.fromiter(blocked, dtype=np.intp, count=len(blocked))] = True
         # blocked = deleted, in both models: no walk steps onto one
         csr = csr.without(is_blocked)
+    pin = None if hc else np.array(_pin_table(table))
     table = np.array(table)
     if hc:
         # lone[f]: whether u is the only neighbour of w, for the half-edge f = u -> w
@@ -521,7 +525,7 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
         # sums[f] is the sum of pin over u's neighbours but p, the canonical
         # sum of u when none of them is on the path and its exact children
         # are lone.  Every such sum is exact, so its order does not matter
-        pin = np.array(_pin_table(table)).take(np.maximum(csr.deg - 1, 0))
+        pin = pin.take(np.maximum(csr.deg - 1, 0))
         src = csr.nbrs.take(csr.back)
         to = pin.take(csr.nbrs)
         sums = np.bincount(src, weights=to, minlength=len(csr.deg)).take(src) - to

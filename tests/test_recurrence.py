@@ -559,7 +559,7 @@ def test_pin_table_sums_exactly():
             bits = min(44, 52 - size.bit_length())
             assert all(0.0 < p <= t and t - p < 2.0 ** -bits for p, t in zip(pins, table))
             for _ in range(20):
-                terms = [rng.choice(pins + [1.0]) for _ in range(rng.randrange(1, size))]
+                terms = [rng.choice(pins + (1.0,)) for _ in range(rng.randrange(1, size))]
                 forward = backward = 0.0
                 for x in terms:
                     forward += x
