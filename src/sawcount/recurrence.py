@@ -14,10 +14,15 @@ with leaf value 1.  Both recurrences are monotone decreasing in every
 argument, so a node whose children lie in the intervals [lo_i, hi_i]
 lies in [f(hi_1, ...), f(lo_1, ...)]: each child's upper end folds into
 its parent's lower end and its lower end into the upper end.  A
-truncated frontier node lies in its a-priori interval [0, lambda] (resp.
-[0, 1]), so folding intervals from the frontier up brackets the exact
-tree value.  That sandwich is the sole soundness certificate used here:
-no decay assumption enters.
+truncated hard-core frontier node lies in [0, lambda].  A truncated
+monomer-dimer frontier node w lies in [1/(1 + gamma*k), 1], k its
+neighbours outside blocked but its parent, as its children are among
+them and each is at most 1 (the degree bound of Bayati, Gamarnik, Katz,
+Nair and Tetali); the lower end is rounded down to a grid on which the
+sums of a node's children are exact (`_pin_table`).  So folding
+intervals from the frontier up brackets the exact tree value.  That
+sandwich is the sole soundness certificate used here: no decay
+assumption enters.
 
 One depth-first walker serves both models.  It fuses tree expansion
 with evaluation (no nodes are materialized) and carries each node's
@@ -31,10 +36,12 @@ truncated tree's nodes, is counted in bulk: a node one level above the
 frontier is never pushed; its children are counted as exact leaves or
 truncated frontier nodes, and its interval is read off one linear
 table by those two counts (`_leaf_table`), bit for bit what folding them
-one by one gives.  The walkers return the root's interval.  The
-materialized trees of
-`expand_saw_tree` with `eval_hc`/`eval_md` are the reference
-implementation the walker is tested against.
+one by one gives, but for a monomer-dimer node's upper end, which takes
+the sum of its truncated children's pins.  The walkers return the root's
+interval.  The materialized trees of `expand_saw_tree` with
+`eval_hc`/`eval_md` are the reference implementation the walker is
+tested against: the frontier pinned to 0 and to its maximum brackets
+every interval the walkers return.
 
 Trees of more than `_CAP` nodes go to a block walker, which applies
 the same rules to up to `_BLOCK` nodes of one depth at a time with numpy
@@ -174,7 +181,10 @@ def sandwich_values(
     expected_nodes: float | None = None,
 ):
     """Evaluate the truncated recurrence on intervals, the frontier pinned
-    to its a-priori interval.
+    to its a-priori interval: [0, lambda] for hard-core, and for
+    monomer-dimer [1/(1 + gamma*k), 1] (`_pin_table`) for a node with k
+    neighbours outside blocked but its parent, [1/(1 + gamma*deg), 1] for
+    a root of depth 0 with deg of them.
 
     Returns (pairs, nodes, truncated) where pairs[i] = (lo, hi) brackets
     the exact marginal for activities[i] (ratio R_v for hard-core, monomer
@@ -265,15 +275,18 @@ def sandwich_values(
 def _leaf_table(hc, a, size):
     """The values of a node whose i children are all at their maximum,
     for i < size: lambda times 1/(1 + lambda), i times in sequence, for
-    hard-core, 1/(1 + gamma*i) for monomer-dimer.
+    hard-core, 1/(1 + gamma*i) for monomer-dimer; memoized, as a tuple.
 
     A node one level above the frontier with `exact` exact-leaf and `cut`
-    truncated children has the interval (table[exact + cut], table[exact]),
-    bit for bit what folding those children one at a time gives, in any
-    order: an exact leaf folds lambda (resp. 1) into both ends, a
-    frontier child [0, lambda] (resp. [0, 1]) folds its upper end into the
-    lower end and 0 into the upper end, and a hard-core 0 multiplies by
-    exactly 1.0, a monomer-dimer one adds exactly 0.0 to an integer sum.
+    truncated children has the lower end table[exact + cut], bit for bit
+    what folding those children one at a time gives, in any order: an
+    exact leaf folds lambda (resp. 1) into both ends and a frontier child
+    its upper end lambda (resp. 1) into the lower end.  A hard-core node's
+    upper end is table[exact]: a frontier child folds its lower end 0,
+    which multiplies by exactly 1.0.  A monomer-dimer frontier child
+    folds its pin (`_pin_table`), so the node's upper end is
+    1/(1 + gamma*s), s the sum of its truncated children's pins and its
+    number of exact ones; with no truncated child it is table[exact].
     """
     if not hc:
         return tuple(1.0 / (1.0 + a * i) for i in range(size))
@@ -319,7 +332,9 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
           parent is a loop copy pinned by `loop_copy_occupied`: occupied,
           it zeroes the node and ends its scan.
       leaf and frontier values -- an exact leaf is lambda (resp. 1) and a
-          truncated frontier node lies in [0, lambda] (resp. [0, 1]).
+          truncated frontier node lies in [0, lambda] (resp. [pin, 1], the
+          pin of its neighbours outside blocked but its parent, whose
+          number `lost` corrects for blocked vertices).
       fold -- hard-core starts a node at lambda and multiplies in
           1/(1 + R) per child; monomer-dimer sums the child values and
           takes 1/(1 + gamma*sum) when the node is popped.
@@ -328,8 +343,10 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
     so that level is counted in bulk: a node one level above the frontier
     (the root when max_depth is 1) is never pushed.  `last_level` scans
     its neighbors, counts its exact-leaf and truncated children, and
-    looks up its interval by those two counts in `_leaf_table`.  A pushed
-    child without extensions pops with exactly its leaf value.
+    looks up its interval by those two counts in `_leaf_table`; for
+    monomer-dimer its upper end takes the sum of its truncated children's
+    pins instead.  A pushed child without extensions pops with exactly
+    its leaf value.
 
     `blocked` = deleted, in both models: a blocked neighbor is skipped in
     the test that skips the parent (for hard-core, the value of pinning it
@@ -481,15 +498,20 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
     (`scan`): their paths are the block's columns read through their
     parents' rows, and their values are looked up in `_leaf_table` by
     their numbers of exact-leaf and truncated children, counted under the
-    mask without compacting the frontier steps.  Two arrays over the
+    mask without compacting the frontier steps.  Arrays over the
     half-edges u -> w of the CSR, built once per call in O(m), serve the
-    exact-leaf test: whether u is w's only neighbour, which settles a
-    hard-core frontier child, and for monomer-dimer the first neighbour of
-    w other than u.  A monomer-dimer frontier child is also exact when its
-    other neighbours are all on the path; `step` tests the first one on
-    the path columns that filter the child.  That settles every child of
-    degree 2 and every child whose first other neighbour is off the path;
-    only the few others are tested on all neighbours.  When a marker pops,
+    exact-leaf test: for hard-core whether u is w's only neighbour, and
+    for monomer-dimer the first and second neighbours of w other than u.
+    A monomer-dimer frontier child is exact when its other neighbours are
+    all on the path; `step` tests the first one on the path columns that
+    filter the child.  That settles every child of degree 1 or 2 and
+    every child whose first other neighbour is off the path; of the few
+    others, a child of degree 3 is tested on its second neighbour, the
+    rest on all their neighbours.  A monomer-dimer node's upper end takes
+    the pin sum over its neighbours but its parent, tabulated per arrival
+    half-edge, less the pins of its path vertices, plus 1 - pin for each
+    exact child that is not lone: the sums are exact (`_pin_table`), so
+    this is bit for bit the depth-first walker's sum.  When a marker pops,
     every child block has been folded in, so the block's values are closed
     and folded into its own parent.
 
@@ -508,8 +530,6 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
         is_blocked[np.fromiter(blocked, dtype=np.intp, count=len(blocked))] = True
         # blocked = deleted, in both models: no walk steps onto one
         csr = csr.without(is_blocked)
-    pin = None if hc else np.array(_pin_table(table))
-    table = np.array(table)
     if hc:
         # lone[f]: whether u is the only neighbour of w, for the half-edge f = u -> w
         lone = csr.deg.take(csr.nbrs) == 1
@@ -525,10 +545,11 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
         # sums[f] is the sum of pin over u's neighbours but p, the canonical
         # sum of u when none of them is on the path and its exact children
         # are lone.  Every such sum is exact, so its order does not matter
-        pin = pin.take(np.maximum(csr.deg - 1, 0))
+        pin = np.array(_pin_table(table)).take(np.maximum(csr.deg - 1, 0))
         src = csr.nbrs.take(csr.back)
         to = pin.take(csr.nbrs)
         sums = np.bincount(src, weights=to, minlength=len(csr.deg)).take(src) - to
+    table = np.array(table)
     nodes = 1
 
     def step(cols, end, arrive, via=None, near=False):
@@ -602,9 +623,9 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
             sub, nxt = np.flatnonzero(three), second.take(flat.take(part[three]))
             many = np.flatnonzero(~three)
             if len(many):
-                at, more = csr.steps(cand.take(part.take(many)), csr.back.take(flat.take(part.take(many))))
-                sub = np.concatenate((sub, many.take(at)))
-                nxt = np.concatenate((nxt, csr.nbrs.take(more)))
+                got, steps = csr.steps(cand.take(part.take(many)), csr.back.take(flat.take(part.take(many))))
+                sub = np.concatenate((sub, many.take(got)))
+                nxt = np.concatenate((nxt, csr.nbrs.take(steps)))
             ext = np.ones(len(nxt), dtype=bool)
             at = up.take(part).take(sub)
             for col in cols:
