@@ -497,10 +497,14 @@ def test_block_walker_scans_the_root_block_in_place(monkeypatch):
     # one-node block of a child; pair, node count and budget error bit for
     # bit those of the depth-first walker.  The triangle with a pendant
     # vertex and the denser graphs hold frontier children of degree 3 or
-    # more whose first neighbour other than the parent is on the path
+    # more whose first neighbour other than the parent is on the path, and
+    # the 40-leaf fan whose leaves are joined by a path many monomer-dimer
+    # rows whose tabulated pin sum is corrected for path vertices
     monkeypatch.setattr(recurrence, "_BLOCK", 1)
     rng = random.Random(11)
-    graphs = [graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])]
+    graphs = [graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+              graph_from_edges(41, [(0, i) for i in range(1, 41)]
+                               + [(i, i + 1) for i in range(1, 40)])]
     graphs += [gen_graph("gnp", n=n, d=d, seed=seed)
                for n in (8, 20, 40) for d in (3.0, 6.0) for seed in range(2)]
     big = gen_graph("gnp", n=2000, d=3.0, seed=1)
@@ -519,31 +523,6 @@ def test_block_walker_scans_the_root_block_in_place(monkeypatch):
                                     == _walk(recurrence._sandwich, *args, budget, table))
 
 
-def test_block_walker_sums_pins_of_dense_graphs_and_hubs(monkeypatch):
-    # the block walker's monomer-dimer sums take each node's tabulated sum
-    # and correct it for path vertices and exact children that are not
-    # lone; on dense graphs and at the centre of a 100-leaf fan whose
-    # leaves are joined by a path many rows need it.  Pair, node count and
-    # budget error bit for bit those of the depth-first walker
-    monkeypatch.setattr(recurrence, "_BLOCK", 3)
-    rng = random.Random(12)
-    fan = graph_from_edges(101, [(0, i) for i in range(1, 101)]
-                           + [(i, i + 1) for i in range(1, 100)])
-    graphs = [gen_graph("gnp", n=n, d=6.0, seed=seed) for n in (10, 20) for seed in range(2)]
-    for g in graphs + [fan]:
-        for root in (0, 1, 5):
-            for depth in (2, 3, 4):
-                for blocked in (frozenset(), frozenset(rng.sample(range(2, g.n), g.n // 5))):
-                    blocked -= {root}
-                    args = (g, root, MONOMERDIMER, rng.choice(ACTIVITIES), depth, blocked)
-                    table = _table(g, MONOMERDIMER, args[3])
-                    want = recurrence._sandwich(*args, 10**7, table)
-                    assert recurrence._sandwich_blocks(*args, 10**7, table) == want
-                    budget = rng.randrange(1, want[1] + 1)
-                    assert (_walk(recurrence._sandwich_blocks, *args, budget, table)
-                            == _walk(recurrence._sandwich, *args, budget, table))
-
-
 def test_pin_table_sums_exactly():
     # pins lie on a grid on which every sum of fewer than len(table) pins
     # and ones is exact: two orders give the same sum as exact rationals,
@@ -559,7 +538,7 @@ def test_pin_table_sums_exactly():
             bits = min(44, 52 - size.bit_length())
             assert all(0.0 < p <= t and t - p < 2.0 ** -bits for p, t in zip(pins, table))
             for _ in range(20):
-                terms = [rng.choice(pins + (1.0,)) for _ in range(rng.randrange(1, size))]
+                terms = [rng.choice(pins + (1.0,)) for _ in range(rng.randrange(1, min(size, 300)))]
                 forward = backward = 0.0
                 for x in terms:
                     forward += x
