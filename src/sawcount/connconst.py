@@ -216,8 +216,12 @@ class BranchingMatrix:
     merged: bool = False
     states_raw: int = 0
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.k)
+    def matvec(self, x: np.ndarray, terms: np.ndarray | None = None) -> np.ndarray:
+        """M x.  terms, a float array of one entry per stored entry, holds
+        the products when given, so a loop can reuse it across steps."""
+        terms = np.take(x, self.cols, out=terms)
+        np.multiply(terms, self.vals, out=terms)
+        return np.bincount(self.rows, weights=terms, minlength=self.k)
 
     def row_sums(self) -> np.ndarray:
         return np.bincount(self.rows, weights=self.vals, minlength=self.k)
@@ -230,9 +234,10 @@ class BranchingMatrix:
     def walk_counts(self, l_max: int) -> list:
         """Exact memory-L (pruned) walk counts by length: e_start^T M^l 1."""
         y = np.ones(self.k)
+        terms = np.empty(len(self.vals))
         out = []
         for _ in range(l_max):
-            y = self.matvec(y)
+            y = self.matvec(y, terms)
             out.append(int(round(y[self.start])))
         return out
 
@@ -624,13 +629,10 @@ def spectral_bound(m, tol: float = 1e-10, max_iter: int = 200_000) -> float:
     if isinstance(m, BranchingMatrix):
         k = m.k
         width = int(np.bincount(m.rows, minlength=1).max())
-        terms = np.empty(len(m.cols))
+        terms = np.empty(len(m.vals))
 
         def matvec(x):
-            # m.matvec(x) with its products in a buffer kept across steps
-            np.take(x, m.cols, out=terms, mode="clip")  # in range; "raise" would buffer
-            np.multiply(terms, m.vals, out=terms)
-            return np.bincount(m.rows, weights=terms, minlength=k)
+            return m.matvec(x, terms)
     else:
         dense = np.asarray(m, dtype=float)
         if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
