@@ -111,6 +111,11 @@ class Graph:
         graph never changes)."""
         return Csr.of(self.n, self.adjacency)
 
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """degrees[v] = len(adjacency[v]), computed once."""
+        return tuple(map(len, self.adjacency))
+
     @property
     def num_edges(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2

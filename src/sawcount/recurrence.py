@@ -22,7 +22,9 @@ Nair and Tetali); the lower end is rounded down to a grid on which the
 sums of a node's children are exact (`_pin_table`).  So folding
 intervals from the frontier up brackets the exact tree value.  That
 sandwich is the sole soundness certificate used here: no decay
-assumption enters.
+assumption enters.  A monomer-dimer node whose interval is not a point
+has its ends rounded outward by at least one float each (`_DOWN`,
+`_UP`); points and hard-core intervals are rounded to nearest.
 
 One depth-first walker serves both models.  It fuses tree expansion
 with evaluation (no nodes are materialized) and carries each node's
@@ -94,6 +96,11 @@ ALL_MAX = "all_max"
 _CAP = 2048  # nodes a depth-first pass may visit before the block walker takes over
 _BLOCK = 1024  # rows per block of tree nodes in the block walker
 _BLOCK_DEPTH = 64  # the deepest truncation the block walker takes
+# a positive normal float times _DOWN (_UP) is one or two floats below
+# (above) it: the monomer-dimer walkers' outward rounding of a node whose
+# two sums differ, in one multiply where np.nextafter costs 20-30 ns per entry
+_DOWN = 1.0 - 2.0**-52
+_UP = 1.0 + 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -334,10 +341,11 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
       leaf and frontier values -- an exact leaf is lambda (resp. 1) and a
           truncated frontier node lies in [0, lambda] (resp. [pin, 1], the
           pin of its neighbours outside blocked but its parent, whose
-          number `lost` corrects for blocked vertices).
+          number `fix` corrects for blocked vertices).
       fold -- hard-core starts a node at lambda and multiplies in
           1/(1 + R) per child; monomer-dimer sums the child values and
-          takes 1/(1 + gamma*sum) when the node is popped.
+          takes 1/(1 + gamma*sum) when the node is popped, rounded
+          outward where the two sums differ.
 
     About two thirds of a truncated tree's nodes sit on its last level,
     so that level is counted in bulk: a node one level above the frontier
@@ -359,15 +367,19 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
     """
     adj = g.adjacency
     hc = model == HARDCORE
-    lost = {}  # monomer-dimer: the blocked neighbours of a vertex, where it has any
     if not hc:
-        pin = _pin_table(table)
+        # the pin of a truncated child w is pin[deg[w] - 1], or fix[w] where
+        # w has blocked neighbours: O(sum of their degrees) per call
+        pin, deg = _pin_table(table), g.degrees
+        lost = {}
         for b in blocked:
             for x in adj[b]:
                 lost[x] = lost.get(x, 0) + 1
+        fix = {x: pin[max(deg[x] - 1 - k, 0)] for x, k in lost.items()}
     if max_depth == 0:
         if not hc:
-            return (table[len(adj[root]) - lost.get(root, 0)], 1.0), 1
+            k = deg[root] - lost.get(root, 0)
+            return (table[k] * _DOWN if k else 1.0, 1.0), 1
         if all(w in blocked for w in adj[root]):
             return (a, a), 1
         return (0.0, a), 1
@@ -394,13 +406,16 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
                 if x != u and x not in blocked and (hc or x not in path_pos):
                     cut += 1  # a free neighbor: w is extended
                     if not hc:
-                        pins += pin[len(adj[w]) - 1 - lost.get(w, 0)]
+                        pins += fix[w] if w in fix else pin[deg[w] - 1]
                     break
             else:
                 exact += 1
         if hc:
             return table[exact + cut], table[exact], exact + cut
-        return table[exact + cut], 1.0 / (1.0 + a * (pins + exact)), exact + cut
+        k, s = exact + cut, pins + exact
+        if s == k:
+            return table[k], table[k], k
+        return table[k] * _DOWN, 1.0 / (1.0 + a * s) * _UP, k
 
     # a budget error reports the first node over budget, budget + 1
     last = max_depth - 1  # the depth of the nodes that last_level scans
@@ -457,8 +472,11 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
         if dead:
             lo = hi = 0.0
         elif not hc:
-            lo = 1.0 / (1.0 + a * lo)
-            hi = 1.0 / (1.0 + a * hi)
+            if lo == hi:
+                lo = hi = 1.0 / (1.0 + a * lo)
+            else:
+                lo = 1.0 / (1.0 + a * lo) * _DOWN
+                hi = 1.0 / (1.0 + a * hi) * _UP
         if not stack:
             break
         path.pop()
@@ -501,19 +519,21 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
     mask without compacting the frontier steps.  Arrays over the
     half-edges u -> w of the CSR, built once per call in O(m), serve the
     exact-leaf test: for hard-core whether u is w's only neighbour, and
-    for monomer-dimer the first and second neighbours of w other than u.
-    A monomer-dimer frontier child is exact when its other neighbours are
+    for monomer-dimer the first neighbour of w other than u.  A
+    monomer-dimer frontier child is exact when its other neighbours are
     all on the path; `step` tests the first one on the path columns that
     filter the child.  That settles every child of degree 1 or 2 and
-    every child whose first other neighbour is off the path; of the few
-    others, a child of degree 3 is tested on its second neighbour, the
-    rest on all their neighbours.  A monomer-dimer node's upper end takes
-    the pin sum over its neighbours but its parent, tabulated per arrival
-    half-edge, less the pins of its path vertices, plus 1 - pin for each
-    exact child that is not lone: the sums are exact (`_pin_table`), so
-    this is bit for bit the depth-first walker's sum.  When a marker pops,
-    every child block has been folded in, so the block's values are closed
-    and folded into its own parent.
+    every child whose first other neighbour is off the path; only the few
+    others are tested on all their neighbours.  A monomer-dimer node's
+    upper end takes the pin sum over its neighbours but its parent,
+    tabulated per arrival half-edge, less the pins of its path vertices,
+    plus 1 - pin for each exact child that is not lone: the sums are
+    exact (`_pin_table`), so this is bit for bit the depth-first walker's
+    sum.  Where it differs from the node's number of children, the node's
+    two sums differ and both its ends are rounded outward.  When a marker
+    pops, every child block has been folded in, so the block's values are
+    closed, rounded as the depth-first walker rounds them, and folded into
+    its own parent.
 
     Folds keep the depth-first walker's arithmetic: child blocks fold in
     order, and within one block `np.multiply.at` and `np.add.at` fold the
@@ -534,12 +554,11 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
         # lone[f]: whether u is the only neighbour of w, for the half-edge f = u -> w
         lone = csr.deg.take(csr.nbrs) == 1
     else:
-        # first[f] and second[f]: the first and second neighbours of w other
-        # than u for the half-edge f = u -> w, in O(m).  Where w has fewer
-        # the entries are unused, and clip keeps their indices in range
+        # first[f]: the first neighbour of w other than u for the half-edge
+        # f = u -> w, in O(m).  Where u is w's only neighbour the entry is
+        # unused (w is an exact leaf), and clip keeps its index in range
         start = csr.indptr.take(csr.nbrs)
         first = csr.nbrs.take(start + (csr.back == start), mode="clip")
-        second = csr.nbrs.take(start + 1 + (csr.back <= start + 1), mode="clip")
         # pin[w]: the lower end of a truncated child w (`_pin_table`), 1.0
         # where w is lone.  For the arrival half-edge f = u -> p of a node u,
         # sums[f] is the sum of pin over u's neighbours but p, the canonical
@@ -610,24 +629,18 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
                 y_lo[dead] = y_hi[dead] = 0.0
             return y_lo, y_hi
         # a child with other neighbours is exact when they are all on the
-        # path.  Its first one settles it unless that one is on the path; of
-        # those few, a child of degree 2 is exact, and the others are tested
-        # on the rest: one of degree 3 on its second, the others on all
-        # their neighbours but the parent
+        # path.  Its first one settles it unless that one is on the path and
+        # the child has more; those few are tested on all of them
         maybe = np.flatnonzero(on & kid)
         deg = csr.deg.take(cand.take(maybe))
         exact = [maybe[deg == 2]]
-        test, deg = maybe[deg > 2], deg[deg > 2]
+        test = maybe[deg > 2]
         for lo in range(0, len(test), _BLOCK):
-            part, three = test[lo:lo + _BLOCK], deg[lo:lo + _BLOCK] == 3
-            sub, nxt = np.flatnonzero(three), second.take(flat.take(part[three]))
-            many = np.flatnonzero(~three)
-            if len(many):
-                got, steps = csr.steps(cand.take(part.take(many)), csr.back.take(flat.take(part.take(many))))
-                sub = np.concatenate((sub, many.take(got)))
-                nxt = np.concatenate((nxt, csr.nbrs.take(steps)))
+            part = test[lo:lo + _BLOCK]
+            sub, nxt = csr.steps(cand[part], csr.back.take(flat[part]))
+            nxt = csr.nbrs.take(nxt)
             ext = np.ones(len(nxt), dtype=bool)
-            at = up.take(part).take(sub)
+            at = up[part].take(sub)
             for col in cols:
                 ext &= nxt != col.take(at)
             exact.append(part[np.bincount(sub[ext], minlength=len(part)) == 0])
@@ -639,9 +652,15 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
         odd = np.flatnonzero(~kid)
         np.subtract.at(s, rows.take(odd), pin.take(cand.take(odd)))
         np.add.at(s, rows.take(exact), 1.0 - pin.take(cand.take(exact)))
+        # below its number of children where a child is truncated: its two
+        # ends are then rounded outward
+        wide = s != kids
         s *= a
         s += 1.0
-        return y_lo, np.divide(1.0, s, out=s)
+        y_hi = np.divide(1.0, s, out=s)
+        np.multiply(y_lo, _DOWN, out=y_lo, where=wide)
+        np.multiply(y_hi, _UP, out=y_hi, where=wide)
+        return y_lo, y_hi
 
     def fold(blk, rows, y_lo, y_hi):
         # a child's upper end folds into its parent's lower end
@@ -680,8 +699,12 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
             fold(blk, rows, *scan(cols, cand, arrive, rows))
         lo, hi = blk[2], blk[3]
         if not hc:
+            # a node whose two sums differ is rounded outward
+            wide = lo != hi
             lo = 1.0 / (1.0 + a * lo)
             hi = 1.0 / (1.0 + a * hi)
+            np.multiply(lo, _DOWN, out=lo, where=wide)
+            np.multiply(hi, _UP, out=hi, where=wide)
         elif blk[4] is not None:
             lo[blk[4]] = hi[blk[4]] = 0.0
         if blk[5] is None:

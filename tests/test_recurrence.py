@@ -107,8 +107,10 @@ def _eval_md_pinned(tree, g, gamma):
     # root): its children exclude its parent, and each is at most 1.  An
     # independent statement of the walkers' monomer-dimer frontier pin,
     # whose lower end below the root is rounded down to a multiple of
-    # 2**-44 (the graphs here have small degrees)
+    # 2**-44 (the graphs here have small degrees), and of their rounding:
+    # a node whose two sums differ has its ends multiplied by 1 -/+ 2**-52
     bits = 44
+    down, up = 1.0 - 2.0**-52, 1.0 + 2.0**-52
 
     def val(node):
         if node.is_frontier:
@@ -116,13 +118,18 @@ def _eval_md_pinned(tree, g, gamma):
             p = 1.0 / (1.0 + gamma * d)
             if node.depth > 0:
                 p = math.ldexp(math.floor(math.ldexp(p, bits)), -bits)
+            elif d:
+                p *= down
             return p, 1.0
         s_lo = s_hi = 0.0
         for child in node.children:
             c_lo, c_hi = val(child)
             s_lo += c_hi
             s_hi += c_lo
-        return 1.0 / (1.0 + gamma * s_lo), 1.0 / (1.0 + gamma * s_hi)
+        lo, hi = 1.0 / (1.0 + gamma * s_lo), 1.0 / (1.0 + gamma * s_hi)
+        if s_lo != s_hi:
+            lo, hi = lo * down, hi * up
+        return lo, hi
 
     return val(tree.root)
 
@@ -156,7 +163,8 @@ def test_monomer_dimer_pins_are_sound(catalog6, monkeypatch):
     # node) on blocks, with and without blocked vertices, at every depth:
     # it contains the exact marginal, lies inside the unpinned pair of the
     # materialized tree of g minus blocked (eval_md with the frontier at 0
-    # and at 1, in either order by depth parity), and is exact (lo == hi)
+    # and at 1, in either order by depth parity) up to the walkers' outward
+    # rounding, and is exact (lo == hi)
     # once the tree is fully expanded
     graphs = catalog6[::4] + [gen_graph("gnp", n=n, d=d, seed=s)
                               for n in (8, 10) for d in (3.0, 5.0) for s in (1, 2)]
@@ -178,7 +186,10 @@ def test_monomer_dimer_pins_are_sound(catalog6, monkeypatch):
                     tree = expand_saw_tree(h, 0, depth, mode="plain")
                     for act, p, (lo, hi) in zip(ACTIVITIES, exact, pairs):
                         ends = eval_md(tree, act, ALL_MAX), eval_md(tree, act, ALL_ZERO)
-                        assert min(ends) <= lo <= hi <= max(ends)
+                        # the walkers round each level outward by one ulp,
+                        # eval_md to nearest
+                        slack = (depth + 1) * 2.0 ** -51
+                        assert min(ends) * (1.0 - slack) <= lo <= hi <= max(ends) * (1.0 + slack)
                         assert lo - 1e-12 <= p <= hi + 1e-12
                         if not tree.truncated_frontier:
                             assert lo == hi
@@ -201,9 +212,9 @@ def test_sandwich_outputs_frozen():
          (0.28870868230531177, 0.31665049744145796),
          (0.33979986740420864, 0.4702666686200684)], 64, True)
     assert sandwich_values(g, 0, MONOMERDIMER, ACTIVITIES, 5) == (
-        [(0.5010813483680187, 0.5029494083089583),
-         (0.37962961465673983, 0.3876906287412137),
-         (0.27684730560739296, 0.29995791365436125)], 76, True)
+        [(0.5010813483680185, 0.5029494083089585),
+         (0.3796296146567397, 0.38769062874121396),
+         (0.2768473056073928, 0.29995791365436136)], 76, True)
     occupied = BoundaryCondition({1: OCCUPIED})
     assert sandwich_values(g, 0, HARDCORE, [1.0], 5, occupied) == (
         [(0.29836829836829837, 0.30303030303030304)], 16, True)
@@ -212,7 +223,7 @@ def test_sandwich_outputs_frozen():
         [(0.28999675823816223, 0.3147605083088954)], 49, True)
     edge = graph_from_edges(2, [(0, 1)])  # degree-1 root at depth 0
     assert sandwich_values(edge, 0, HARDCORE, [1.5], 0) == ([(0.0, 1.5)], 1, True)
-    assert sandwich_values(edge, 0, MONOMERDIMER, [1.5], 0) == ([(0.4, 1.0)], 1, True)
+    assert sandwich_values(edge, 0, MONOMERDIMER, [1.5], 0) == ([(0.3999999999999999, 1.0)], 1, True)
     c5 = gen_graph("cycle", n=5)  # fully expanded
     assert sandwich_values(c5, 0, HARDCORE, [1.0], 5) == (
         [(0.37500000000000006, 0.37500000000000006)], 9, False)
@@ -232,16 +243,16 @@ def test_sandwich_outputs_frozen():
         [(0.14814814814814814, 0.5), (0.125, 1.0),
          (0.07407407407407407, 2.0)], 4, True)
     assert sandwich_values(g, 0, MONOMERDIMER, ACTIVITIES, 1) == (
-        [(0.4, 0.5357142857142998), (0.25, 0.4444444444444444),
-         (0.14285714285714285, 0.3818181818182023)], 4, True)
+        [(0.3999999999999999, 0.5357142857142999), (0.24999999999999994, 0.44444444444444453),
+         (0.14285714285714282, 0.38181818181820243)], 4, True)
     assert sandwich_values(g, 0, HARDCORE, ACTIVITIES, 2) == (
         [(0.16666666666666666, 0.24495967741935484),
          (0.16666666666666666, 0.3950617283950617),
          (0.13333333333333333, 0.6703448275862072)], 9, True)
     assert sandwich_values(g, 0, MONOMERDIMER, ACTIVITIES, 2) == (
-        [(0.48956931359353867, 0.5357142857142857),
-         (0.355777223607645, 0.4444444444444444),
-         (0.2413423845491863, 0.38181818181818183)], 9, True)
+        [(0.48956931359353856, 0.5357142857142859),
+         (0.3557772236076449, 0.44444444444444453),
+         (0.24134238454918625, 0.381818181818182)], 9, True)
     occupied9 = BoundaryCondition({9: OCCUPIED})
     unoccupied4 = BoundaryCondition({4: UNOCCUPIED})
     assert sandwich_values(g, 0, HARDCORE, [1.0], 1, occupied9) == (
@@ -266,9 +277,9 @@ def test_sandwich_outputs_frozen():
          (0.41540424078124716, 0.42616225319966006),
          (0.5200203596837023, 0.6033398500302531)], 8197, True)
     assert sandwich_values(big, 943, MONOMERDIMER, ACTIVITIES, 9) == (
-        [(0.6060784267850263, 0.6061416653667078),
-         (0.47972474058583, 0.4803485456054086),
-         (0.35935226018673055, 0.3625913078670734)], 8204, True)
+        [(0.6060784267850262, 0.606141665366708),
+         (0.47972474058582976, 0.4803485456054087),
+         (0.3593522601867304, 0.36259130786707355)], 8204, True)
     # an isolated root is its own exact leaf at every depth, and a root
     # whose neighbor is pinned occupied is forced unoccupied
     isolated = graph_from_edges(3, [(1, 2)])
@@ -385,12 +396,12 @@ def test_shallow_trees_stay_depth_first(monkeypatch):
                            + [(i, i + 1) for i in range(1, n - 1)])
     assert sandwich_values(hub, 0, HARDCORE, [0.5], 0) == ([(0.0, 0.5)], 1, True)
     assert sandwich_values(hub, 0, MONOMERDIMER, [0.5], 0) == (
-        [(0.0003332222592469177, 1.0)], 1, True)
+        [(0.00033322225924691765, 1.0)], 1, True)
     # 0.5 * (2/3)**6000 underflows, and round-to-nearest keeps the product
     # at the smallest subnormal
     assert sandwich_values(hub, 0, HARDCORE, [0.5], 1) == ([(5e-324, 0.5)], 6001, True)
     assert sandwich_values(hub, 0, MONOMERDIMER, [0.5], 1) == (
-        [(0.0003332222592469177, 0.0006661485511269016)], 6001, True)
+        [(0.00033322225924691765, 0.0006661485511269017)], 6001, True)
     for model in (HARDCORE, MONOMERDIMER):
         with pytest.raises(NodeBudgetError) as err:
             sandwich_values(hub, 0, model, [0.5], 1, budget=6000)
@@ -402,7 +413,7 @@ def test_shallow_trees_stay_depth_first(monkeypatch):
     assert calls == []
     # from depth 2 a tree of more than _CAP nodes goes to the block walker
     assert sandwich_values(hub, 0, MONOMERDIMER, [0.5], 2) == (
-        [(0.0004997406108258533, 0.0006661485511269014)], 17999, True)
+        [(0.0004997406108258532, 0.0006661485511269015)], 17999, True)
     assert calls == [2]
 
 
@@ -439,14 +450,14 @@ def test_sandwich_values_above_the_cap(monkeypatch):
          (0.4158222243406578, 0.42298366929764664),
          (0.5223720318148909, 0.58825795398411)], 24427, True)
     assert sandwich_values(big, 943, MONOMERDIMER, ACTIVITIES, 10) == (
-        [(0.6061168420570735, 0.6061415710709686),
-         (0.48004448249052, 0.48034793761990735),
-         (0.3607278695896902, 0.36258947935685143)], 24485, True)
+        [(0.6061168420570733, 0.6061415710709687),
+         (0.4800444824905199, 0.4803479376199075),
+         (0.36072786958969005, 0.36258947935685165)], 24485, True)
     pins = BoundaryCondition({1317: OCCUPIED, 501: UNOCCUPIED})
     assert sandwich_values(big, 943, HARDCORE, [1.0], 10, pins) == (
         [(0.6763237535335309, 0.6825987386345193)], 4693, True)
     assert sandwich_values(big, 943, MONOMERDIMER, [1.0], 10, blocked={894}) == (
-        [(0.43981269094469916, 0.4400892568141723)], 23322, True)
+        [(0.43981269094469894, 0.44008925681417244)], 23322, True)
     # a budget above the cap and below both node counts runs out in the
     # block walker, one at or below the cap in the depth-first pass; both
     # report the first node over budget
@@ -752,11 +763,11 @@ def test_marginal_interval_c4_md():
     lo, hi = marginal_interval(c4, 0, monomerdimer(1.0), depth=4)
     assert lo == hi == pytest.approx(3.0 / 7.0, rel=1e-14)
     # at depth 2 the frontier vertex 2 has one child, 3, so its pin [1/2, 1]
-    # is exact and so is the lower end, 3/7 up to roundoff (it rounds one
-    # ulp above 3/7 until the walkers round outward)
+    # is exact and so is the lower end, 3/7 but for the outward rounding
+    # that keeps it below 3/7
     lo2, hi2 = marginal_interval(c4, 0, monomerdimer(1.0), depth=2)
     assert lo2 == pytest.approx(3.0 / 7.0, rel=1e-15) and hi2 == pytest.approx(0.5)
-    assert 3.0 / 7.0 < hi2
+    assert lo2 < 3.0 / 7.0 < hi2
 
 
 def test_sandwich_soundness(catalog6):
