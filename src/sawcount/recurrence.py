@@ -191,7 +191,8 @@ def sandwich_values(
     to its a-priori interval: [0, lambda] for hard-core, and for
     monomer-dimer [1/(1 + gamma*k), 1] (`_pin_table`) for a node with k
     neighbours outside blocked but its parent, [1/(1 + gamma*deg), 1] for
-    a root of depth 0 with deg of them.
+    a root of depth 0 with deg of them.  A monomer-dimer interval that is
+    not a point has its ends rounded at least one float outward.
 
     Returns (pairs, nodes, truncated) where pairs[i] = (lo, hi) brackets
     the exact marginal for activities[i] (ratio R_v for hard-core, monomer
