@@ -415,6 +415,8 @@ def z2_branching_matrix(
         raise ValueError(f"unknown ordering {ordering!r}")
     if pruning not in (PRUNE_NONE, PRUNE_WEITZ):
         raise ValueError(f"unknown pruning {pruning!r}")
+    if state_cap < 1:
+        raise ValueError("state_cap must be positive")
 
     level = np.array([_START_KEY])
     known, known_id = level, np.zeros(1, dtype=np.int32)  # sorted by key

@@ -47,12 +47,12 @@ every interval the walkers return.
 
 Trees of more than `_CAP` nodes go to a block walker, which applies
 the same rules to up to `_BLOCK` nodes of one depth at a time with numpy
-array operations, as `sawtree.saw_counts` does for walk counts, and
-gives the same values, node counts and budget errors bit for bit.  Its
-pending blocks wait on a LIFO stack that holds at most one block's
-children per depth, so its memory stays within
-O(depth**2 * _BLOCK * max degree) entries beside the temporaries of one
-block's scan.  A numpy pass costs a fixed 100-200 us per block, more
+array operations, on the blocks of `sawtree.saw_counts` (one array of
+root paths, a row per depth, a column per node), and gives the same
+values, node counts and budget errors bit for bit.  Its pending blocks
+wait on a LIFO stack that holds at most one block's children per depth,
+so its memory stays within O(depth**2 * _BLOCK * max degree) entries
+beside the temporaries of one block's scan.  A numpy pass costs a fixed 100-200 us per block, more
 than a small tree takes depth-first, so the depth-first walker stays for
 the small trees, which are most calls of a telescope.  It also takes
 every tree of depth 0 or 1, a single scan of the root's neighbors, and
@@ -94,7 +94,7 @@ ALL_ZERO = "all_zero"
 ALL_MAX = "all_max"
 
 _CAP = 2048  # nodes a depth-first pass may visit before the block walker takes over
-_BLOCK = 1024  # rows per block of tree nodes in the block walker
+_BLOCK = 1024  # tree nodes per block in the block walker
 _BLOCK_DEPTH = 64  # the deepest truncation the block walker takes
 # a positive normal float times _DOWN (_UP) is one or two floats below
 # (above) it: the monomer-dimer walkers' outward rounding of a node whose
@@ -499,50 +499,53 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
     and an unblocked root.
 
     It walks the same tree, but a block of up to `_BLOCK` nodes of one depth
-    at a time, with numpy array operations.  A block keeps the root paths
-    of its nodes column-major, one int array per path position, and the
-    half-edge each node arrived by, as `saw_counts` does.  `step` lists
-    the steps out of every node of a block from the CSR adjacency of g
-    minus blocked, every neighbour but the arrival half-edge (`Csr.steps`),
-    in the depth-first walker's order, and masks its children with one
-    path filter for both models: a path vertex is never a child, and for
-    hard-core the ones it drops are the loop copies, whose Weitz pin stops
-    a node at its first occupied copy, which the same mask applies.
+    at a time, with numpy array operations.  A block keeps its nodes'
+    root paths as one (depth + 1, nodes) array in the CSR's id dtype, and
+    the half-edge each node arrived by, as `saw_counts` does.  `step`
+    lists the steps out of every node of a block from the CSR adjacency
+    of g minus blocked, every neighbour but the arrival half-edge
+    (`Csr.steps`), in the depth-first walker's order, and masks its
+    children with one comparison of their gathered paths for both models:
+    a path vertex is never a child, and for hard-core the ones it drops
+    are the loop copies, whose Weitz pin stops a node at its first
+    occupied copy, which the same mask applies.
 
-    Only the levels above the last two copy path columns.  A block whose
+    Only the levels above the last two copy paths.  A block whose
     children sit deeper than one level above the frontier gathers its
-    columns under its children, cuts them into blocks and pushes those on
-    a LIFO stack above itself, where it waits under a marker.  A block
-    whose children sit one level above the frontier scans them in place
-    (`scan`): their paths are the block's columns read through their
-    parents' rows, and their values are looked up in `_leaf_table` by
-    their numbers of exact-leaf and truncated children, counted under the
-    mask without compacting the frontier steps.  Arrays over the
-    half-edges u -> w of the CSR, built once per call in O(m), serve the
-    exact-leaf test: for hard-core whether u is w's only neighbour, and
-    for monomer-dimer the first neighbour of w other than u.  A
-    monomer-dimer frontier child is exact when its other neighbours are
-    all on the path; `step` tests the first one on the path columns that
-    filter the child.  That settles every child of degree 1 or 2 and
-    every child whose first other neighbour is off the path; only the few
-    others are tested on all their neighbours.  A monomer-dimer node's
-    upper end takes the pin sum over its neighbours but its parent,
-    tabulated per arrival half-edge, less the pins of its path vertices,
-    plus 1 - pin for each exact child that is not lone: the sums are
-    exact (`_pin_table`), so this is bit for bit the depth-first walker's
-    sum.  Where it differs from the node's number of children, the node's
-    two sums differ and both its ends are rounded outward.  When a marker
-    pops, every child block has been folded in, so the block's values are
-    closed, rounded as the depth-first walker rounds them, and folded into
-    its own parent.
+    paths under its children, adds their row, cuts the array into blocks
+    of columns and pushes those on a LIFO stack above itself, where it
+    waits under a marker.  A block whose children sit one level above the
+    frontier scans them in place (`scan`): their paths are the block's
+    columns read through their parents' rows, and their values are looked
+    up in `_leaf_table` by their numbers of exact-leaf and truncated
+    children, counted under the mask without compacting the frontier
+    steps.  Arrays over the half-edges u -> w of the CSR, built once per
+    call in O(m), serve the exact-leaf test: for hard-core whether u is
+    w's only neighbour, and for monomer-dimer the first neighbour of w
+    other than u.  A monomer-dimer frontier child is exact when its other
+    neighbours are all on the path; `step` tests the first one on the
+    gathered paths that filter the child.  That settles every child of
+    degree 1 or 2 and every child whose first other neighbour is off the
+    path; only the few others are tested on all their neighbours, one
+    gather of the block's paths per chunk of `_BLOCK` of them.  A
+    monomer-dimer node's upper end takes the pin sum over its neighbours
+    but its parent, tabulated per arrival half-edge, less the pins of its
+    path vertices, plus 1 - pin for each exact child that is not lone: the
+    sums are exact (`_pin_table`), so this is bit for bit the depth-first
+    walker's sum.  Where it differs from the node's number of children,
+    the node's two sums differ and both its ends are rounded outward.
+    When a marker pops, every child block has been folded in, so the
+    block's values are closed, rounded as the depth-first walker rounds
+    them, and folded into its own parent.
 
     Folds keep the depth-first walker's arithmetic: child blocks fold in
     order, and within one block `np.multiply.at` and `np.add.at` fold the
     children sequentially in ascending-id order.  The stack holds at most
     one block's children per depth, each with its path, so memory stays
     within O(max_depth**2 * _BLOCK * max degree) entries.  A scan in place
-    adds no path copies, only its temporaries, a few arrays of one entry
-    per frontier step, O(_BLOCK * max degree**2) entries.
+    copies no path onto the stack; its temporaries, the gathered paths in
+    a buffer kept for the call and a few arrays of one entry per frontier
+    step, take O(max_depth * _BLOCK * max degree**2) entries.
     """
     hc = model == HARDCORE
     csr = g.csr
@@ -571,39 +574,38 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
         sums = np.bincount(src, weights=to, minlength=len(csr.deg)).take(src) - to
     table = np.array(table)
     nodes = 1
+    # one buffer for step's path gathers: fresh ones made glibc trim and
+    # refault the heap (about 10% of the walk); mode "raise" would copy them
+    buf = np.empty(0, dtype=csr.nbrs.dtype)
 
-    def step(cols, end, arrive, via=None, near=False):
+    def step(paths, end, arrive, via=None, near=False):
         # (rows, up, cand, flat, kid, dead, on): every step flat[k] out of
         # the node end[rows[k]] but its arrival, to cand[k]; the node's path
-        # before it is cols at row up[k] (via[rows[k]], or rows[k] when via
-        # is None).  kid masks the children, counted here; dead marks the
-        # hard-core nodes an occupied loop copy zeroes.  With near
-        # (monomer-dimer), on[k] says whether the first neighbour of cand[k]
-        # other than its parent is on the path.
-        nonlocal nodes
+        # before it is column up[k] of paths (via[rows[k]], or rows[k] when
+        # via is None), its parent in the last row.  kid masks the
+        # children, counted here; dead marks the hard-core nodes an
+        # occupied loop copy zeroes.  With near (monomer-dimer), on[k] says
+        # whether the first neighbour of cand[k] other than its parent is
+        # on the path.
+        nonlocal nodes, buf
         rows, flat = csr.steps(end, arrive)
         cand = csr.nbrs.take(flat)
         up = rows if via is None else via.take(rows)
-        kid = np.ones(len(cand), dtype=bool)
+        size = len(paths) * len(up)
+        if len(buf) < size:
+            buf = np.empty(2 * size, dtype=buf.dtype)
+        path = paths.take(up, axis=1, out=buf[:size].reshape(len(paths), len(up)), mode="clip")
+        hit = path[:-1] == cand  # the last row, the parent, is the arrival
+        kid = ~hit.any(axis=0)  # never a path vertex
         dead = on = None
         if near:
-            other = first.take(flat)
-            on = other == cols[-1].take(up)
-        for col in cols[:-1]:  # cols[-1], the parent, is the arrival
-            at = col.take(up)
-            kid &= cand != at  # never a path vertex
-            if near:
-                on |= other == at
+            on = (path == first.take(flat)).any(axis=0)
         if hc and not kid.all():
             # the path vertices dropped are loop copies, pinned by
             # loop_copy_occupied: occupied when the path vertex after the
             # copied one has a smaller id than the node
             at = np.flatnonzero(~kid)
-            r, w = up[at], cand[at]
-            after = np.empty_like(w)
-            for col, nxt in zip(cols[:-1], cols[1:]):
-                hit = w == col[r]
-                after[hit] = nxt[r][hit]
+            after = path[hit[:, at].argmax(axis=0) + 1, at]
             at = at[after < end[rows[at]]]
             if len(at):
                 # a node stops at its first occupied copy
@@ -616,10 +618,10 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
             raise NodeBudgetError(budget + 1)
         return rows, up, cand, flat, kid, dead, on
 
-    def scan(cols, end, arrive, via):
+    def scan(paths, end, arrive, via):
         # (lo, hi) of the nodes end, one level above the frontier, whose
-        # paths are cols at the rows via
-        rows, up, cand, flat, kid, dead, on = step(cols, end, arrive, via, near=not hc)
+        # paths are the columns via of paths
+        rows, up, cand, flat, kid, dead, on = step(paths, end, arrive, via, near=not hc)
         width = len(end)
         kids = np.bincount(rows[kid], minlength=width)
         y_lo = table.take(kids)
@@ -640,10 +642,7 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
             part = test[lo:lo + _BLOCK]
             sub, nxt = csr.steps(cand[part], csr.back.take(flat[part]))
             nxt = csr.nbrs.take(nxt)
-            ext = np.ones(len(nxt), dtype=bool)
-            at = up[part].take(sub)
-            for col in cols:
-                ext &= nxt != col.take(at)
+            ext = (paths.take(up[part].take(sub), axis=1) != nxt).all(axis=0)
             exact.append(part[np.bincount(sub[ext], minlength=len(part)) == 0])
         exact = np.concatenate(exact)
         # a node's canonical sum is sums at its arrival, less the pins of the
@@ -675,29 +674,28 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
     last = max_depth - 1  # the depth of the nodes that scan reads off
     start = a if hc else 0.0
 
-    def block(cols, arrive, parent, prow):
-        # [cols, arrive, lo, hi, dead rows, parent block, parent row of each row]
-        width = len(cols[-1])
-        return [cols, arrive, np.full(width, start), np.full(width, start), None, parent, prow]
+    def block(paths, arrive, parent, prow):
+        # [paths, arrive, lo, hi, dead rows, parent block, parent row of each row]
+        width = paths.shape[1]
+        return [paths, arrive, np.full(width, start), np.full(width, start), None, parent, prow]
 
-    stack = [(block([np.array([root], dtype=csr.nbrs.dtype)], None, None, None), False)]
+    stack = [(block(np.array([[root]], dtype=csr.nbrs.dtype), None, None, None), False)]
     while True:
         blk, closed = stack.pop()
         if not closed:
-            cols = blk[0]
-            rows, _, cand, flat, kid, blk[4], _ = step(cols[:-1], cols[-1], blk[1])
+            paths = blk[0]
+            rows, _, cand, flat, kid, blk[4], _ = step(paths[:-1], paths[-1], blk[1])
             rows, cand = rows[kid], cand[kid]
             arrive = csr.back.take(flat[kid])
-            if len(cols) < last:
-                kids = [col.take(rows) for col in cols]
-                kids.append(cand)
+            if len(paths) < last:
+                kids = np.vstack((paths.take(rows, axis=1), cand))
                 stack.append((blk, True))
                 for at in reversed(range(0, len(cand), _BLOCK)):
                     part = slice(at, at + _BLOCK)
-                    stack.append((block([col[part] for col in kids], arrive[part], blk, rows[part]), False))
+                    stack.append((block(kids[:, part], arrive[part], blk, rows[part]), False))
                 continue
             # the children sit one level above the frontier: scanned in place
-            fold(blk, rows, *scan(cols, cand, arrive, rows))
+            fold(blk, rows, *scan(paths, cand, arrive, rows))
         lo, hi = blk[2], blk[3]
         if not hc:
             # a node whose two sums differ is rounded outward
@@ -867,6 +865,8 @@ def marginal_adaptive(
     Raises AdaptiveBudgetError (carrying the interval of the last pass) if
     the node budget runs out first.
     """
+    if not (0 <= v < g.n):
+        raise ValueError(f"vertex {v} out of range")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if budget <= 0:

@@ -42,7 +42,8 @@ operations, keeping pending blocks on a LIFO stack, so its memory stays
 within O(l_max**2 * _BLOCK * max degree) entries.  It lists a block's
 steps from the graph's CSR adjacency (`Graph.csr`, `Csr.steps`): every
 neighbour but the arrival half-edge, so the step back to the parent is
-never listed.  The block walker of `recurrence` shares these steps.
+never listed.  The block walker of `recurrence` shares these steps and
+the block's one array of paths, a row per position, a column per walk.
 `nonbacktracking_totals` bounds those counts from above for every vertex
 at once, by counting non-backtracking walks on the CSR's half-edges.
 """
@@ -62,7 +63,7 @@ UNOCCUPIED = "unoccupied"
 PLAIN = "plain"
 WEITZ = "weitz"
 
-_BLOCK = 4096  # rows per block of walks in saw_counts
+_BLOCK = 4096  # walks per block in saw_counts
 
 
 class NodeBudgetError(RuntimeError):
@@ -235,20 +236,21 @@ def expand_saw_tree(
 def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
     """Exact self-avoiding-walk counts N(v, 1..l_max), a block of walks at a time.
 
-    No tree is materialized.  A block holds walks of one length, column-major
-    (one int array per path position), at most `_BLOCK` rows, and beside
-    them the half-edge each walk arrived by.  Extending a block lists, for
-    every walk, every neighbour of its endpoint but the arrival half-edge
+    No tree is materialized.  A block holds at most `_BLOCK` walks of one
+    length k as one (k + 1, walks) array in the CSR's id dtype, row i the
+    vertex after i steps, and the half-edge each walk arrived by.  Extending
+    a block lists every neighbour of each endpoint but the arrival half-edge
     (`Csr.steps`), and keeps the candidates that differ from every position
-    older than the parent.  The survivors are counted at their length and,
-    below l_max - 1, pushed as new blocks on a LIFO stack.  Children of
-    length l_max - 1 are not pushed: their steps are listed in chunks of
-    `_BLOCK` children and counted in place, their paths read as the
-    block's columns through the children's rows.  A grandchild on the
-    walk equals exactly one position older than its parent, so a chunk
-    counts the grandchildren less the hits on those positions.  The stack
-    keeps at most one extension's children per length pending, so memory
-    stays within O(l_max**2 * _BLOCK * max degree) entries.
+    older than the parent, in one comparison of their gathered paths.  The
+    survivors are counted and, below l_max - 1, pushed on a LIFO stack as
+    blocks of columns of their paths.  Children of length l_max - 1 are
+    not pushed: their steps are listed in chunks of `_BLOCK` children and
+    counted in place, their paths read as the block's columns through the
+    children's rows.  A grandchild on the walk equals exactly one position
+    older than its parent, so a chunk counts the grandchildren less the
+    hits on those positions.  The stack keeps at most one extension's
+    children per length pending, so memory stays within
+    O(l_max**2 * _BLOCK * max degree) entries.
 
     `budget` caps the number of walks counted: NodeBudgetError(budget + 1)
     is raised as soon as the running total exceeds it, the same condition
@@ -273,17 +275,15 @@ def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
         if total > budget:
             raise NodeBudgetError(budget + 1)
 
-    stack = [([np.array([v], dtype=csr.nbrs.dtype)], None)]
+    stack = [(np.array([[v]], dtype=csr.nbrs.dtype), None)]
     while stack:
-        cols, arrive = stack.pop()
-        length = len(cols)  # of the walks this block extends to
-        rows, flat = csr.steps(cols[-1], arrive)
+        paths, arrive = stack.pop()
+        length = len(paths)  # of the walks this block extends to
+        rows, flat = csr.steps(paths[-1], arrive)
         cand = csr.nbrs.take(flat)
-        if length > 2:
-            keep = cand != cols[0].take(rows)
-            for col in cols[1:-2]:
-                keep &= cand != col.take(rows)
-            rows, flat, cand = rows[keep], flat[keep], cand[keep]
+        # the last row is the endpoint, the one before it the arrival
+        keep = (paths[:-2].take(rows, axis=1) != cand).all(axis=0)
+        rows, flat, cand = rows[keep], flat[keep], cand[keep]
         found = len(cand)
         count(length, found)
         if length == l_max or not found:
@@ -295,16 +295,13 @@ def saw_counts(g: Graph, v: int, l_max: int, budget: int = 10**8) -> list:
                 part = slice(lo, lo + _BLOCK)
                 sub, nxt = csr.steps(cand[part], csr.back.take(flat[part]))
                 grand = csr.nbrs.take(nxt)
-                up = rows[part].take(sub)
-                count(l_max, len(grand) - sum(
-                    int(np.count_nonzero(grand == col.take(up))) for col in cols[:-1]
-                ))
+                on = paths[:-1].take(rows[part].take(sub), axis=1) == grand
+                count(l_max, len(grand) - int(np.count_nonzero(on)))
             continue
-        children = [col.take(rows) for col in cols]
-        children.append(cand)
+        children = np.vstack((paths.take(rows, axis=1), cand))
         arrive = csr.back.take(flat)
         for lo in range(0, found, _BLOCK):
-            stack.append(([col[lo:lo + _BLOCK] for col in children], arrive[lo:lo + _BLOCK]))
+            stack.append((children[:, lo:lo + _BLOCK], arrive[lo:lo + _BLOCK]))
     return counts[1:]
 
 

@@ -225,6 +225,13 @@ def test_usage_errors(capsys, c4_path):
                    "--vertex", "0", "--depth", "3")[0] == 2
     assert run_cli(capsys, "decay-table", "--model", "hardcore", "--lam", "inf",
                    "--delta", "2")[0] == 2
+    # an adaptive marginal at a vertex the graph lacks, a state cap below 1
+    for cmd, activity in (("md-marginal", "--gamma"), ("hc-marginal", "--lam")):
+        code, _, err = run_cli(capsys, cmd, "--graph", c4_path, activity, "1", "--vertex", "4")
+        assert (code, err) == (2, "error: vertex 4 out of range\n")
+    for cap in ("0", "-5"):
+        code, _, err = run_cli(capsys, "z2-branching", "--L", "4", "--state-cap", cap)
+        assert (code, err) == (2, "error: state_cap must be positive\n")
 
 
 def test_non_integral_sizes_exit_2(capsys):

@@ -415,6 +415,9 @@ def test_state_cap():
     with pytest.raises(StateCapError) as exc:
         z2_branching_matrix(10, state_cap=50)
     assert exc.value.states_reached == 51
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="state_cap must be positive"):
+            z2_branching_matrix(4, state_cap=cap)
 
 
 # -- spectral bound ----------------------------------------------------------

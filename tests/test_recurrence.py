@@ -418,20 +418,48 @@ def test_shallow_trees_stay_depth_first(monkeypatch):
 
 
 def test_block_walker_int32_ids(sparse40k):
-    # above 32767 vertices the CSR keeps vertex ids as int32; trees of
-    # more than _CAP nodes, with and without blocked vertices
+    # above 32767 vertices the CSR keeps vertex ids, and so the block
+    # walker its path arrays, as int32; depths 6 to 9, with and without
+    # blocked vertices, the tree of depth 9 above _CAP nodes
     g = sparse40k
     assert g.csr.nbrs.dtype == np.int32
     blocked = frozenset(random.Random(4).sample(range(g.n), 4000)) - {32774}
     for model in (HARDCORE, MONOMERDIMER):
         for drop in (frozenset(), blocked):
-            args = (g, 32774, model, 1.0, 9, drop)
-            table = _table(g, model, 1.0)
-            want = recurrence._sandwich(*args, 10**7, table)
-            assert want[1] > recurrence._CAP
-            assert recurrence._sandwich_blocks(*args, 10**7, table) == want
-            assert (_walk(recurrence._sandwich_blocks, *args, want[1] // 2, table)
-                    == ("budget", want[1] // 2 + 1))
+            for depth in range(6, 10):
+                args = (g, 32774, model, 1.0, depth, drop)
+                table = _table(g, model, 1.0)
+                want = recurrence._sandwich(*args, 10**7, table)
+                assert depth < 9 or want[1] > recurrence._CAP
+                assert recurrence._sandwich_blocks(*args, 10**7, table) == want
+                assert (_walk(recurrence._sandwich_blocks, *args, want[1] // 2, table)
+                        == ("budget", want[1] // 2 + 1))
+
+
+def test_block_walker_at_its_deepest_truncation(monkeypatch):
+    # at depth _BLOCK_DEPTH the walker's path arrays reach their most
+    # rows, one per depth above the nodes it scans in place: a cycle of
+    # 128 vertices with 8 chords across it has walks longer than that,
+    # and trees of 10-13 thousand nodes unblocked.  Bit for bit the
+    # depth-first walker's pair, node count and budget error, with blocks
+    # of the default width and of 7 nodes, with and without blocked
+    # vertices
+    n = 128
+    g = graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)]
+                         + [(i, i + n // 2) for i in range(0, n // 2, 8)])
+    depth = recurrence._BLOCK_DEPTH
+    for width in (recurrence._BLOCK, 7):
+        monkeypatch.setattr(recurrence, "_BLOCK", width)
+        for model in (HARDCORE, MONOMERDIMER):
+            for root in (0, 7):
+                for drop in (frozenset(), frozenset({40, 99})):
+                    args = (g, root, model, 1.0, depth, drop)
+                    table = _table(g, model, 1.0)
+                    want = recurrence._sandwich(*args, 10**7, table)
+                    assert drop or want[1] > recurrence._CAP
+                    assert recurrence._sandwich_blocks(*args, 10**7, table) == want
+                    assert (_walk(recurrence._sandwich_blocks, *args, want[1] // 2, table)
+                            == ("budget", want[1] // 2 + 1))
 
 
 def test_sandwich_values_above_the_cap(monkeypatch):
@@ -748,6 +776,15 @@ def test_blocked_ids_out_of_range():
             for bad in (-1, 5000):
                 with pytest.raises(ValueError, match="blocked vertex out of range"):
                     sandwich_values(big, 943, model, [1.0], depth, blocked={bad, 7})
+
+
+def test_marginal_adaptive_rejects_vertices_out_of_range():
+    # checked before the a-priori interval reads the vertex's degree
+    g = gen_graph("cycle", n=4)
+    for params in (hardcore(1.0), monomerdimer(1.0)):
+        for bad in (4, -1):
+            with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+                marginal_adaptive(g, bad, params)
 
 
 # -- certified intervals -----------------------------------------------------
