@@ -70,6 +70,12 @@ class Csr:
         """The largest degree, 0 for no vertices; computed once."""
         return int(self.deg.max(initial=0))
 
+    @cached_property
+    def memo(self) -> dict:
+        """Tables that other modules derive from this adjacency, kept with
+        it under their own keys (the adjacency never changes)."""
+        return {}
+
     def steps(self, end, arrive=None):
         """(rows, flat): every half-edge flat[k] out of every vertex
         end[rows[k]] but the one the row arrived by, grouped by row in

@@ -52,18 +52,25 @@ root paths, a row per depth, a column per node), and gives the same
 values, node counts and budget errors bit for bit.  Its pending blocks
 wait on a LIFO stack that holds at most one block's children per depth,
 so its memory stays within O(depth**2 * _BLOCK * max degree) entries
-beside the temporaries of one block's scan.  A numpy pass costs a fixed 100-200 us per block, more
+beside the temporaries of one block's scan.  It reads most nodes two
+levels above the frontier off a table over the half-edges of g: where no
+vertex within two steps of a node, nor the first other neighbour of one
+two steps away, is on its path, the node's subtree is a plain tree whose
+interval and size depend only on the half-edge it was reached by
+(`_cut_table`).  A numpy pass costs a fixed 100-200 us per block, more
 than a small tree takes depth-first, so the depth-first walker stays for
 the small trees, which are most calls of a telescope.  It also takes
 every tree of depth 0 or 1, a single scan of the root's neighbors, and
 truncations deeper than `_BLOCK_DEPTH`, such as a full expansion of a
 long path: a deep thin tree holds a few nodes per block, and the block
-walker's path arrays grow with the square of its depth.  A tree's size
-is known only once it is walked: a depth-first pass that runs past
-`_CAP` nodes is thrown away and the tree walked again on blocks, unless
-the caller expects it above the cap.  `_adaptive` extrapolates each
-pass's node count from its last two passes and sends a pass it expects
-above `_CAP` straight to the block walker.  Every walk runs in the
+walker's path arrays grow with the square of its depth.  The walker is
+chosen before the walk by a bound on the tree's size: `_adaptive`
+extrapolates each pass's node count from its last two passes, and
+without such a hint `sandwich_values` counts the root's self-avoiding
+walks up to the depth, which bound the tree's nodes, until the count
+passes `_CAP`.  A tree expected above `_CAP` goes straight to the block
+walker; a depth-first pass that runs past `_CAP` nodes anyway is thrown
+away and the tree walked again on blocks.  Every walk runs in the
 calling thread.
 """
 
@@ -71,7 +78,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +105,7 @@ ALL_MAX = "all_max"
 _CAP = 2048  # nodes a depth-first pass may visit before the block walker takes over
 _BLOCK = 1024  # tree nodes per block in the block walker
 _BLOCK_DEPTH = 64  # the deepest truncation the block walker takes
+_CUT_BYTES = 2**21  # the block walker's cut table bits take at most this, or 8 bytes a half-edge
 # a positive normal float times _DOWN (_UP) is one or two floats below
 # (above) it: the monomer-dimer walkers' outward rounding of a node whose
 # two sums differ, in one multiply where np.nextafter costs 20-30 ns per entry
@@ -229,7 +239,10 @@ def sandwich_values(
     estimate of the node count, saves it: one above `_CAP` sends the
     first pass straight to the block walker with the full budget when
     the cap would apply (2 <= depth <= `_BLOCK_DEPTH` and budget above
-    `_CAP`).  The hint chooses the walker only, never an output.
+    `_CAP`).  Without it the root's self-avoiding walks of up to depth
+    steps in g minus blocked are counted as the estimate (`_walks_from`),
+    an upper bound on the nodes, so no pass is thrown away.  The hint
+    chooses the walker only, never an output.
     Both walkers combine children in ascending-id order with the same
     float operations, so results are bit-reproducible and do not depend
     on the walker.  Each walker reads the activity's `_leaf_table`, built
@@ -264,6 +277,8 @@ def sandwich_values(
     size = g.csr.max_degree + 1
     table = _leaf_table(hc, acts[0], size)
     cap = budget if depth <= 1 or depth > _BLOCK_DEPTH else min(budget, _CAP)
+    if cap < budget and expected_nodes is None:
+        expected_nodes = _walks_from(g.csr, v, depth, blocked)
     walk = _sandwich
     if cap < budget and expected_nodes is not None and expected_nodes > _CAP:
         walk, cap = _sandwich_blocks, budget
@@ -277,6 +292,44 @@ def sandwich_values(
     pairs = [first[0]] + [walk(g, v, model, a, depth, blocked, budget, _leaf_table(hc, a, size))[0]
                           for a in acts[1:]]
     return pairs, first[1], any(lo != hi for lo, hi in pairs)
+
+
+def _walks_from(csr, v, depth, blocked):
+    """The number of self-avoiding walks of 0..depth steps from v in the
+    graph of csr minus blocked, the nodes of v's plain SAW tree, counted
+    a length at a time until it passes `_CAP`: at most `_CAP`, or a
+    number above it, in O(_CAP * depth * max degree).  A weitz tree has
+    no more nodes.
+
+    A walk has deg(v) first steps at most, and its k-th step at most
+    min(max degree - 1, n - k) choices: where these products put the
+    count at or under `_CAP`, as for every tree of a small or sparse
+    enough graph, they are taken with no array operation."""
+    n = len(csr.deg)
+    count = walks = 1
+    for k in range(1, min(depth, n - 1) + 1):
+        walks *= int(csr.deg[v]) if k == 1 else min(csr.max_degree - 1, n - k)
+        count += walks
+        if count > _CAP:
+            break
+    else:
+        return count
+    gone = np.fromiter(blocked, dtype=np.intp, count=len(blocked))
+    paths, arrive = np.array([[v]], dtype=csr.nbrs.dtype), None
+    count = 1
+    for _ in range(depth):
+        if count > _CAP or not paths.shape[1]:
+            break
+        rows, flat = csr.steps(paths[-1], arrive)
+        ends = csr.nbrs.take(flat)
+        keep = ~(paths[:-1].take(rows, axis=1) == ends).any(axis=0)
+        if len(gone):
+            keep &= ~np.isin(ends, gone)
+        rows, flat = rows[keep], flat[keep]
+        paths = np.vstack((paths.take(rows, axis=1), ends[keep]))
+        arrive = csr.back.take(flat)
+        count += len(flat)
+    return count
 
 
 @functools.lru_cache(maxsize=64)
@@ -510,68 +563,80 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
     are the loop copies, whose Weitz pin stops a node at its first
     occupied copy, which the same mask applies.
 
-    Only the levels above the last two copy paths.  A block whose
-    children sit deeper than one level above the frontier gathers its
-    paths under its children, adds their row, cuts the array into blocks
-    of columns and pushes those on a LIFO stack above itself, where it
-    waits under a marker.  A block whose children sit one level above the
+    Only the levels above the last two copy paths.  A block whose children
+    sit deeper than one level above the frontier gathers its paths under
+    its children, adds their row, cuts the array into blocks of columns
+    and pushes those on a LIFO stack; it waits (`_Waiting`) until every
+    child has closed.  A block whose children sit one level above the
     frontier scans them in place (`scan`): their paths are the block's
     columns read through their parents' rows, and their values are looked
     up in `_leaf_table` by their numbers of exact-leaf and truncated
     children, counted under the mask without compacting the frontier
-    steps.  Arrays over the half-edges u -> w of the CSR, built once per
-    call in O(m), serve the exact-leaf test: for hard-core whether u is
-    w's only neighbour, and for monomer-dimer the first neighbour of w
-    other than u.  A monomer-dimer frontier child is exact when its other
-    neighbours are all on the path; `step` tests the first one on the
-    gathered paths that filter the child.  That settles every child of
-    degree 1 or 2 and every child whose first other neighbour is off the
-    path; only the few others are tested on all their neighbours, one
-    gather of the block's paths per chunk of `_BLOCK` of them.  A
-    monomer-dimer node's upper end takes the pin sum over its neighbours
-    but its parent, tabulated per arrival half-edge, less the pins of its
-    path vertices, plus 1 - pin for each exact child that is not lone: the
-    sums are exact (`_pin_table`), so this is bit for bit the depth-first
-    walker's sum.  Where it differs from the node's number of children,
-    the node's two sums differ and both its ends are rounded outward.
-    When a marker pops, every child block has been folded in, so the
-    block's values are closed, rounded as the depth-first walker rounds
-    them, and folded into its own parent.
+    steps.  Arrays over the half-edges u -> w of the CSR, built in O(m)
+    once per adjacency (`Csr.memo`), serve the exact-leaf test: for
+    hard-core whether u is w's only neighbour, and for monomer-dimer the
+    first neighbour of w other than u.  A monomer-dimer frontier child is
+    exact when its other neighbours are all on the path; `step` tests the
+    first one on the gathered paths that filter the child.  That settles
+    every child of degree 1 or 2 and every child whose first other
+    neighbour is off the path; only the few others are tested on all their
+    neighbours, one gather of the block's paths per chunk of `_BLOCK` of
+    them.  A monomer-dimer node's upper end takes the pin sum over its
+    neighbours but its parent, tabulated per arrival half-edge, less the
+    pins of its path vertices, plus 1 - pin for each exact child that is
+    not lone: the sums are exact (`_pin_table`), so this is bit for bit
+    the depth-first walker's sum.  Where it differs from the node's number
+    of children, the node's two sums differ and both its ends are rounded
+    outward.  When its last child is in, a waiting block's values are
+    closed, rounded as the depth-first walker rounds them, and handed to
+    the block waiting on it (`settle`).
 
-    Folds keep the depth-first walker's arithmetic: child blocks fold in
-    order, and within one block `np.multiply.at` and `np.add.at` fold the
-    children sequentially in ascending-id order.  The stack holds at most
-    one block's children per depth, each with its path, so memory stays
-    within O(max_depth**2 * _BLOCK * max degree) entries.  A scan in place
-    copies no path onto the stack; its temporaries, the gathered paths in
-    a buffer kept for the call and a few arrays of one entry per frontier
-    step, take O(max_depth * _BLOCK * max degree**2) entries.
+    On an unblocked call of depth 3 or more, the nodes two levels above
+    the frontier are tested against the cut table (`_cut_table`) before
+    they are stepped.  A node reached along the half-edge f = p -> u
+    passes when f may be cut and no vertex of f's set is on its path above
+    p: one gather of a byte per path vertex off f's row of bits, with
+    vertex v at bit v mod the row width.  A node that passes takes its
+    interval from the table and adds the nodes under it, its children and
+    grandchildren, to the count; it is neither stepped nor scanned, so its
+    nodes still count as tree nodes and every node count and budget error
+    stays the depth-first walker's.  The nodes that fail, about one in ten
+    on gnp(2000, 3), are pooled and scanned in blocks of `_BLOCK` across
+    the blocks they came from.  The pool drains once it holds
+    `_BLOCK` nodes or the nodes of a second block, so it keeps at most one
+    waiting block alive beside those the stack holds.  Blocked calls walk
+    every node: their adjacency, and so their table, differs per call.
+
+    Folds keep the depth-first walker's arithmetic: a block's children
+    fold in order, those that come back out of order held until the ones
+    before them are in, and within one fold `np.multiply.at` and
+    `np.add.at` fold the children sequentially in ascending-id order.  The
+    stack holds at most one block's children per depth, each with its
+    path, so memory stays within O(max_depth**2 * _BLOCK * max degree)
+    entries, beside the cut table kept with g's adjacency (`_cut_sets`:
+    at most `_CUT_BYTES` of bits and a few words per half-edge).  A scan
+    in place copies no path onto the stack; its temporaries, the gathered
+    paths in a buffer kept for the call and a few arrays of one entry per
+    frontier step, take O(max_depth * _BLOCK * max degree**2) entries.
     """
     hc = model == HARDCORE
     csr = g.csr
+    cut = None
     if blocked:
         is_blocked = np.zeros(g.n, dtype=bool)
         is_blocked[np.fromiter(blocked, dtype=np.intp, count=len(blocked))] = True
         # blocked = deleted, in both models: no walk steps onto one
         csr = csr.without(is_blocked)
+    elif max_depth >= 3:
+        cut = _cut_table(csr, hc, a, table)
     if hc:
         # lone[f]: whether u is the only neighbour of w, for the half-edge f = u -> w
-        lone = csr.deg.take(csr.nbrs) == 1
+        if "lone" not in csr.memo:
+            csr.memo["lone"] = csr.deg.take(csr.nbrs) == 1
+        lone = csr.memo["lone"]
     else:
-        # first[f]: the first neighbour of w other than u for the half-edge
-        # f = u -> w, in O(m).  Where u is w's only neighbour the entry is
-        # unused (w is an exact leaf), and clip keeps its index in range
-        start = csr.indptr.take(csr.nbrs)
-        first = csr.nbrs.take(start + (csr.back == start), mode="clip")
-        # pin[w]: the lower end of a truncated child w (`_pin_table`), 1.0
-        # where w is lone.  For the arrival half-edge f = u -> p of a node u,
-        # sums[f] is the sum of pin over u's neighbours but p, the canonical
-        # sum of u when none of them is on the path and its exact children
-        # are lone.  Every such sum is exact, so its order does not matter
-        pin = np.array(_pin_table(table)).take(np.maximum(csr.deg - 1, 0))
-        src = csr.nbrs.take(csr.back)
-        to = pin.take(csr.nbrs)
-        sums = np.bincount(src, weights=to, minlength=len(csr.deg)).take(src) - to
+        first = _first_other(csr)
+        pin, sums = _pin_sums(csr, table)
     table = np.array(table)
     nodes = 1
     # one buffer for step's path gathers: fresh ones made glibc trim and
@@ -652,64 +717,341 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
         odd = np.flatnonzero(~kid)
         np.subtract.at(s, rows.take(odd), pin.take(cand.take(odd)))
         np.add.at(s, rows.take(exact), 1.0 - pin.take(cand.take(exact)))
-        # below its number of children where a child is truncated: its two
-        # ends are then rounded outward
-        wide = s != kids
-        s *= a
-        s += 1.0
-        y_hi = np.divide(1.0, s, out=s)
-        np.multiply(y_lo, _DOWN, out=y_lo, where=wide)
-        np.multiply(y_hi, _UP, out=y_hi, where=wide)
-        return y_lo, y_hi
-
-    def fold(blk, rows, y_lo, y_hi):
-        # a child's upper end folds into its parent's lower end
-        if hc:
-            np.multiply.at(blk[2], rows, 1.0 / (1.0 + y_hi))
-            np.multiply.at(blk[3], rows, 1.0 / (1.0 + y_lo))
-        else:
-            np.add.at(blk[2], rows, y_hi)
-            np.add.at(blk[3], rows, y_lo)
+        return _md_ends(a, kids, s, y_lo)
 
     last = max_depth - 1  # the depth of the nodes that scan reads off
     start = a if hc else 0.0
+    result = []
+    stack = []
+    pool = deque()  # (block, at, paths, arrive): children waiting to be walked
+    pooled = 0
 
-    def block(paths, arrive, parent, prow):
-        # [paths, arrive, lo, hi, dead rows, parent block, parent row of each row]
-        width = paths.shape[1]
-        return [paths, arrive, np.full(width, start), np.full(width, start), None, parent, prow]
+    def settle(up, lo, hi):
+        # nodes closed at (lo, hi) hand their values to the blocks waiting on
+        # them, (block, at, cols) each; a block whose last child this was
+        # folds its children in order and closes in turn
+        todo = [(up, lo, hi)]
+        while todo:
+            up, lo, hi = todo.pop()
+            if not up:
+                result.append((float(lo[0]), float(hi[0])))
+            for blk, at, cols in up:
+                if blk.take(at, lo[cols], hi[cols]):
+                    todo.append((blk.up, *blk.close(a)))
 
-    stack = [(block(np.array([[root]], dtype=csr.nbrs.dtype), None, None, None), False)]
-    while True:
-        blk, closed = stack.pop()
-        if not closed:
-            paths = blk[0]
-            rows, _, cand, flat, kid, blk[4], _ = step(paths[:-1], paths[-1], blk[1])
-            rows, cand = rows[kid], cand[kid]
-            arrive = csr.back.take(flat[kid])
-            if len(paths) < last:
-                kids = np.vstack((paths.take(rows, axis=1), cand))
-                stack.append((blk, True))
-                for at in reversed(range(0, len(cand), _BLOCK)):
-                    part = slice(at, at + _BLOCK)
-                    stack.append((block(kids[:, part], arrive[part], blk, rows[part]), False))
-                continue
-            # the children sit one level above the frontier: scanned in place
-            fold(blk, rows, *scan(paths, cand, arrive, rows))
-        lo, hi = blk[2], blk[3]
-        if not hc:
-            # a node whose two sums differ is rounded outward
-            wide = lo != hi
-            lo = 1.0 / (1.0 + a * lo)
-            hi = 1.0 / (1.0 + a * hi)
-            np.multiply(lo, _DOWN, out=lo, where=wide)
-            np.multiply(hi, _UP, out=hi, where=wide)
-        elif blk[4] is not None:
-            lo[blk[4]] = hi[blk[4]] = 0.0
-        if blk[5] is None:
-            break
-        fold(blk[5], blk[6], lo, hi)
-    return (float(lo[0]), float(hi[0])), nodes
+    def scan_block(paths, arrive, up):
+        # a block whose children sit one level above the frontier: they are
+        # scanned in place, and the block closes at once
+        rows, _, cand, flat, kid, dead, _ = step(paths[:-1], paths[-1], arrive)
+        rows, cand = rows[kid], cand[kid]
+        lo, hi = np.full(paths.shape[1], start), np.full(paths.shape[1], start)
+        _fold(hc, lo, hi, rows, *scan(paths, cand, csr.back.take(flat[kid]), rows))
+        settle(up, *_close(hc, a, lo, hi, dead))
+
+    def drain(everything):
+        # walk the pool in blocks of _BLOCK nodes, the last one short when
+        # everything is to go
+        nonlocal pooled
+        while pooled >= _BLOCK or everything and pooled:
+            width = min(pooled, _BLOCK)
+            up, paths, arrive = [], [], []
+            got = 0
+            while got < width:
+                blk, at, p, arr = pool[0]
+                take = min(len(at), width - got)
+                if take < len(at):
+                    pool[0] = (blk, at[take:], p[:, take:], arr[take:])
+                    at, p, arr = at[:take], p[:, :take], arr[:take]
+                else:
+                    pool.popleft()
+                up.append((blk, at, slice(got, got + take)))
+                paths.append(p)
+                arrive.append(arr)
+                got += take
+            pooled -= width
+            scan_block(np.hstack(paths), np.concatenate(arrive), up)
+
+    def expand(paths, arrive, up):
+        nonlocal nodes, pooled
+        rows, _, cand, flat, kid, dead, _ = step(paths[:-1], paths[-1], arrive)
+        rows, cand, flat = rows[kid], cand[kid], flat[kid]
+        arrive = csr.back.take(flat)
+        blk = _Waiting(hc, start, paths.shape[1], rows, dead, up)
+        kids = np.vstack((paths.take(rows, axis=1), cand))
+        if cut is None or len(kids) < last:
+            for at in reversed(range(0, len(cand), _BLOCK)):
+                part = slice(at, at + _BLOCK)
+                stack.append((kids[:, part], arrive[part], [(blk, part, slice(None))]))
+        else:
+            # the children sit two levels above the frontier: read off the
+            # cut table where they pass its test, pooled otherwise
+            sets, lo_t, hi_t = cut
+            read = sets.ok.take(flat)
+            if len(kids) > 2 and read.any():
+                top = kids[:-2]  # the path above each child's parent
+                if sets.mask is not None:
+                    top = top & sets.mask
+                byte = sets.bits.take(np.add(top >> 3, (flat * sets.stride).astype(np.int32),
+                                             dtype=np.int32))
+                np.right_shift(byte, (top & 7).astype(np.uint8), out=byte)
+                byte &= 1
+                read &= ~byte.any(axis=0)
+            walk = np.arange(len(cand))
+            f = flat[read]
+            if len(f):
+                nodes += int(sets.below.take(f).sum())
+                if nodes > budget:
+                    raise NodeBudgetError(budget + 1)
+                blk.take(np.flatnonzero(read), lo_t.take(f), hi_t.take(f))
+                walk = np.flatnonzero(~read)
+                kids, arrive = kids[:, walk], arrive[walk]
+            if len(walk):
+                pool.append((blk, walk, kids, arrive))
+                pooled += len(walk)
+                if pooled >= _BLOCK or len(pool) > 1:
+                    drain(len(pool) > 1)
+                return
+        if not blk.wait:
+            settle(up, *blk.close(a))
+
+    stack.append((np.array([[root]], dtype=csr.nbrs.dtype), None, []))
+    while stack:
+        paths, arrive, up = stack.pop()
+        (scan_block if len(paths) == last else expand)(paths, arrive, up)
+        if not stack:
+            drain(True)
+    return result[0], nodes
+
+
+class _Waiting:
+    """A block of the block walker whose children are being walked: its
+    nodes' accumulators (lo, hi), the parent row of each child, its dead
+    rows, the blocks waiting on it (up), and wait children still out.
+
+    Children fold in order.  Those that arrive in order, the next slice
+    of children, fold at once; the others wait in (kid_lo, kid_hi) until
+    the last child is in, and then fold after the first done."""
+
+    __slots__ = ("hc", "lo", "hi", "rows", "dead", "up", "done", "kid_lo", "kid_hi", "wait")
+
+    def __init__(self, hc, start, width, rows, dead, up):
+        self.hc, self.rows, self.dead, self.up = hc, rows, dead, up
+        self.lo, self.hi = np.full(width, start), np.full(width, start)
+        self.done = 0
+        self.kid_lo = self.kid_hi = None
+        self.wait = len(rows)
+
+    def take(self, at, lo, hi):
+        """The children at (a slice or an index array) came in at (lo, hi);
+        whether they were the last."""
+        if isinstance(at, slice) and at.start == self.done:
+            self.done += len(lo)
+            _fold(self.hc, self.lo, self.hi, self.rows[at.start:self.done], lo, hi)
+        else:
+            if self.kid_lo is None:
+                self.kid_lo, self.kid_hi = np.empty(len(self.rows)), np.empty(len(self.rows))
+            self.kid_lo[at] = lo
+            self.kid_hi[at] = hi
+        self.wait -= len(lo)
+        return not self.wait
+
+    def close(self, a):
+        """(lo, hi) of the block's nodes once every child is in, closed as
+        the depth-first walker closes a node."""
+        if self.done < len(self.rows):
+            done = self.done
+            _fold(self.hc, self.lo, self.hi, self.rows[done:], self.kid_lo[done:], self.kid_hi[done:])
+        return _close(self.hc, a, self.lo, self.hi, self.dead)
+
+
+def _fold(hc, lo, hi, rows, y_lo, y_hi):
+    """Fold children (y_lo, y_hi) into the accumulators (lo, hi) of their
+    parents rows, in order: a child's upper end folds into its parent's
+    lower end.  Returns (lo, hi)."""
+    if hc:
+        np.multiply.at(lo, rows, 1.0 / (1.0 + y_hi))
+        np.multiply.at(hi, rows, 1.0 / (1.0 + y_lo))
+    else:
+        np.add.at(lo, rows, y_hi)
+        np.add.at(hi, rows, y_lo)
+    return lo, hi
+
+
+def _md_ends(a, kids, s, y_lo):
+    """(lo, hi) of monomer-dimer nodes one level above the frontier with
+    kids children, s their canonical sum and y_lo = table[kids] (both
+    overwritten): hi = 1/(1 + gamma*s), and where s is below kids, as
+    when a child is truncated, both ends rounded outward."""
+    wide = s != kids
+    s *= a
+    s += 1.0
+    y_hi = np.divide(1.0, s, out=s)
+    np.multiply(y_lo, _DOWN, out=y_lo, where=wide)
+    np.multiply(y_hi, _UP, out=y_hi, where=wide)
+    return y_lo, y_hi
+
+
+def _close(hc, a, lo, hi, dead=None):
+    """The intervals of nodes whose children are folded into (lo, hi), as
+    the depth-first walker closes them: a monomer-dimer node takes
+    1/(1 + gamma*sum), rounded outward where its two sums differ, and a
+    hard-core node an occupied loop copy stops (dead) is 0."""
+    if not hc:
+        wide = lo != hi
+        lo = 1.0 / (1.0 + a * lo)
+        hi = 1.0 / (1.0 + a * hi)
+        np.multiply(lo, _DOWN, out=lo, where=wide)
+        np.multiply(hi, _UP, out=hi, where=wide)
+    elif dead is not None:
+        lo[dead] = hi[dead] = 0.0
+    return lo, hi
+
+
+def _first_other(csr):
+    """first[f]: the first neighbour of w other than u for the half-edge
+    f = u -> w, in O(m), kept in csr.memo.  Where u is w's only neighbour
+    the entry is unused (w is an exact leaf), and clip keeps its index in
+    range."""
+    if "first" not in csr.memo:
+        start = csr.indptr.take(csr.nbrs)
+        csr.memo["first"] = csr.nbrs.take(start + (csr.back == start), mode="clip")
+    return csr.memo["first"]
+
+
+def _pin_sums(csr, table):
+    """(pin, sums) of a monomer-dimer leaf table, those of the last table
+    kept in csr.memo.  pin[w] is the lower end of a truncated child w
+    (`_pin_table`), 1.0 where w is lone.  For the arrival half-edge
+    f = u -> p of a node u, sums[f] is the sum of pin over u's neighbours
+    but p, the canonical sum of u when none of them is on the path and
+    its exact children are lone.  Every such sum is exact, so its order
+    does not matter."""
+    kept = csr.memo.get("pin sums")
+    if kept is None or kept[0] != table:
+        pin = np.array(_pin_table(table)).take(np.maximum(csr.deg - 1, 0))
+        src = csr.nbrs.take(csr.back)
+        to = pin.take(csr.nbrs)
+        sums = np.bincount(src, weights=to, minlength=len(csr.deg)).take(src) - to
+        kept = csr.memo["pin sums"] = table, pin, sums
+    return kept[1:]
+
+
+class _CutSets(NamedTuple):
+    """The graph-only half of the block walker's cut table, over the
+    half-edges f = p -> u of one adjacency (`_cut_sets`).
+
+    Row f of bits (stride bytes) has bit v mod width set for each vertex v
+    of f's set: u's neighbours w1 but p, their neighbours w2 but u, and
+    the first neighbour of each w2 of degree 2 or more other than its w1
+    (`_first_other`).  mask is width - 1, or None when width reaches the
+    vertex count and the bits are exact.  ok[f] says whether f may be cut
+    at all: not when its set holds u or p, which lie on every path through
+    f, nor when it has more than stride entries, which would rarely pass
+    and whose build could take O(degree**2) per half-edge (a hub).
+    below[f] is the number of nodes under u, its w1 and w2: the degrees
+    of u's neighbours but p."""
+
+    bits: np.ndarray
+    mask: int | None
+    stride: int
+    ok: np.ndarray
+    below: np.ndarray
+
+
+def _cut_sets(csr) -> _CutSets | None:
+    """The `_CutSets` of csr, or None where they do not pay (`_cut_pays`),
+    built once and kept in csr.memo.  Hard-core needs only w1 and w2, but
+    one table serves both models: a second would double its memory for
+    about 4% more hard-core rows cut.  width is the largest power of two,
+    at least 64 and at most the vertex count rounded up, whose bits fit in
+    `_CUT_BYTES`.  The sets are built in chunks of about 2**14 entries;
+    the build's other temporaries take O(1) words per half-edge."""
+    if "cut" not in csr.memo:
+        n, m2 = len(csr.deg), len(csr.nbrs)
+        deg, nbrs, back = csr.deg, csr.nbrs, csr.back
+        width = 64
+        while width < n and m2 * width <= 4 * _CUT_BYTES:
+            width *= 2
+        stride = width // 8
+        mask = width - 1 if width < n else None
+        src = nbrs.take(back)
+        ends = np.zeros(m2 + 1, dtype=np.intp)
+        np.cumsum(deg.take(nbrs), out=ends[1:])
+        below = (ends.take(csr.indptr[1:]) - ends.take(csr.indptr[:-1])).take(nbrs) - deg.take(src)
+        one = deg.take(nbrs) - 1
+        ok = one + 2 * (below - one) <= stride  # w1, and at most two per w2
+        bits = np.zeros(m2 * stride, dtype=np.uint8)
+        first = _first_other(csr)
+        todo = np.flatnonzero(ok)
+        total = np.cumsum((2 * below - one).take(todo))
+        for part in np.split(todo, np.searchsorted(total, np.arange(2**14, total[-1:].sum(), 2**14))):
+            r1, e1 = csr.steps(nbrs.take(part), back.take(part))
+            r2, e2 = csr.steps(nbrs.take(e1), back.take(e1))
+            w2 = nbrs.take(e2)
+            far = deg.take(w2) > 1
+            r2 = r1.take(r2)
+            f = part.take(np.concatenate((r1, r2, r2[far])))
+            vx = np.concatenate((nbrs.take(e1), w2, first.take(e2[far])))
+            ok[f[(vx == nbrs.take(f)) | (vx == src.take(f))]] = False
+            if mask is not None:
+                vx &= mask
+            np.bitwise_or.at(bits, f * stride + (vx >> 3), np.left_shift(1, vx & 7).astype(np.uint8))
+        sets = _CutSets(bits, mask, stride, ok, below.astype(np.int32))
+        csr.memo["cut"] = sets if _cut_pays(sets) else None
+    return csr.memo["cut"]
+
+
+def _cut_pays(sets) -> bool:
+    """Whether the block walker tests rows against the cut table: when
+    more than half of the half-edges may be cut.  Where short cycles reach
+    most balls, as on gnp(50, 3) and small grids, few rows pass, and
+    testing them costs more than the rows it cuts."""
+    return 2 * np.count_nonzero(sets.ok) > len(sets.ok)
+
+
+def _cut_table(csr, hc, a, table):
+    """The block walker's cut table for one activity a and its leaf table:
+    (`_cut_sets`, lo, hi), lo and hi the interval of the node u at the end
+    of each half-edge f = p -> u that ok allows, as the walker folds and
+    closes it when no vertex of f's set is on u's path; None where the
+    sets do not pay.
+
+    A row passes the test when no vertex of its set is on its path.  Then
+    u has no loop copy, every w1 and w2 is a child, and its exact w2 are
+    the lone ones (for monomer-dimer, every other w2 has its first other
+    neighbour off the path, so it is truncated).  So u folds its w1 in
+    ascending order, each at its scanned value: hard-core table[kids] and
+    table[lone kids], monomer-dimer table[kids] and 1/(1 + gamma*sums) at
+    its arrival, rounded outward where the two differ.  The same float
+    operations as the walker's make each entry bit for bit the walked one.
+    The last activity's entries are kept with the sets."""
+    sets = _cut_sets(csr)
+    if sets is None:
+        return None
+    key = ("cut values", hc)
+    kept = csr.memo.get(key)
+    if kept is None or kept[0] != a:
+        nbrs, back, deg = csr.nbrs, csr.back, csr.deg
+        fs = np.flatnonzero(sets.ok)
+        rows, e1 = csr.steps(nbrs.take(fs), back.take(fs))
+        w1 = nbrs.take(e1)
+        kids = deg.take(w1) - 1
+        leaf = np.array(table)
+        y_lo = leaf.take(kids)
+        start = a if hc else 0.0
+        lo, hi = np.full(len(fs), start), np.full(len(fs), start)
+        if hc:
+            # each w1's lone children: its neighbours of degree 1, as u has two
+            lone = np.bincount(nbrs.take(back), weights=deg.take(nbrs) == 1,
+                               minlength=len(deg)).astype(np.intp)
+            y_hi = leaf.take(lone.take(w1))
+        else:
+            y_lo, y_hi = _md_ends(a, kids, _pin_sums(csr, table)[1].take(back.take(e1)), y_lo)
+        lo, hi = _close(hc, a, *_fold(hc, lo, hi, rows, y_lo, y_hi))
+        lo_t, hi_t = np.zeros(len(nbrs)), np.zeros(len(nbrs))
+        lo_t[fs], hi_t[fs] = lo, hi
+        kept = csr.memo[key] = a, (lo_t, hi_t)
+    return sets, *kept[1]
 
 
 # ---------------------------------------------------------------------------

@@ -301,8 +301,10 @@ def test_partition_truncates_only_feedback_factors(monkeypatch):
 def test_partition_walks_no_pass_twice(monkeypatch):
     # `_adaptive` sends a pass it expects above _CAP nodes straight to the
     # block walker, so no depth-first pass runs out at _CAP under a larger
-    # budget to be walked again on blocks.  Without the hint those passes
-    # come back and every output stays bit for bit
+    # budget to be walked again on blocks.  Without its hint sandwich_values
+    # counts the root's non-backtracking walks instead, and no pass is
+    # thrown away either; without both those passes come back.  Every
+    # output stays bit for bit
     budgets, discarded, blocks = [], [], []
     sandwich_values, dfs = recurrence.sandwich_values, recurrence._sandwich
     block_walker = recurrence._sandwich_blocks
@@ -342,8 +344,11 @@ def test_partition_walks_no_pass_twice(monkeypatch):
             assert n_discarded == 0
             with monkeypatch.context() as m:
                 m.setattr(recurrence._Deepening, "expected_nodes", lambda self, depth: None)
+                counted, counted_discarded, _ = run(g, partition, act)
+                m.setattr(recurrence, "_walks_from", lambda *args: 0)
                 unhinted, unhinted_discarded, _ = run(g, partition, act)
-            assert unhinted == out
+            assert counted == unhinted == out
+            assert counted_discarded == 0
             if partition is partition_md:
                 assert n_blocks > 0
                 assert unhinted_discarded == without_hint

@@ -436,6 +436,183 @@ def test_block_walker_int32_ids(sparse40k):
                         == ("budget", want[1] // 2 + 1))
 
 
+def _count_cut_rows(monkeypatch):
+    # counts["tested"] and counts["passed"]: the rows the block walker
+    # tests against the cut table and the ones it reads off it, seen
+    # through its takes of the table's ok and below arrays
+    counts = {"tested": 0, "passed": 0}
+
+    class Counted(np.ndarray):
+        def take(self, index, *args, **kwargs):
+            counts[self.key] += len(index)
+            return np.asarray(self).take(index, *args, **kwargs)
+
+    def counted(key, array):
+        out = array.view(Counted)
+        out.key = key
+        return out
+
+    table = recurrence._cut_table
+
+    def wrapped(*args):
+        got = table(*args)
+        if got is None:
+            return None
+        sets, lo, hi = got
+        return sets._replace(ok=counted("tested", sets.ok),
+                             below=counted("passed", sets.below)), lo, hi
+
+    monkeypatch.setattr(recurrence, "_cut_table", wrapped)
+    return counts
+
+
+def _chorded_cycle(n, step):
+    # a cycle of n vertices with a chord from every step-th vertex across it
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)]
+                            + [(i, i + n // 2) for i in range(0, n // 2, step)])
+
+
+def test_cut_table_matches_dfs(monkeypatch):
+    # the block walker reads nodes two levels above the frontier off the
+    # cut table where no vertex of their half-edge's set is on their path,
+    # and walks the others: bit for bit the depth-first walker's pair,
+    # node count and budget error.  The table is tested on every graph
+    # here, also where the walker would skip it (`_cut_pays`): gnp(80-300,
+    # 2.2-3), a grid, a 3-ary tree and cycles with chords, both models,
+    # blocks of 3 and 1024 rows, with and without blocked sets and
+    # hard-core boundaries (the table serves unblocked calls only).  Rows
+    # pass on every kind of graph, and fail on all but the tree, where no
+    # path comes back near a node
+    monkeypatch.setattr(recurrence, "_cut_pays", lambda sets: True)
+    counts = _count_cut_rows(monkeypatch)
+    rng = random.Random(26)
+    graphs = {
+        "gnp": [gen_graph("gnp", n=n, d=d, seed=s)
+                for n, d, s in ((80, 3.0, 1), (150, 2.2, 2), (300, 2.5, 3), (300, 3.0, 4))],
+        "grid": [gen_graph("grid", width=12, height=9)],
+        "tree": [gen_graph("dary_tree", d=3, depth=5)],
+        "cycle": [_chorded_cycle(90, 7), _chorded_cycle(200, 13)],
+    }
+    cases = 0
+    for kind, gs in graphs.items():
+        seen = dict(counts)
+        for rows in (3, 1024):
+            monkeypatch.setattr(recurrence, "_BLOCK", rows)
+            for g in gs:
+                for model in (HARDCORE, MONOMERDIMER):
+                    for depth in range(3, 10):
+                        blocked = frozenset()
+                        if rng.random() < 0.25:
+                            blocked = frozenset(rng.sample(range(g.n), rng.randrange(1, g.n // 8)))
+                            if model == HARDCORE and rng.random() < 0.5:
+                                pins = {v: rng.choice((OCCUPIED, UNOCCUPIED))
+                                        for v in rng.sample(range(g.n), 3)}
+                                try:
+                                    BoundaryCondition(pins).validate(g)
+                                except ValueError:
+                                    continue  # occupied pins not independent
+                                blocked = BoundaryCondition(pins).blocked(g) | set(pins)
+                        root = rng.choice([v for v in range(g.n) if v not in blocked])
+                        a = rng.choice(ACTIVITIES)
+                        args = (g, root, model, a, depth, frozenset(blocked))
+                        table = _table(g, model, a)
+                        want = recurrence._sandwich(*args, 10**7, table)
+                        assert recurrence._sandwich_blocks(*args, 10**7, table) == want
+                        budget = rng.randrange(1, want[1] + 1)
+                        assert (_walk(recurrence._sandwich_blocks, *args, budget, table)
+                                == _walk(recurrence._sandwich, *args, budget, table))
+                        cases += 1
+        passed = counts["passed"] - seen["passed"]
+        failed = counts["tested"] - seen["tested"] - passed
+        assert passed > 0 and (failed > 0) == (kind != "tree"), kind
+    assert cases > 200
+
+
+def test_cut_table_stays_bounded(sparse40k, monkeypatch):
+    # a hub with 6000 leaves has O(degree**2) entries in the sets of the
+    # half-edges into it, which are never cut, and sparse40k would need
+    # 600 MB of exact bits: its bits wrap at 128 vertices a row, where a
+    # colliding bit only sends a row down the walk.  Bit for bit the
+    # depth-first walker's pairs and node counts, with the table tested
+    # (forced where the walker would skip it) and not; the table of both
+    # models keeps at most _CUT_BYTES of bits and 64 bytes per half-edge,
+    # and its build's peak stays under _CUT_BYTES and 128 bytes per
+    # half-edge (tracemalloc)
+    import tracemalloc
+
+    from sawcount.graph import Csr
+
+    n = 6001
+    hub = graph_from_edges(n, [(0, i) for i in range(1, n)]
+                           + [(i, i + 1) for i in range(1, n - 1)])
+    cases = [(hub, 0, 3), (hub, 0, 4), (hub, 17, 4)]
+    cases += [(sparse40k, 32774, depth) for depth in range(6, 10)]
+    for force in (False, True):
+        if force:
+            monkeypatch.setattr(recurrence, "_cut_pays", lambda sets: True)
+        for g in (hub, sparse40k):
+            csr = Csr.of(g.n, g.adjacency)
+            tracemalloc.start()
+            for model in (HARDCORE, MONOMERDIMER):
+                recurrence._cut_table(csr, model == HARDCORE, 1.0, _table(g, model, 1.0))
+            kept, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            half_edges = len(csr.nbrs)
+            assert kept <= recurrence._CUT_BYTES + 64 * half_edges
+            assert peak <= recurrence._CUT_BYTES + 128 * half_edges
+            assert (csr.memo["cut"] is None) != force
+        for g, root, depth in cases:
+            g.csr.memo.clear()
+            for model in (HARDCORE, MONOMERDIMER):
+                args = (g, root, model, 1.0, depth, frozenset())
+                table = _table(g, model, 1.0)
+                want = recurrence._sandwich(*args, 10**7, table)
+                assert recurrence._sandwich_blocks(*args, 10**7, table) == want
+    assert sparse40k.csr.memo["cut"].mask == 127
+
+
+def test_walk_count_bounds_the_tree_and_picks_the_walker(monkeypatch):
+    # without a hint, sandwich_values counts the root's self-avoiding walks
+    # of up to depth steps in g minus blocked, stopping past _CAP: the
+    # count (sawtree.saw_counts of that graph) is the monomer-dimer node
+    # count and bounds the hard-core one, so a tree above _CAP goes
+    # straight to the block walker and one at or under it depth-first,
+    # with no pass thrown away
+    from sawcount.sawtree import saw_counts
+
+    big = gen_graph("gnp", n=2000, d=3.0, seed=1)
+    drop = frozenset({894, 7, 1317})
+    cut = graph_from_edges(big.n, [e for e in big.edges() if not set(e) & drop])
+    for blocked, h in ((frozenset(), big), (drop, cut)):
+        for depth in range(2, 11):
+            count = recurrence._walks_from(big.csr, 943, depth, blocked)
+            walks = 1 + sum(saw_counts(h, 943, depth))
+            if walks <= recurrence._CAP:
+                assert walks <= count <= recurrence._CAP
+            else:
+                assert recurrence._CAP < count <= walks
+            for model in (HARDCORE, MONOMERDIMER):
+                nodes = sandwich_values(big, 943, model, [1.0], depth, blocked=blocked)[1]
+                assert nodes <= walks and (model == HARDCORE or nodes == walks)
+    # where the degrees bound the count at or under _CAP, that bound is
+    # taken (exact on a complete graph); past it the walks are counted
+    k8 = gen_graph("complete", n=8)
+    assert recurrence._walks_from(k8.csr, 0, 3, frozenset()) == 1 + 7 + 42 + 210
+    count = recurrence._walks_from(k8.csr, 0, 7, frozenset())
+    assert recurrence._CAP < count <= 1 + sum(saw_counts(k8, 0, 7))
+    calls = []
+    dfs, blocks = recurrence._sandwich, recurrence._sandwich_blocks
+    monkeypatch.setattr(recurrence, "_sandwich",
+                        lambda *args: calls.append("dfs") or dfs(*args))
+    monkeypatch.setattr(recurrence, "_sandwich_blocks",
+                        lambda *args: calls.append("blocks") or blocks(*args))
+    for depth, walker in ((5, "dfs"), (10, "blocks")):
+        for model in (HARDCORE, MONOMERDIMER):
+            calls.clear()
+            sandwich_values(big, 943, model, ACTIVITIES, depth)
+            assert calls == [walker] * 3
+
+
 def test_block_walker_at_its_deepest_truncation(monkeypatch):
     # at depth _BLOCK_DEPTH the walker's path arrays reach their most
     # rows, one per depth above the nodes it scans in place: a cycle of
