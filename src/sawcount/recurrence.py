@@ -57,9 +57,10 @@ levels above the frontier off a table over the half-edges of g: where no
 vertex within two steps of a node, nor the first other neighbour of one
 two steps away, is on its path, the node's subtree is a plain tree whose
 interval and size depend only on the half-edge it was reached by
-(`_cut_table`).  A numpy pass costs a fixed 100-200 us per block, more
-than a small tree takes depth-first, so the depth-first walker stays for
-the small trees, which are most calls of a telescope.  It also takes
+(`_cut_table`; `sawtree._half_edge_sets` builds the sets, and those of
+`saw_counts`).  A numpy pass costs a fixed 100-200 us per block, more
+than a small tree takes depth-first, so the depth-first walker stays
+for the small trees, which are most calls of a telescope.  It also takes
 every tree of depth 0 or 1, a single scan of the root's neighbors, and
 truncations deeper than `_BLOCK_DEPTH`, such as a full expansion of a
 long path: a deep thin tree holds a few nodes per block, and the block
@@ -80,7 +81,6 @@ import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,9 +90,13 @@ from .sawtree import (
     PLAIN,
     UNOCCUPIED,
     WEITZ,
+    _CUT_BYTES,
     BoundaryCondition,
     NodeBudgetError,
     SawTree,
+    _CutSets,
+    _cut_pays,
+    _half_edge_sets,
     loop_copy_occupied,
 )
 
@@ -105,7 +109,6 @@ ALL_MAX = "all_max"
 _CAP = 2048  # nodes a depth-first pass may visit before the block walker takes over
 _BLOCK = 1024  # tree nodes per block in the block walker
 _BLOCK_DEPTH = 64  # the deepest truncation the block walker takes
-_CUT_BYTES = 2**21  # the block walker's cut table bits take at most this, or 8 bytes a half-edge
 # a positive normal float times _DOWN (_UP) is one or two floats below
 # (above) it: the monomer-dimer walkers' outward rounding of a node whose
 # two sums differ, in one multiply where np.nextafter costs 20-30 ns per entry
@@ -788,18 +791,11 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
             sets, lo_t, hi_t = cut
             read = sets.ok.take(flat)
             if len(kids) > 2 and read.any():
-                top = kids[:-2]  # the path above each child's parent
-                if sets.mask is not None:
-                    top = top & sets.mask
-                byte = sets.bits.take(np.add(top >> 3, (flat * sets.stride).astype(np.int32),
-                                             dtype=np.int32))
-                np.right_shift(byte, (top & 7).astype(np.uint8), out=byte)
-                byte &= 1
-                read &= ~byte.any(axis=0)
+                read &= sets.misses(kids[:-2], flat)  # the path above each child's parent
             walk = np.arange(len(cand))
             f = flat[read]
             if len(f):
-                nodes += int(sets.below.take(f).sum())
+                nodes += int(sets.below.take(f, axis=1).sum())
                 if nodes > budget:
                     raise NodeBudgetError(budget + 1)
                 blk.take(np.flatnonzero(read), lo_t.take(f), hi_t.take(f))
@@ -936,77 +932,18 @@ def _pin_sums(csr, table):
     return kept[1:]
 
 
-class _CutSets(NamedTuple):
-    """The graph-only half of the block walker's cut table, over the
-    half-edges f = p -> u of one adjacency (`_cut_sets`).
-
-    Row f of bits (stride bytes) has bit v mod width set for each vertex v
-    of f's set: u's neighbours w1 but p, their neighbours w2 but u, and
-    the first neighbour of each w2 of degree 2 or more other than its w1
-    (`_first_other`).  mask is width - 1, or None when width reaches the
-    vertex count and the bits are exact.  ok[f] says whether f may be cut
-    at all: not when its set holds u or p, which lie on every path through
-    f, nor when it has more than stride entries, which would rarely pass
-    and whose build could take O(degree**2) per half-edge (a hub).
-    below[f] is the number of nodes under u, its w1 and w2: the degrees
-    of u's neighbours but p."""
-
-    bits: np.ndarray
-    mask: int | None
-    stride: int
-    ok: np.ndarray
-    below: np.ndarray
-
-
 def _cut_sets(csr) -> _CutSets | None:
-    """The `_CutSets` of csr, or None where they do not pay (`_cut_pays`),
-    built once and kept in csr.memo.  Hard-core needs only w1 and w2, but
+    """The block walker's half-edge sets (`sawtree._half_edge_sets`), or
+    None where they do not pay (`_cut_pays`), built once and kept in
+    csr.memo.  The set of f = p -> u holds u's neighbours w1 but p, their
+    neighbours w2 but u, and the first neighbour of each w2 of degree 2 or
+    more other than its w1 (`_first_other`); below[:, f] counts the w1
+    and the w2, the nodes under u.  Hard-core needs only w1 and w2, but
     one table serves both models: a second would double its memory for
-    about 4% more hard-core rows cut.  width is the largest power of two,
-    at least 64 and at most the vertex count rounded up, whose bits fit in
-    `_CUT_BYTES`.  The sets are built in chunks of about 2**14 entries;
-    the build's other temporaries take O(1) words per half-edge."""
+    about 4% more hard-core rows cut."""
     if "cut" not in csr.memo:
-        n, m2 = len(csr.deg), len(csr.nbrs)
-        deg, nbrs, back = csr.deg, csr.nbrs, csr.back
-        width = 64
-        while width < n and m2 * width <= 4 * _CUT_BYTES:
-            width *= 2
-        stride = width // 8
-        mask = width - 1 if width < n else None
-        src = nbrs.take(back)
-        ends = np.zeros(m2 + 1, dtype=np.intp)
-        np.cumsum(deg.take(nbrs), out=ends[1:])
-        below = (ends.take(csr.indptr[1:]) - ends.take(csr.indptr[:-1])).take(nbrs) - deg.take(src)
-        one = deg.take(nbrs) - 1
-        ok = one + 2 * (below - one) <= stride  # w1, and at most two per w2
-        bits = np.zeros(m2 * stride, dtype=np.uint8)
-        first = _first_other(csr)
-        todo = np.flatnonzero(ok)
-        total = np.cumsum((2 * below - one).take(todo))
-        for part in np.split(todo, np.searchsorted(total, np.arange(2**14, total[-1:].sum(), 2**14))):
-            r1, e1 = csr.steps(nbrs.take(part), back.take(part))
-            r2, e2 = csr.steps(nbrs.take(e1), back.take(e1))
-            w2 = nbrs.take(e2)
-            far = deg.take(w2) > 1
-            r2 = r1.take(r2)
-            f = part.take(np.concatenate((r1, r2, r2[far])))
-            vx = np.concatenate((nbrs.take(e1), w2, first.take(e2[far])))
-            ok[f[(vx == nbrs.take(f)) | (vx == src.take(f))]] = False
-            if mask is not None:
-                vx &= mask
-            np.bitwise_or.at(bits, f * stride + (vx >> 3), np.left_shift(1, vx & 7).astype(np.uint8))
-        sets = _CutSets(bits, mask, stride, ok, below.astype(np.int32))
-        csr.memo["cut"] = sets if _cut_pays(sets) else None
+        csr.memo["cut"] = _half_edge_sets(csr, 2, _cut_pays, _first_other)
     return csr.memo["cut"]
-
-
-def _cut_pays(sets) -> bool:
-    """Whether the block walker tests rows against the cut table: when
-    more than half of the half-edges may be cut.  Where short cycles reach
-    most balls, as on gnp(50, 3) and small grids, few rows pass, and
-    testing them costs more than the rows it cuts."""
-    return 2 * np.count_nonzero(sets.ok) > len(sets.ok)
 
 
 def _cut_table(csr, hc, a, table):

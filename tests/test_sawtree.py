@@ -1,4 +1,6 @@
 import itertools
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -218,6 +220,161 @@ def test_saw_counts_int32_ids(sparse40k):
     # above 32767 vertices the CSR keeps vertex ids as int32
     assert sparse40k.csr.nbrs.dtype == np.int32
     assert saw_counts(sparse40k, 32774, 7) == dfs_saw_counts(sparse40k, 32774, 7)
+
+
+def _count_walk_rows(monkeypatch):
+    # rows[k] = [tested, passed]: the children that saw_counts tests
+    # against its walk table with k lengths left to read off (their
+    # half-edge may be cut), and the ones it reads them off for.  A child
+    # of length l_max - k has l_max - k - 1 path rows above its parent
+    rows = {"l_max": None, 2: [0, 0], 3: [0, 0]}
+
+    class Counted(sawtree._CutSets):
+        __slots__ = ()
+
+        def misses(self, top, f):
+            got = super().misses(top, f)
+            row = rows[rows["l_max"] - 1 - len(top)]
+            row[0] += len(f)
+            row[1] += int(np.count_nonzero(got))
+            return got
+
+    build = sawtree._walk_cut
+
+    def wrapped(csr):
+        sets = build(csr)
+        return None if sets is None else Counted(*sets)
+
+    monkeypatch.setattr(sawtree, "_walk_cut", wrapped)
+    return rows
+
+
+def _chorded_cycle(n, step):
+    # a cycle of n vertices with a chord from every step-th vertex across it
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)]
+                            + [(i, i + n // 2) for i in range(0, n // 2, step)])
+
+
+def test_walk_cut_matches_dfs(monkeypatch):
+    # saw_counts reads the walks out of a child of length l_max - 3 or
+    # l_max - 2 off its arrival half-edge's row of the walk table when no
+    # vertex of the row's set is on its path above its parent: counts and
+    # budget errors stay the depth-first count's.  The table is tested on
+    # every graph here, also where saw_counts would skip it (`_cut_pays`):
+    # gnp(80-2000, 2.2-3), a 3-ary tree, a 12x9 grid and cycles with
+    # chords, lmax 3-13, blocks of 1, 3 and 4096 walks, and budgets drawn
+    # below each total, which run out inside a count read off the table as
+    # well as elsewhere.  Rows pass at both levels on gnp and the tree, and
+    # fail on the gnp graphs and the cycles, where paths come back near a
+    # child.  The grid has no row to test: each edge lies on a 4-cycle, so
+    # its sets hold p
+    monkeypatch.setattr(sawtree, "_cut_pays", lambda ok: True)
+    rows = _count_walk_rows(monkeypatch)
+    where = []  # for each budget error: whether a count read off the table raised it
+
+    class Raised(NodeBudgetError):
+        def __init__(self, nodes):
+            super().__init__(nodes)
+            count, walker = sys._getframe(1), sys._getframe(2)
+            inner = count.f_locals["length"]  # the length count adds to
+            outer = walker.f_locals["length"]  # that of saw_counts' children
+            where.append(outer < walker.f_locals["l_max"] - 1 and inner > outer)
+
+    monkeypatch.setattr(sawtree, "NodeBudgetError", Raised)
+    rng = random.Random(27)
+    graphs = {
+        "gnp": [gen_graph("gnp", n=n, d=d, seed=s)
+                for n, d, s in ((80, 3.0, 1), (150, 2.2, 2), (300, 2.5, 3), (2000, 3.0, 1))],
+        "tree": [gen_graph("dary_tree", d=3, depth=5)],
+        "grid": [gen_graph("grid", width=12, height=9)],
+        "cycle": [_chorded_cycle(90, 7), _chorded_cycle(200, 13)],
+    }
+    cases = 0
+    for kind, gs in graphs.items():
+        seen = {k: list(rows[k]) for k in (2, 3)}
+        for block, cap in ((1, 2000), (3, 20000), (4096, 200000)):
+            monkeypatch.setattr(sawtree, "_BLOCK", block)
+            for g in gs:
+                for l_max in range(3, 14):
+                    rows["l_max"] = l_max
+                    v = rng.randrange(g.n)
+                    want = _outcome(dfs_saw_counts, g, v, l_max, cap)
+                    assert _outcome(saw_counts, g, v, l_max, cap) == want
+                    total = cap if isinstance(want, tuple) else sum(want)
+                    if total:
+                        budget = rng.randrange(total)
+                        assert (_outcome(saw_counts, g, v, l_max, budget)
+                                == _outcome(dfs_saw_counts, g, v, l_max, budget))
+                    cases += 1
+        tested = {k: rows[k][0] - seen[k][0] for k in (2, 3)}
+        passed = {k: rows[k][1] - seen[k][1] for k in (2, 3)}
+        if kind in ("gnp", "tree"):
+            assert passed[2] > 0 and passed[3] > 0, kind
+        if kind in ("gnp", "cycle"):
+            assert tested[2] + tested[3] > passed[2] + passed[3], kind
+        if kind == "grid":
+            assert tested == {2: 0, 3: 0}
+    assert cases == 264
+    assert any(where) and not all(where)
+
+
+def test_walk_cut_stays_bounded(sparse40k, monkeypatch):
+    # the sets of the half-edges into and around a hub with 6000 leaves
+    # would hold O(degree) vertices each, and are never cut; sparse40k
+    # would need 600 MB of exact bits, and its bits wrap at 128 vertices a
+    # row, where a colliding bit only sends a child down the walk.  Counts
+    # stay the depth-first count's, with the table tested (forced where
+    # saw_counts would skip it) and not; the table keeps at most
+    # _CUT_BYTES of bits and 16 bytes per half-edge, and its build's peak
+    # stays under _CUT_BYTES and 64 bytes per half-edge (tracemalloc)
+    import tracemalloc
+
+    from sawcount.graph import Csr
+
+    n = 6001
+    hub = graph_from_edges(n, [(0, i) for i in range(1, n)]
+                           + [(i, i + 1) for i in range(1, n - 1)])
+    cases = [(hub, 0, 3), (hub, 0, 4), (hub, 17, 4), (hub, 17, 6)]
+    cases += [(sparse40k, 32774, l_max) for l_max in range(6, 10)]
+    for force in (False, True):
+        if force:
+            monkeypatch.setattr(sawtree, "_cut_pays", lambda ok: True)
+        for g in (hub, sparse40k):
+            csr = Csr.of(g.n, g.adjacency)
+            tracemalloc.start()
+            sawtree._walk_cut(csr)
+            kept, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            half_edges = len(csr.nbrs)
+            assert kept <= sawtree._CUT_BYTES + 16 * half_edges
+            assert peak <= sawtree._CUT_BYTES + 64 * half_edges
+            assert (csr.memo["walk cut"] is None) != force
+        for g, v, l_max in cases:
+            g.csr.memo.pop("walk cut", None)
+            assert saw_counts(g, v, l_max) == dfs_saw_counts(g, v, l_max)
+    assert sparse40k.csr.memo["walk cut"].mask == 127
+
+
+def test_refused_tables_allocate_no_bits(sparse40k):
+    # on sparse40k at most half of the half-edges may be cut in either
+    # table (`_cut_pays`), and the walks below each half-edge say so before
+    # any bit is set: the refused build of the walk table and of the block
+    # walker's peaks under 48 bytes per half-edge (tracemalloc), where
+    # their bits alone would take 16 more, and keeps no more than its
+    # memo entry
+    import tracemalloc
+
+    from sawcount import recurrence
+    from sawcount.graph import Csr
+
+    for build in (sawtree._walk_cut, recurrence._cut_sets):
+        csr = Csr.of(sparse40k.n, sparse40k.adjacency)
+        tracemalloc.start()
+        assert build(csr) is None
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= 48 * len(csr.nbrs)
+        assert kept <= 4096
 
 
 def brute_nonbacktracking(g, v, l_max):
