@@ -500,21 +500,24 @@ def _walk_count_classes(table: np.ndarray) -> np.ndarray:
     """The states grouped by the hash of their walk counts that
     `_merge_isomorphic` starts from, numbered by first member (int32)."""
     k = len(table)
-    # y[k] = 0 is the missing slot: take's "wrap" reads it for table's -1
-    # and writes straight into out
+    # y[k] = 0 is the missing slot, which table's -1 reads as k.  Each
+    # column is gathered from 14 times: contiguous intp indices spare take
+    # a cast of a strided int32 view per call (3-4x its time), and "clip"
+    # writes straight into out
+    succ = [np.where(col < 0, k, col).astype(np.intp) for col in table.T]
     y = np.ones(k + 1, dtype=np.uint32)
     y[k] = 0
     nxt = np.zeros_like(y)
     buf = np.empty(k, dtype=np.uint32)
     h = np.zeros(k, dtype=np.uint32)
     for _ in range(_WALK_STEPS):
-        np.take(y, table[:, 0], out=nxt[:k], mode="wrap")
-        for j in range(1, 4):
-            nxt[:k] += np.take(y, table[:, j], out=buf, mode="wrap")
+        np.take(y, succ[0], out=nxt[:k], mode="clip")
+        for col in succ[1:]:
+            nxt[:k] += np.take(y, col, out=buf, mode="clip")
         y, nxt = nxt, y
         h *= _WALK_HASH
         h += y[:k]
-    del y, nxt, buf
+    del y, nxt, buf, succ
     order, head = _group(h)
     del h
     cls = np.empty(k, dtype=np.int32)

@@ -52,14 +52,16 @@ root paths, a row per depth, a column per node), and gives the same
 values, node counts and budget errors bit for bit.  Its pending blocks
 wait on a LIFO stack that holds at most one block's children per depth,
 so its memory stays within O(depth**2 * _BLOCK * max degree) entries
-beside the temporaries of one block's scan.  It reads most nodes two
-levels above the frontier off a table over the half-edges of g: where no
-vertex within two steps of a node, nor the first other neighbour of one
-two steps away, is on its path, the node's subtree is a plain tree whose
-interval and size depend only on the half-edge it was reached by
-(`_cut_table`; `sawtree._half_edge_sets` builds the sets, and those of
-`saw_counts`).  A numpy pass costs a fixed 100-200 us per block, more
-than a small tree takes depth-first, so the depth-first walker stays
+beside the temporaries of one block's scan.  It reads most nodes three
+levels above the frontier, and most of the rest two levels above it, off
+tables over the half-edges of g: where no vertex within r steps of a
+node, nor the first other neighbour of one r steps away, is on its path,
+the node's subtree is a plain tree whose interval and size depend only
+on the half-edge it was reached by (`_cut_table`, radius r = 3 and 2;
+`sawtree._half_edge_sets` builds the sets, and those of `saw_counts`).
+Each radius-3 entry folds the radius-2 entries of the half-edges below
+it.  A numpy pass costs a fixed 100-200 us per block, more than a small
+tree takes depth-first, so the depth-first walker stays
 for the small trees, which are most calls of a telescope.  It also takes
 every tree of depth 0 or 1, a single scan of the root's neighbors, and
 truncations deeper than `_BLOCK_DEPTH`, such as a full expansion of a
@@ -109,6 +111,7 @@ ALL_MAX = "all_max"
 _CAP = 2048  # nodes a depth-first pass may visit before the block walker takes over
 _BLOCK = 1024  # tree nodes per block in the block walker
 _BLOCK_DEPTH = 64  # the deepest truncation the block walker takes
+_CUT_RADIUS = 3  # the block walker reads nodes off cut tables of radius 2 up to this
 # a positive normal float times _DOWN (_UP) is one or two floats below
 # (above) it: the monomer-dimer walkers' outward rounding of a node whose
 # two sums differ, in one multiply where np.nextafter costs 20-30 ns per entry
@@ -594,21 +597,29 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
     closed, rounded as the depth-first walker rounds them, and handed to
     the block waiting on it (`settle`).
 
-    On an unblocked call of depth 3 or more, the nodes two levels above
-    the frontier are tested against the cut table (`_cut_table`) before
-    they are stepped.  A node reached along the half-edge f = p -> u
-    passes when f may be cut and no vertex of f's set is on its path above
-    p: one gather of a byte per path vertex off f's row of bits, with
-    vertex v at bit v mod the row width.  A node that passes takes its
-    interval from the table and adds the nodes under it, its children and
-    grandchildren, to the count; it is neither stepped nor scanned, so its
+    On an unblocked call, the nodes r levels above the frontier, for r
+    from 2 up to `_CUT_RADIUS` = 3 and below the depth, are tested against
+    the cut table of radius r (`_cut_table`) before they are stepped
+    (`read_off`).  A node reached along the half-edge f = p -> u passes
+    when f may be cut and no vertex of f's set is on its path above p: one
+    gather of a byte per path vertex off f's row of bits, with vertex v
+    at bit v mod the row width.  A node that passes takes its interval
+    from the table and adds the nodes under it, its descendants down to
+    the frontier, to the count; it is neither stepped nor scanned, so its
     nodes still count as tree nodes and every node count and budget error
-    stays the depth-first walker's.  The nodes that fail, about one in ten
-    on gnp(2000, 3), are pooled and scanned in blocks of `_BLOCK` across
-    the blocks they came from.  The pool drains once it holds
-    `_BLOCK` nodes or the nodes of a second block, so it keeps at most one
-    waiting block alive beside those the stack holds.  Blocked calls walk
-    every node: their adjacency, and so their table, differs per call.
+    stays the depth-first walker's.  A node three levels above the
+    frontier that fails, about one in four on gnp(2000, 3), is pushed as
+    an ordinary block, and its children meet the radius-2 test.  At
+    radius 3, f may be cut only where each child half-edge u -> w1 may be
+    cut at radius 2 (`_cut_sets`): the child's set lies inside f's, so it
+    misses the child's path where f's misses u's, and the child rule adds
+    the one thing f's ok does not see, w1 in the child's set.  The nodes
+    two levels above the frontier that fail, about three in ten of those
+    tested there, are pooled and scanned in blocks of `_BLOCK` across the
+    blocks they came from.  The pool drains once it holds `_BLOCK` nodes
+    or the nodes of a second block, so it keeps at most one waiting block
+    alive beside those the stack holds.  Blocked calls walk every node:
+    their adjacency, and so their tables, differ per call.
 
     Folds keep the depth-first walker's arithmetic: a block's children
     fold in order, those that come back out of order held until the ones
@@ -616,22 +627,27 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
     `np.add.at` fold the children sequentially in ascending-id order.  The
     stack holds at most one block's children per depth, each with its
     path, so memory stays within O(max_depth**2 * _BLOCK * max degree)
-    entries, beside the cut table kept with g's adjacency (`_cut_sets`:
-    at most `_CUT_BYTES` of bits and a few words per half-edge).  A scan
-    in place copies no path onto the stack; its temporaries, the gathered
-    paths in a buffer kept for the call and a few arrays of one entry per
-    frontier step, take O(max_depth * _BLOCK * max degree**2) entries.
+    entries, beside the cut tables kept with g's adjacency (`_cut_sets`:
+    per radius, at most `_CUT_BYTES` of bits and a few words per
+    half-edge).  A scan in place copies no path onto the stack; its
+    temporaries, the gathered paths in a buffer kept for the call and a
+    few arrays of one entry per frontier step, take
+    O(max_depth * _BLOCK * max degree**2) entries.
     """
     hc = model == HARDCORE
     csr = g.csr
-    cut = None
+    cut = {}  # radius: the cut table of the nodes that many levels above the frontier
     if blocked:
         is_blocked = np.zeros(g.n, dtype=bool)
         is_blocked[np.fromiter(blocked, dtype=np.intp, count=len(blocked))] = True
         # blocked = deleted, in both models: no walk steps onto one
         csr = csr.without(is_blocked)
-    elif max_depth >= 3:
-        cut = _cut_table(csr, hc, a, table)
+    else:
+        for radius in range(2, min(max_depth, _CUT_RADIUS + 1)):
+            got = _cut_table(csr, hc, a, table, radius)
+            if got is None:
+                break
+            cut[radius] = got
     if hc:
         # lone[f]: whether u is the only neighbour of w, for the half-edge f = u -> w
         if "lone" not in csr.memo:
@@ -774,34 +790,46 @@ def _sandwich_blocks(g, root, model, a, max_depth, blocked, budget, table):
             pooled -= width
             scan_block(np.hstack(paths), np.concatenate(arrive), up)
 
+    def read_off(blk, kids, flat, sets, lo_t, hi_t):
+        # the children kids that pass the test of the cut table (sets, lo_t,
+        # hi_t) take their values off it and count the nodes under them;
+        # returns the indices of the others
+        nonlocal nodes
+        read = sets.ok.take(flat)
+        if len(kids) > 2 and read.any():
+            read &= sets.misses(kids[:-2], flat)  # the path above each child's parent
+        f = flat[read]
+        if len(f):
+            nodes += int(sets.below.take(f, axis=1).sum())
+            if nodes > budget:
+                raise NodeBudgetError(budget + 1)
+            blk.take(np.flatnonzero(read), lo_t.take(f), hi_t.take(f))
+        return np.flatnonzero(~read)
+
     def expand(paths, arrive, up):
-        nonlocal nodes, pooled
+        nonlocal pooled
         rows, _, cand, flat, kid, dead, _ = step(paths[:-1], paths[-1], arrive)
         rows, cand, flat = rows[kid], cand[kid], flat[kid]
         arrive = csr.back.take(flat)
         blk = _Waiting(hc, start, paths.shape[1], rows, dead, up)
         kids = np.vstack((paths.take(rows, axis=1), cand))
-        if cut is None or len(kids) < last:
+        radius = last + 2 - len(kids)  # the children sit that many levels above the frontier
+        if radius not in cut:
             for at in reversed(range(0, len(cand), _BLOCK)):
                 part = slice(at, at + _BLOCK)
                 stack.append((kids[:, part], arrive[part], [(blk, part, slice(None))]))
         else:
-            # the children sit two levels above the frontier: read off the
-            # cut table where they pass its test, pooled otherwise
-            sets, lo_t, hi_t = cut
-            read = sets.ok.take(flat)
-            if len(kids) > 2 and read.any():
-                read &= sets.misses(kids[:-2], flat)  # the path above each child's parent
-            walk = np.arange(len(cand))
-            f = flat[read]
-            if len(f):
-                nodes += int(sets.below.take(f, axis=1).sum())
-                if nodes > budget:
-                    raise NodeBudgetError(budget + 1)
-                blk.take(np.flatnonzero(read), lo_t.take(f), hi_t.take(f))
-                walk = np.flatnonzero(~read)
+            walk = read_off(blk, kids, flat, *cut[radius])
+            if len(walk) < len(cand):
                 kids, arrive = kids[:, walk], arrive[walk]
-            if len(walk):
+            if radius > 2:
+                # the others are walked, and their children tested one radius lower
+                for at in reversed(range(0, len(walk), _BLOCK)):
+                    part = slice(at, at + _BLOCK)
+                    stack.append((kids[:, part], arrive[part],
+                                  [(blk, walk[part], slice(None))]))
+            elif len(walk):
+                # two levels above the frontier: pooled, and closed by the drain
                 pool.append((blk, walk, kids, arrive))
                 pooled += len(walk)
                 if pooled >= _BLOCK or len(pool) > 1:
@@ -932,60 +960,94 @@ def _pin_sums(csr, table):
     return kept[1:]
 
 
-def _cut_sets(csr) -> _CutSets | None:
-    """The block walker's half-edge sets (`sawtree._half_edge_sets`), or
-    None where they do not pay (`_cut_pays`), built once and kept in
-    csr.memo.  The set of f = p -> u holds u's neighbours w1 but p, their
-    neighbours w2 but u, and the first neighbour of each w2 of degree 2 or
-    more other than its w1 (`_first_other`); below[:, f] counts the w1
-    and the w2, the nodes under u.  Hard-core needs only w1 and w2, but
+def _cut_sets(csr, radius) -> _CutSets | None:
+    """The block walker's half-edge sets at radius 2 or more
+    (`sawtree._half_edge_sets`), or None where they do not pay
+    (`_cut_pays`), built once and kept in csr.memo.  The set of f = p -> u
+    holds the vertices w1, ..., w_radius that non-backtracking walks of
+    1..radius steps out of u, never stepping back to p, reach, and the
+    first neighbour of each w_radius of degree 2 or more other than the
+    vertex before it (`_first_other`); below[:, f] counts the w1 to
+    w_radius, the nodes under u.  Hard-core needs no first entries, but
     one table serves both models: a second would double its memory for
-    about 4% more hard-core rows cut."""
-    if "cut" not in csr.memo:
-        csr.memo["cut"] = _half_edge_sets(csr, 2, _cut_pays, _first_other)
-    return csr.memo["cut"]
+    about 4% more hard-core rows cut.
+
+    Above radius 2, f may be cut only where every child half-edge
+    u -> w1 may be cut one radius lower, and not at all where the sets of
+    that radius do not pay.  The child's set lies inside f's, so where
+    f's set misses a node's path the child's misses its path too, but f's
+    ok does not see w1 in the child's set: a triangle w1 - w2 - w3 below
+    u puts w1 there as the first other neighbour of w3, and then the
+    child is not a plain tree."""
+    key = ("cut", radius)
+    if key not in csr.memo:
+        inner = _cut_sets(csr, radius - 1) if radius > 2 else None
+        sets = None
+        if radius == 2 or inner is not None:
+            sets = _half_edge_sets(csr, radius, _cut_pays, _first_other)
+        if sets is not None and inner is not None:
+            fs = np.flatnonzero(sets.ok)
+            rows, e = csr.steps(csr.nbrs.take(fs), csr.back.take(fs))
+            sets.ok[fs.take(rows[~inner.ok.take(e)])] = False
+        csr.memo[key] = sets
+    return csr.memo[key]
 
 
-def _cut_table(csr, hc, a, table):
-    """The block walker's cut table for one activity a and its leaf table:
-    (`_cut_sets`, lo, hi), lo and hi the interval of the node u at the end
-    of each half-edge f = p -> u that ok allows, as the walker folds and
-    closes it when no vertex of f's set is on u's path; None where the
-    sets do not pay.
+def _scan_values(csr, hc, a, table):
+    """(lo, hi) over the half-edges e = u -> w: the interval that `scan`
+    gives w, one level above the frontier, when no vertex within one step
+    of w, nor the first other neighbour of one, is on its path.  Every
+    child of w is then a free node, and its exact children are the lone
+    ones: hard-core table[kids] and table[lone kids], monomer-dimer
+    table[kids] and 1/(1 + gamma*sums) at w's arrival half-edge, rounded
+    outward where the two differ (`_md_ends`).  A hard-core entry counts
+    u among the lone children where u has degree 1; no cut table reads
+    such an entry, as it folds only the half-edges out of a node with a
+    parent."""
+    nbrs, back, deg = csr.nbrs, csr.back, csr.deg
+    kids = deg.take(nbrs) - 1
+    leaf = np.array(table)
+    y_lo = leaf.take(kids)
+    if hc:
+        lone = np.bincount(nbrs.take(back), weights=deg.take(nbrs) == 1,
+                           minlength=len(deg)).astype(np.intp)
+        return y_lo, leaf.take(lone.take(nbrs))
+    return _md_ends(a, kids, _pin_sums(csr, table)[1].take(back), y_lo)
+
+
+def _cut_table(csr, hc, a, table, radius):
+    """The block walker's cut table at radius 2 or more, for one activity
+    a and its leaf table: (`_cut_sets`, lo, hi), lo and hi the interval of
+    the node u at the end of each half-edge f = p -> u that ok allows, as
+    the walker folds and closes it when no vertex of f's set is on u's
+    path; None where the sets do not pay.
 
     A row passes the test when no vertex of its set is on its path.  Then
-    u has no loop copy, every w1 and w2 is a child, and its exact w2 are
-    the lone ones (for monomer-dimer, every other w2 has its first other
-    neighbour off the path, so it is truncated).  So u folds its w1 in
-    ascending order, each at its scanned value: hard-core table[kids] and
-    table[lone kids], monomer-dimer table[kids] and 1/(1 + gamma*sums) at
-    its arrival, rounded outward where the two differ.  The same float
-    operations as the walker's make each entry bit for bit the walked one.
-    The last activity's entries are kept with the sets."""
-    sets = _cut_sets(csr)
+    u has no loop copy, every w1 is a child, and the set of each child
+    half-edge u -> w1 one radius lower, which lies inside f's, misses
+    w1's path; the child rule of `_cut_sets` makes u -> w1 one that may
+    be cut.  So each w1 takes that half-edge's entry one radius lower, or
+    at radius 2 its scanned value (`_scan_values`), and u folds its w1 in
+    ascending order, each at that entry, and closes.  The same float
+    operations as the walker's make each entry bit for bit the walked
+    one.  The last activity's entries are kept with the sets, for every
+    radius up to this one."""
+    sets = _cut_sets(csr, radius)
     if sets is None:
         return None
-    key = ("cut values", hc)
+    key = ("cut values", hc, radius)
     kept = csr.memo.get(key)
     if kept is None or kept[0] != a:
-        nbrs, back, deg = csr.nbrs, csr.back, csr.deg
+        if radius > 2:
+            y_lo, y_hi = _cut_table(csr, hc, a, table, radius - 1)[1:]
+        else:
+            y_lo, y_hi = _scan_values(csr, hc, a, table)
         fs = np.flatnonzero(sets.ok)
-        rows, e1 = csr.steps(nbrs.take(fs), back.take(fs))
-        w1 = nbrs.take(e1)
-        kids = deg.take(w1) - 1
-        leaf = np.array(table)
-        y_lo = leaf.take(kids)
+        rows, e = csr.steps(csr.nbrs.take(fs), csr.back.take(fs))
         start = a if hc else 0.0
         lo, hi = np.full(len(fs), start), np.full(len(fs), start)
-        if hc:
-            # each w1's lone children: its neighbours of degree 1, as u has two
-            lone = np.bincount(nbrs.take(back), weights=deg.take(nbrs) == 1,
-                               minlength=len(deg)).astype(np.intp)
-            y_hi = leaf.take(lone.take(w1))
-        else:
-            y_lo, y_hi = _md_ends(a, kids, _pin_sums(csr, table)[1].take(back.take(e1)), y_lo)
-        lo, hi = _close(hc, a, *_fold(hc, lo, hi, rows, y_lo, y_hi))
-        lo_t, hi_t = np.zeros(len(nbrs)), np.zeros(len(nbrs))
+        lo, hi = _close(hc, a, *_fold(hc, lo, hi, rows, y_lo.take(e), y_hi.take(e)))
+        lo_t, hi_t = np.zeros(len(csr.nbrs)), np.zeros(len(csr.nbrs))
         lo_t[fs], hi_t[fs] = lo, hi
         kept = csr.memo[key] = a, (lo_t, hi_t)
     return sets, *kept[1]

@@ -55,7 +55,8 @@ vertices within a few non-backtracking steps of u that do not step back
 to p, vertex v at bit v mod the row width.  Where no vertex of the row
 is on a walk's path, the walk's subtree below u depends on f alone:
 `saw_counts` reads its last three lengths off such a table, and the
-block walker of `recurrence` its nodes two levels above the frontier.
+block walker of `recurrence` its nodes three levels above the frontier
+off a radius-3 table, and those two levels above it off a radius-2 one.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from sawcount import recurrence
+from sawcount import recurrence, sawtree
 from sawcount.counting import oracle_marginal
 from sawcount.graph import gen_graph, graph_from_edges
 from sawcount.recurrence import (
@@ -437,30 +438,34 @@ def test_block_walker_int32_ids(sparse40k):
 
 
 def _count_cut_rows(monkeypatch):
-    # counts["tested"] and counts["passed"]: the rows the block walker
-    # tests against the cut table and the ones it reads off it, seen
-    # through its takes of the table's ok and below arrays
-    counts = {"tested": 0, "passed": 0}
+    # counts[radius]["tested"] and counts[radius]["passed"]: the rows the
+    # block walker tests against the bits of the cut table of each radius,
+    # those that ok allows, and the ones it reads off it, seen through its
+    # takes of the table's ok and below arrays.  A table's build reads the
+    # table one radius lower through neither
+    counts = {}
 
     class Counted(np.ndarray):
         def take(self, index, *args, **kwargs):
-            counts[self.key] += len(index)
-            return np.asarray(self).take(index, *args, **kwargs)
+            out = np.asarray(self).take(index, *args, **kwargs)
+            self.count[self.key] += int(np.count_nonzero(out)) if self.key == "tested" else len(index)
+            return out
 
-    def counted(key, array):
+    def counted(count, key, array):
         out = array.view(Counted)
-        out.key = key
+        out.count, out.key = count, key
         return out
 
     table = recurrence._cut_table
 
-    def wrapped(*args):
-        got = table(*args)
+    def wrapped(csr, hc, a, leaf, radius):
+        got = table(csr, hc, a, leaf, radius)
         if got is None:
             return None
         sets, lo, hi = got
-        return sets._replace(ok=counted("tested", sets.ok),
-                             below=counted("passed", sets.below)), lo, hi
+        count = counts.setdefault(radius, {"tested": 0, "passed": 0})
+        return sets._replace(ok=counted(count, "tested", sets.ok),
+                             below=counted(count, "passed", sets.below)), lo, hi
 
     monkeypatch.setattr(recurrence, "_cut_table", wrapped)
     return counts
@@ -472,30 +477,59 @@ def _chorded_cycle(n, step):
                             + [(i, i + n // 2) for i in range(0, n // 2, step)])
 
 
+def _tree_with_triangles():
+    # the full 3-ary tree of depth 6 with the three children of every third
+    # node of depth 3 joined into a triangle, at depth 4.  Its rows are 256
+    # bytes wide, so the radius-3 sets of the half-edges two levels above
+    # a triangle, about 70 entries, may be cut
+    tree = gen_graph("dary_tree", d=3, depth=6)
+    tri = [(3 * y + i, 3 * y + j) for y in range(13, 40, 3) for i, j in ((1, 2), (1, 3), (2, 3))]
+    return graph_from_edges(tree.n, list(tree.edges()) + tri)
+
+
 def test_cut_table_matches_dfs(monkeypatch):
-    # the block walker reads nodes two levels above the frontier off the
-    # cut table where no vertex of their half-edge's set is on their path,
-    # and walks the others: bit for bit the depth-first walker's pair,
-    # node count and budget error.  The table is tested on every graph
-    # here, also where the walker would skip it (`_cut_pays`): gnp(80-300,
-    # 2.2-3), a grid, a 3-ary tree and cycles with chords, both models,
-    # blocks of 3 and 1024 rows, with and without blocked sets and
-    # hard-core boundaries (the table serves unblocked calls only).  Rows
-    # pass on every kind of graph, and fail on all but the tree, where no
-    # path comes back near a node
+    # the block walker reads nodes three levels above the frontier off the
+    # radius-3 cut table, and nodes two levels above it off the radius-2
+    # one, where no vertex of their half-edge's set is on their path, and
+    # walks the others: bit for bit the depth-first walker's pair, node
+    # count and budget error.  The tables are tested on every graph here,
+    # also where the walker would skip them (`_cut_pays`): gnp(80-300,
+    # 2.2-3), a grid, a 3-ary tree, the same tree with triangles among the
+    # children at depth 4 and cycles with chords, both models, depths
+    # 3-9, blocks of 3 and 1024 rows, with and without blocked sets and
+    # hard-core boundaries (the tables serve unblocked calls only), and
+    # budgets drawn below each node count, which run out inside a table
+    # read as well as elsewhere.  Radius-2 rows pass on every kind of
+    # graph, and radius-3 rows on all but the grid, where each edge lies
+    # on a 4-cycle, so that its radius-3 sets hold p.  Rows that ok allows
+    # fail, their set meeting their path, on gnp and the grid; on the trees
+    # and the cycles, whose chords close no cycle shorter than 16, no path
+    # of depth 9 comes back near a node whose set ok allows.  A triangle
+    # w1 - w2 - w3 below u puts w1 in the set of the child half-edge
+    # u -> w1, which f's ok does not see: the child rule of `_cut_sets`
+    # refuses f
     monkeypatch.setattr(recurrence, "_cut_pays", lambda sets: True)
     counts = _count_cut_rows(monkeypatch)
+    where = []  # for each budget error: whether a table read raised it
+
+    class Raised(NodeBudgetError):
+        def __init__(self, nodes):
+            super().__init__(nodes)
+            where.append(sys._getframe(1).f_code.co_name == "read_off")
+
+    monkeypatch.setattr(recurrence, "NodeBudgetError", Raised)
     rng = random.Random(26)
     graphs = {
         "gnp": [gen_graph("gnp", n=n, d=d, seed=s)
                 for n, d, s in ((80, 3.0, 1), (150, 2.2, 2), (300, 2.5, 3), (300, 3.0, 4))],
         "grid": [gen_graph("grid", width=12, height=9)],
         "tree": [gen_graph("dary_tree", d=3, depth=5)],
+        "triangles": [_tree_with_triangles()],
         "cycle": [_chorded_cycle(90, 7), _chorded_cycle(200, 13)],
     }
     cases = 0
     for kind, gs in graphs.items():
-        seen = dict(counts)
+        seen = {r: dict(counts.get(r, {"tested": 0, "passed": 0})) for r in (2, 3)}
         for rows in (3, 1024):
             monkeypatch.setattr(recurrence, "_BLOCK", rows)
             for g in gs:
@@ -522,10 +556,16 @@ def test_cut_table_matches_dfs(monkeypatch):
                         assert (_walk(recurrence._sandwich_blocks, *args, budget, table)
                                 == _walk(recurrence._sandwich, *args, budget, table))
                         cases += 1
-        passed = counts["passed"] - seen["passed"]
-        failed = counts["tested"] - seen["tested"] - passed
-        assert passed > 0 and (failed > 0) == (kind != "tree"), kind
-    assert cases > 200
+        passed = {r: counts[r]["passed"] - seen[r]["passed"] for r in (2, 3)}
+        failed = {r: counts[r]["tested"] - seen[r]["tested"] - passed[r] for r in (2, 3)}
+        assert passed[2] > 0 and (passed[3] > 0) == (kind != "grid"), kind
+        assert (failed[2] + failed[3] > 0) == (kind in ("gnp", "grid")), kind
+    # the triangles' half-edges that only the child rule refuses
+    csr = graphs["triangles"][0].csr
+    raw = sawtree._half_edge_sets(csr, 3, recurrence._cut_pays, recurrence._first_other)
+    assert np.count_nonzero(raw.ok & ~csr.memo[("cut", 3)].ok) > 0
+    assert cases > 250
+    assert any(where) and not all(where)
 
 
 def test_cut_table_stays_bounded(sparse40k, monkeypatch):
@@ -533,11 +573,11 @@ def test_cut_table_stays_bounded(sparse40k, monkeypatch):
     # half-edges into it, which are never cut, and sparse40k would need
     # 600 MB of exact bits: its bits wrap at 128 vertices a row, where a
     # colliding bit only sends a row down the walk.  Bit for bit the
-    # depth-first walker's pairs and node counts, with the table tested
-    # (forced where the walker would skip it) and not; the table of both
-    # models keeps at most _CUT_BYTES of bits and 64 bytes per half-edge,
-    # and its build's peak stays under _CUT_BYTES and 128 bytes per
-    # half-edge (tracemalloc)
+    # depth-first walker's pairs and node counts, with the tables tested
+    # (forced where the walker would skip them) and not; the table of each
+    # radius, for both models, keeps at most _CUT_BYTES of bits and 64
+    # bytes per half-edge, and its build's peak stays under _CUT_BYTES and
+    # 128 bytes per half-edge (tracemalloc)
     import tracemalloc
 
     from sawcount.graph import Csr
@@ -545,22 +585,23 @@ def test_cut_table_stays_bounded(sparse40k, monkeypatch):
     n = 6001
     hub = graph_from_edges(n, [(0, i) for i in range(1, n)]
                            + [(i, i + 1) for i in range(1, n - 1)])
-    cases = [(hub, 0, 3), (hub, 0, 4), (hub, 17, 4)]
+    cases = [(hub, 0, 3), (hub, 0, 4), (hub, 17, 4), (hub, 17, 5)]
     cases += [(sparse40k, 32774, depth) for depth in range(6, 10)]
     for force in (False, True):
         if force:
             monkeypatch.setattr(recurrence, "_cut_pays", lambda sets: True)
         for g in (hub, sparse40k):
             csr = Csr.of(g.n, g.adjacency)
-            tracemalloc.start()
-            for model in (HARDCORE, MONOMERDIMER):
-                recurrence._cut_table(csr, model == HARDCORE, 1.0, _table(g, model, 1.0))
-            kept, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            half_edges = len(csr.nbrs)
-            assert kept <= recurrence._CUT_BYTES + 64 * half_edges
-            assert peak <= recurrence._CUT_BYTES + 128 * half_edges
-            assert (csr.memo["cut"] is None) != force
+            for radius in (2, 3):
+                tracemalloc.start()
+                for model in (HARDCORE, MONOMERDIMER):
+                    recurrence._cut_table(csr, model == HARDCORE, 1.0, _table(g, model, 1.0), radius)
+                kept, peak = tracemalloc.get_traced_memory()
+                tracemalloc.stop()
+                half_edges = len(csr.nbrs)
+                assert kept <= recurrence._CUT_BYTES + 64 * half_edges
+                assert peak <= recurrence._CUT_BYTES + 128 * half_edges
+                assert (csr.memo[("cut", radius)] is None) != force
         for g, root, depth in cases:
             g.csr.memo.clear()
             for model in (HARDCORE, MONOMERDIMER):
@@ -568,7 +609,7 @@ def test_cut_table_stays_bounded(sparse40k, monkeypatch):
                 table = _table(g, model, 1.0)
                 want = recurrence._sandwich(*args, 10**7, table)
                 assert recurrence._sandwich_blocks(*args, 10**7, table) == want
-    assert sparse40k.csr.memo["cut"].mask == 127
+    assert sparse40k.csr.memo[("cut", 2)].mask == sparse40k.csr.memo[("cut", 3)].mask == 127
 
 
 def test_walk_count_bounds_the_tree_and_picks_the_walker(monkeypatch):

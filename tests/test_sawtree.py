@@ -367,7 +367,10 @@ def test_refused_tables_allocate_no_bits(sparse40k):
     from sawcount import recurrence
     from sawcount.graph import Csr
 
-    for build in (sawtree._walk_cut, recurrence._cut_sets):
+    for build in (sawtree._walk_cut, lambda csr: recurrence._cut_sets(csr, 2),
+                  lambda csr: recurrence._cut_sets(csr, 3),
+                  lambda csr: sawtree._half_edge_sets(csr, 3, sawtree._cut_pays,
+                                                      recurrence._first_other)):
         csr = Csr.of(sparse40k.n, sparse40k.adjacency)
         tracemalloc.start()
         assert build(csr) is None
