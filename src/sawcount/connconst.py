@@ -65,11 +65,17 @@ Two tools:
 
    Each state is packed into one uint64 key (2 bits per move behind a
    sentinel bit, 3 bits for the arrival move).  The closure runs one
-   breadth-first level at a time on numpy arrays: the level is decoded
-   into int8 moves and int16 positions, laid out position by state, all
-   four moves of every state are tested at once, successor keys are built
-   from their parent keys by 2-bit-lane arithmetic, and new keys are
-   numbered by first discovery in (parent, move) order.  Refinement
+   breadth-first level at a time on numpy arrays, on blocks of states:
+   each block is decoded into int8 moves and the int16 cells of its
+   positions, laid out position by state, and two gathers from small
+   per-memory cell tables test all four moves of every state at once, one
+   byte lane a move.  The slack (L - 1 - t) - dist(position t back, w) of
+   a new endpoint w never grows with t, since a unit step moves a
+   Manhattan distance by exactly 1; so the positions still within reach
+   of w are a prefix of the state, and the kept suffix is one count.
+   Successor keys are built from their parent keys by 2-bit-lane
+   arithmetic, and a level's keys are numbered by first discovery in
+   (parent, move) order, from one argsort of the level.  Refinement
    starts from the classes of a hash of each state's walk counts, and
    each round folds a state's signature (its class plus the sorted
    classes of its at most 4 successors) into int64 keys and groups equal
@@ -78,6 +84,7 @@ Two tools:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -284,7 +291,6 @@ _RELATIVE_PINS = np.array(
     ],
     dtype=np.uint8,
 )
-_FAR = 1000  # a parked position: farther than any memory from every step
 # 2-bit lanes of a key body: the low and the high bit of every lane
 _LOW = np.uint64(0x5555555555555555)
 _HIGH = np.uint64(0xAAAAAAAAAAAAAAAA)
@@ -294,6 +300,9 @@ _HIGH = np.uint64(0xAAAAAAAAAAAAAAAA)
 # h -> h * C is a bijection of uint32)
 _WALK_STEPS = 14
 _WALK_HASH = np.uint32(0x9E3779B1)
+# The closure calls `_successors` on blocks of at most this many states,
+# which bounds its index temporaries (a few hundred bytes a state)
+_SUCC_BLOCK = 4096
 
 
 def _unpack(keys: np.ndarray, L: int):
@@ -311,61 +320,113 @@ def _unpack(keys: np.ndarray, L: int):
     return moves, length, pre
 
 
+@functools.lru_cache(maxsize=16)
+def _cell_tables(L, ordering, pruning):
+    """(reach, forbid): the cell tables of `_successors`, uint32, memoized.
+
+    A position held by a memory-L state lies within L - 1 steps of the
+    endpoint, so it is one of the W x W cells c = (x + L - 1) * W +
+    (y + L - 1), W = 2L - 1, (x, y) taken from the endpoint; cell W * W
+    parks the positions a state does not hold.  Byte d of an entry speaks
+    of the move d, onto w_d = (_DX[d], _DY[d]):
+
+      reach[(t - 1) * Q + c], Q = W * W + 1 -- 1 when dist(c, w_d) <=
+          L - 1 - t: the position t steps back stays within reach of w_d.
+      forbid[p * Q + c] -- 1 when c = w_d (w_d closes a cycle, or
+          backtracks) or c is next to w_d and the pin class p pins the
+          step from c onto w_d: p indexes _RELATIVE_PINS (relative
+          ordering), _UNIFORM_PINS (uniform) or [0] (no pruning).
+
+    Both are 0 at the parked cell, and read-only."""
+    W = 2 * L - 1
+    Q = W * W + 1
+    x, y = np.divmod(np.arange(W * W), W)
+    x -= L - 1
+    y -= L - 1
+    if pruning == PRUNE_NONE:
+        pins = np.zeros(1, dtype=np.uint8)
+    else:
+        pins = _UNIFORM_PINS if ordering == UNIFORM else _RELATIVE_PINS
+    slack = (L - 1 - np.arange(1, L))[:, None]
+    reach = np.zeros((L - 1, Q), dtype=np.uint32)
+    forbid = np.zeros((len(pins), Q), dtype=np.uint32)
+    for d in range(4):
+        # the step from the cell onto w_d
+        sx, sy = _DX[d] - x, _DY[d] - y
+        dist = np.abs(sx) + np.abs(sy)
+        reach[:, :-1] |= (dist <= slack).astype(np.uint32) << 8 * d
+        pinned = (pins[:, None] >> ((sx + 2 * sy) & 7)) & (dist == 1)
+        forbid[:, :-1] |= ((dist == 0) | (pinned != 0)).astype(np.uint32) << 8 * d
+    reach, forbid = reach.ravel(), forbid.ravel()
+    reach.flags.writeable = forbid.flags.writeable = False  # shared by every caller
+    return reach, forbid
+
+
 def _successors(keys, L, ordering, pruning):
     """(n, 4) table of the canonical successor keys of each state, by move;
-    0 where the move is illegal.  The state arrays are laid out position by
-    state, so every reduction over positions runs along the long axis.
-    The moves are decoded only for the legality and reach tests: each
+    0 where the move is illegal.
+
+    Each position the state holds, t steps back from the endpoint, is
+    mapped to its cell (`_cell_tables`), and two gathers test all four
+    moves at once, one byte lane a move.  The slack (L - 1 - t) -
+    dist(position t, w) never grows with t, as a unit step moves the
+    distance by exactly 1, so the positions within reach of w are a prefix
+    t = 1..T and the sum of the reach lanes is T: the kept suffix is T + 1
+    moves long.  A pin counts only within reach, but no forbid lane needs
+    that mask: a hit (dist 0) has slack >= 0, and a neighbour of w (dist
+    1) is out of reach only at t = L - 1, where its distance to w has the
+    parity of t + 1 = L, even.  So the forbid lanes or-ed over the
+    positions are the illegal moves.  The state arrays are laid out
+    position by state, so both reductions run along the long axis.  Each
     successor key is built from its parent key (`_child_keys`), by
     shifting in the new move, cutting to the kept lanes and rotating every
     lane at once."""
     n = len(keys)
-    cols = np.arange(n)
+    W = 2 * L - 1
+    Q = W * W + 1
+    reach, forbid = _cell_tables(L, ordering, pruning)
     moves, length, pre = _unpack(keys, L)
     t = np.arange(1, L, dtype=np.int16)[:, None]  # steps back from the endpoint
-    # position t steps back, with the endpoint at the origin; positions
-    # the state does not hold are parked out of reach of every test
+    # the cell of the position t steps back: the cell steps of the moves
+    # back from the endpoint, (-_DX[m]) * W - _DY[m], summed from the
+    # endpoint's cell on; positions the state does not hold are parked
     m = moves[:-1]
-    px = ((m & 1) * (m - 2)).astype(np.int16)  # -_DX[m]
-    py = ((~m & 1) * (m - 1)).astype(np.int16)  # -_DY[m]
+    cell = ((m & 1) * (m - 2)).astype(np.int16)
+    cell *= W
+    cell += (~m & 1) * (m - 1)
+    cell[0] += (L - 1) * (W + 1)
     for j in range(1, L - 1):
-        px[j] += px[j - 1]
-        py[j] += py[j - 1]
-    np.copyto(px, _FAR, where=t > length)
-    # the move that arrived at the position t steps back (pre at the oldest)
-    arrive = moves.copy()
-    arrive[length, cols] = pre
-    if pruning == PRUNE_WEITZ:
-        # pin[t - 1] masks the steps onto the neighbors of the position t
-        # back whose closure is pinned occupied; code[t - 1] + _CODE[delta]
-        # is the code of the step from that position to the new endpoint
-        if ordering == UNIFORM:
-            pin = _UNIFORM_PINS.take(m)
-        else:
-            # with pre None the oldest closure never pins occupied
-            pin = _RELATIVE_PINS.take((arrive[1:] + 1) * 4 + m)
-        code = (-(px + 2 * py) & 7).astype(np.uint8)
+        cell[j] += cell[j - 1]
+    np.copyto(cell, W * W, where=t > length)
+    # the pin class of the position t steps back, and its forbid row
     track_pre = pruning == PRUNE_WEITZ and ordering == RELATIVE
+    if track_pre:
+        # the move that arrived at the position t steps back (pre at the
+        # oldest); with pre None the oldest closure never pins occupied
+        arrive = moves.copy()
+        arrive[length, np.arange(n)] = pre
+        pin = arrive[1:] * 4
+        pin += m
+        pin += 4
+    else:
+        pin = m if pruning == PRUNE_WEITZ else np.zeros_like(m)
+    at = np.multiply(pin, Q, dtype=np.intp)
+    at += cell
+    bad = np.bitwise_or.reduce(forbid.take(at), axis=0)
+    np.add(cell, np.arange(0, (L - 1) * Q, Q)[:, None], out=at)
+    kept = reach.take(at).sum(axis=0, dtype=np.uint32)
+    del at
     rotate = not (pruning == PRUNE_WEITZ and ordering == UNIFORM)
     out = np.zeros((n, 4), dtype=np.uint64)
-    dist = np.empty_like(px)
-    buf = np.empty_like(py)
     for delta in range(4):
-        # Manhattan distance from the new endpoint w to the position t back
-        np.abs(np.subtract(px, _DX[delta], out=dist), out=dist)
-        dist += np.abs(np.subtract(py, _DY[delta], out=buf), out=buf)
-        # w in the body closes a cycle of length <= L (or backtracks)
-        legal = ~(dist == 0).any(axis=0)
-        # keep the suffix back to the oldest position still within reach
-        smax = 1 + np.where(dist <= L - 1 - t, t, 0).max(axis=0)
-        new_pre = arrive[smax - 1, cols] if track_pre else np.full(n, -1, np.int8)
-        if pruning == PRUNE_WEITZ:
-            # w is forced unoccupied when some in-window closure through a
-            # neighbor q of w is pinned occupied: the move out of q outranks
-            # the step from q to w
-            pinned = (pin >> ((code + int(_CODE[delta])) & 7)) & (dist == 1)
-            legal &= ~((pinned != 0) & (t < smax)).any(axis=0)
-        out[legal, delta] = _child_keys(keys[legal], delta, smax[legal], new_pre[legal], rotate)
+        rows = np.flatnonzero(((bad >> 8 * delta) & 0xFF) == 0)
+        # T: the child's oldest position is the parent's T steps back
+        back = ((kept.take(rows) >> 8 * delta) & 0xFF).astype(np.intp)
+        if track_pre:
+            new_pre = arrive.ravel().take(back * n + rows)
+        else:
+            new_pre = np.full(len(rows), -1, np.int8)
+        out[rows, delta] = _child_keys(keys.take(rows), delta, back + 1, new_pre, rotate)
     return out
 
 
@@ -413,8 +474,13 @@ def z2_branching_matrix(
     adds no constraints; deeper states do not fit a 64-bit key).  States
     are enumerated by forward closure from the zero-length walk, one
     breadth-first level at a time, and numbered by first discovery in
-    (parent, move) order.  StateCapError(state_cap + 1) is raised before
-    a level that would take the count past state_cap.
+    (parent, move) order.  `_successors` runs on blocks of at most
+    _SUCC_BLOCK states of a level.  The level's successor keys are
+    argsorted once: the sorted distinct keys are searched in the sorted
+    known ones, each new key takes its number from its first (parent,
+    move) slot, and the ids go back through the order.
+    StateCapError(state_cap + 1) is raised before a level that would take
+    the count past state_cap.
     """
     if L < 2 or L % 2 != 0 or L > _MAX_MEMORY:
         raise ValueError(f"L must be an even integer in [2, {_MAX_MEMORY}]")
@@ -430,24 +496,35 @@ def z2_branching_matrix(
     tables = []
     count = 1
     while len(level):
-        succ = _successors(level, L, ordering, pruning).ravel()
+        succ = np.empty((len(level), 4), dtype=np.uint64)
+        for i in range(0, len(level), _SUCC_BLOCK):
+            succ[i:i + _SUCC_BLOCK] = _successors(level[i:i + _SUCC_BLOCK], L, ordering, pruning)
+        succ = succ.ravel()
         live = succ != 0
         keys = succ[live]  # in (parent, move) order
-        at = np.minimum(np.searchsorted(known, keys), len(known) - 1)
-        found = known[at] == keys
-        new, first, inverse = np.unique(keys[~found], return_index=True, return_inverse=True)
+        # the distinct keys, sorted, and the first (parent, move) slot of each
+        order, head = _group(keys)
+        starts = np.flatnonzero(head)
+        uniq = keys.take(order.take(starts))
+        first = np.minimum.reduceat(order, starts)
+        slot = np.searchsorted(known, uniq)
+        found = known.take(slot, mode="clip") == uniq
+        fresh = ~found
+        new = uniq[fresh]
         if count + len(new) > state_cap:
             raise StateCapError(state_cap + 1)
-        by_first = np.argsort(first)
+        by_first = np.argsort(first[fresh])
         new_id = np.empty(len(new), dtype=np.int32)
         new_id[by_first] = np.arange(count, count + len(new), dtype=np.int32)
-        ids = np.empty(len(keys), dtype=np.int32)
-        ids[found] = known_id[at[found]]
-        ids[~found] = new_id[inverse]
+        ids = np.empty(len(uniq), dtype=np.int32)
+        ids[found] = known_id.take(slot[found])
+        ids[fresh] = new_id
+        ids_by_key = np.empty(len(keys), dtype=np.int32)
+        ids_by_key[order] = np.repeat(ids, np.diff(starts, append=len(keys)))
         table = np.full(len(succ), -1, dtype=np.int32)
-        table[live] = ids
+        table[live] = ids_by_key
         tables.append(table.reshape(-1, 4))
-        slot = np.searchsorted(known, new)
+        slot = slot[fresh]
         known = np.insert(known, slot, new)
         known_id = np.insert(known_id, slot, new_id)
         level = new[by_first]
@@ -587,7 +664,7 @@ def _group(key: np.ndarray):
     order = np.argsort(key)
     ordered = key[order]
     head = np.empty(len(key), dtype=bool)
-    head[0] = True
+    head[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
     return order, head
 

@@ -400,8 +400,9 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
           it zeroes the node and ends its scan.
       leaf and frontier values -- an exact leaf is lambda (resp. 1) and a
           truncated frontier node lies in [0, lambda] (resp. [pin, 1], the
-          pin of its neighbours outside blocked but its parent, whose
-          number `fix` corrects for blocked vertices).
+          pin of its neighbours outside blocked but its parent, read off
+          the graph's `_vertex_pins`, corrected where w has blocked
+          neighbours).
       fold -- hard-core starts a node at lambda and multiplies in
           1/(1 + R) per child; monomer-dimer sums the child values and
           takes 1/(1 + gamma*sum) when the node is popped, rounded
@@ -428,14 +429,19 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
     adj = g.adjacency
     hc = model == HARDCORE
     if not hc:
-        # the pin of a truncated child w is pin[deg[w] - 1], or fix[w] where
-        # w has blocked neighbours: O(sum of their degrees) per call
+        # the pin of a truncated child w is wpin[w], pin[deg[w] - 1] but
+        # where w has blocked neighbours, which a copy corrects: O(sum of
+        # their degrees) and one copy per call
         pin, deg = _pin_table(table), g.degrees
+        wpin = _vertex_pins(g.csr, pin)
         lost = {}
         for b in blocked:
             for x in adj[b]:
                 lost[x] = lost.get(x, 0) + 1
-        fix = {x: pin[max(deg[x] - 1 - k, 0)] for x, k in lost.items()}
+        if lost:
+            wpin = wpin.copy()
+            for x, k in lost.items():
+                wpin[x] = pin[max(deg[x] - 1 - k, 0)]
     if max_depth == 0:
         if not hc:
             k = deg[root] - lost.get(root, 0)
@@ -466,7 +472,7 @@ def _sandwich(g, root, model, a, max_depth, blocked, budget, table):
                 if x != u and x not in blocked and (hc or x not in path_pos):
                     cut += 1  # a free neighbor: w is extended
                     if not hc:
-                        pins += fix[w] if w in fix else pin[deg[w] - 1]
+                        pins += wpin[w]
                     break
             else:
                 exact += 1
@@ -940,6 +946,17 @@ def _first_other(csr):
         start = csr.indptr.take(csr.nbrs)
         csr.memo["first"] = csr.nbrs.take(start + (csr.back == start), mode="clip")
     return csr.memo["first"]
+
+
+def _vertex_pins(csr, pin):
+    """wpin[w] = pin[deg[w] - 1], the pin of a truncated monomer-dimer
+    child w of a graph without blocked vertices, as a list for the
+    depth-first walker; that of the last pin table kept in csr.memo.
+    Entries of isolated vertices, never children, read pin[0]."""
+    kept = csr.memo.get("vertex pins")
+    if kept is None or kept[0] != pin:
+        kept = csr.memo["vertex pins"] = pin, [pin[max(d - 1, 0)] for d in csr.deg.tolist()]
+    return kept[1]
 
 
 def _pin_sums(csr, table):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,6 +354,48 @@ def test_state_keys_round_trip_at_memory_30():
     assert np.array_equal(np.where(held, got_moves, 0), np.where(held, moves, 0))
 
 
+def _reference_successors(keys, L, ordering, pruning):
+    """Reference `_successors`: each move tested on its own, on int16
+    positions and Manhattan distances, the kept length the oldest position
+    within reach found by a max over the positions."""
+    n = len(keys)
+    cols = np.arange(n)
+    moves, length, pre = connconst._unpack(keys, L)
+    t = np.arange(1, L, dtype=np.int16)[:, None]  # steps back from the endpoint
+    # position t steps back, with the endpoint at the origin; positions
+    # the state does not hold are parked out of reach of every test
+    m = moves[:-1]
+    px = ((m & 1) * (m - 2)).astype(np.int16)  # -_DX[m]
+    py = ((~m & 1) * (m - 1)).astype(np.int16)  # -_DY[m]
+    for j in range(1, L - 1):
+        px[j] += px[j - 1]
+        py[j] += py[j - 1]
+    np.copyto(px, 1000, where=t > length)
+    # the move that arrived at the position t steps back (pre at the oldest)
+    arrive = moves.copy()
+    arrive[length, cols] = pre
+    if pruning == "weitz":
+        if ordering == "uniform":
+            pin = connconst._UNIFORM_PINS.take(m)
+        else:
+            pin = connconst._RELATIVE_PINS.take((arrive[1:] + 1) * 4 + m)
+        code = (-(px + 2 * py) & 7).astype(np.uint8)
+    track_pre = pruning == "weitz" and ordering == "relative"
+    rotate = not (pruning == "weitz" and ordering == "uniform")
+    out = np.zeros((n, 4), dtype=np.uint64)
+    for delta in range(4):
+        dist = np.abs(px - connconst._DX[delta]) + np.abs(py - connconst._DY[delta])
+        legal = ~(dist == 0).any(axis=0)
+        smax = 1 + np.where(dist <= L - 1 - t, t, 0).max(axis=0)
+        new_pre = arrive[smax - 1, cols] if track_pre else np.full(n, -1, np.int8)
+        if pruning == "weitz":
+            pinned = (pin >> ((code + int(connconst._CODE[delta])) & 7)) & (dist == 1)
+            legal &= ~((pinned != 0) & (t < smax)).any(axis=0)
+        out[legal, delta] = connconst._child_keys(
+            keys[legal], delta, smax[legal], new_pre[legal], rotate)
+    return out
+
+
 def _closure_keys(L, ordering, pruning):
     """Every state key that the closure from the zero-length walk reaches."""
     seen = level = np.array([connconst._START_KEY])
@@ -409,6 +452,46 @@ def test_successor_keys_match_packing_at_memory_30():
     keys = _pack(moves[:29], length, pre)
     for ordering, pruning in itertools.product(("relative", "uniform"), ("none", "weitz")):
         assert _assert_successor_keys_match_packing(keys, 30, ordering, pruning) > 0
+
+
+@pytest.mark.parametrize("ordering,pruning",
+                         list(itertools.product(("relative", "uniform"), ("none", "weitz"))))
+def test_successors_match_reference(ordering, pruning):
+    # every closure key at memories 2-16, in one call a memory
+    for L in range(2, 17, 2):
+        keys = _closure_keys(L, ordering, pruning)
+        got = connconst._successors(keys, L, ordering, pruning)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, _reference_successors(keys, L, ordering, pruning)), L
+
+
+def test_successors_match_reference_at_memory_30():
+    # random states, legal walks or not, of every length up to 29 moves
+    moves, length, pre = _random_states(2000, 30, seed=7)
+    keys = _pack(moves[:29], length, pre)
+    for ordering, pruning in itertools.product(("relative", "uniform"), ("none", "weitz")):
+        got = connconst._successors(keys, 30, ordering, pruning)
+        assert np.array_equal(got, _reference_successors(keys, 30, ordering, pruning))
+        assert (got != 0).any() and (got == 0).any()
+
+
+def test_closure_memory_stays_bounded(monkeypatch):
+    # the closure's index temporaries are bounded by its blocks of states:
+    # at memory 18 the closure peaks at 18.4 MiB (32.4 MiB unblocked) and
+    # the build, whose peak is then refinement's, at 31.0 MiB
+    peaks = []
+    merge = connconst._merge_isomorphic
+    monkeypatch.setattr(connconst, "_merge_isomorphic",
+                        lambda t: peaks.append(tracemalloc.get_traced_memory()[1]) or merge(t))
+    tracemalloc.start()
+    try:
+        z2_branching_matrix(18)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    closure, build = peaks
+    assert closure < 24 * 2**20
+    assert build < 36 * 10**6
 
 
 def test_state_cap():
